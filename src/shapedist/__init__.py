@@ -2,8 +2,9 @@
 
 Submodules
 ----------
+curves      piecewise-polynomial curves; exact extrema, sup_norm and modulus
 models      closed-form model catalog and probability-equal knot meshes
-empirical   seeded sampling, ECDF machinery, exact sup norm and modulus
+empirical   seeded sampling and ECDF machinery (re-exports sup_norm, modulus)
 monotone    least concave majorant / decreasing-density estimator
 convexlse   least squares convex-density estimator and its certificates
 spline      complete cubic spline interpolation and error bounds

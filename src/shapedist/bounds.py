@@ -30,7 +30,7 @@ from .models import (
     knot_mesh_convex,
     mean_value_knot,
 )
-from .spline import interp_integrated_cdf, interp_integrated_ecdf
+from .spline import _defect, interp_integrated_cdf, interp_integrated_ecdf
 
 __all__ = [
     "LemmaQuantities",
@@ -84,8 +84,10 @@ class LemmaQuantities:
     fstar: np.ndarray
 
 
-def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    return 0.5 * (slopes[:-1] + slopes[1:]) * widths - increments
+def _cell_defect(model: AnalyticModel, s: float, t: float) -> float:
+    """Population raw defect ``(F(s) + F(t))/2 * (t - s) - integral_s^t F`` of one cell."""
+    return 0.5 * (float(model.F(t)) + float(model.F(s))) * (t - s) \
+        - (float(model.Fint(t)) - float(model.Fint(s)))
 
 
 def compute_quantities(data: EmpiricalData, model: AnalyticModel,
@@ -138,8 +140,7 @@ def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
     """
     if not 0.0 <= s < t:
         raise ValueError("need 0 <= s < t")
-    value = 0.5 * (float(model.F(t)) + float(model.F(s))) * (t - s) \
-        - (float(model.Fint(t)) - float(model.Fint(s)))
+    value = _cell_defect(model, s, t)
     cube = float(model.fprime(s)) * (t - s) ** 3 / 12.0
     quart = (t - s) ** 4 / 24.0
     lo = cube + _extreme(model.fsecond, s, t, "inf") * quart
@@ -165,13 +166,8 @@ def slope_difference_bound(model: AnalyticModel, mesh: KnotMesh, j: int):
         raise ValueError("need 1 <= j <= k-1")
     a = mesh.knots
     d = mesh.deltas
-
-    def defect(lo, hi):
-        return 0.5 * (float(model.F(hi)) + float(model.F(lo))) * (hi - lo) \
-            - (float(model.Fint(hi)) - float(model.Fint(lo)))
-
-    rj = defect(a[j - 1], a[j])
-    rj1 = defect(a[j], a[j + 1])
+    rj = _cell_defect(model, a[j - 1], a[j])
+    rj1 = _cell_defect(model, a[j], a[j + 1])
     lhs = rj / d[j - 1] ** 3 - rj1 / d[j] ** 3
 
     diff_quot = (float(model.fprime(a[j])) - float(model.fprime(a[j - 1]))) / d[j - 1]
@@ -225,24 +221,26 @@ def bernstein_cell_bound(n: int, delta: float, p: float, f_star: float) -> float
     return 2.0 * np.exp(-expo)
 
 
+def _spline_exponent(n: int, delta: float, p: float, f_star: float) -> float:
+    """Exponent shared by the two spline-side Bernstein bounds."""
+    return (n * delta ** 2 * f_star ** 2 * p ** 3 / 100.0) \
+        / (1.0 + p * delta * f_star / 30.0)
+
+
 def bernstein_slope_gap_bound(n: int, delta: float, p: float, f_star: float) -> float:
     """Tail bound for the spline defect against the population raw defect:
     prob(|T - r| > 3 delta p^3) is at most
 
         6 exp(-(n delta^2 f*^2 p^3 / 100) / (1 + p delta f* / 30)).
     """
-    expo = (n * delta ** 2 * f_star ** 2 * p ** 3 / 100.0) \
-        / (1.0 + p * delta * f_star / 30.0)
-    return 6.0 * np.exp(-expo)
+    return 6.0 * np.exp(-_spline_exponent(n, delta, p, f_star))
 
 
 def bernstein_residual_bound(n: int, delta: float, p: float, f_star: float) -> float:
     """Tail bound for the spline-vs-raw residual W: prob(|W| > delta p^3)
     is at most ``4 exp(...)`` with the same exponent as the slope-gap bound.
     """
-    expo = (n * delta ** 2 * f_star ** 2 * p ** 3 / 100.0) \
-        / (1.0 + p * delta * f_star / 30.0)
-    return 4.0 * np.exp(-expo)
+    return 4.0 * np.exp(-_spline_exponent(n, delta, p, f_star))
 
 
 #: reciprocal of the absolute constant in the convexity-event bound,
@@ -285,8 +283,7 @@ def cell_variance(model: AnalyticModel, s: float, t: float) -> float:
     is integrated numerically.
     """
     mid = 0.5 * (s + t)
-    mean = 0.5 * (float(model.F(t)) + float(model.F(s))) * (t - s) \
-        - (float(model.Fint(t)) - float(model.Fint(s)))
+    mean = _cell_defect(model, s, t)
     second, _ = quad(lambda x: (x - mid) ** 2 * float(model.f(x)), s, t,
                      epsabs=1e-14, epsrel=1e-12, limit=200)
     return second - mean ** 2

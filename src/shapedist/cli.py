@@ -17,6 +17,7 @@ from .convexlse import FitError
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _fmt,
     run_convex_rate,
     run_event_frequency,
     run_lemma_suite,
@@ -123,9 +124,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 def _print_csv(columns, rows) -> None:
     print(",".join(columns))
     for row in rows:
-        print(",".join("" if row[c] is None else
-                       (repr(row[c]) if isinstance(row[c], float) else str(row[c]))
-                       for c in columns))
+        print(",".join(_fmt(row[c]) for c in columns))
 
 
 def _cmd_rate(args) -> int:

@@ -69,22 +69,20 @@ class PiecewisePoly:
     def _piece_index(self, t, side="right"):
         return np.clip(np.searchsorted(self.x, t, side=side) - 1, 0, self.npieces - 1)
 
-    def __call__(self, t):
+    def _eval(self, t, side):
         t = np.asarray(t, dtype=float)
-        i = self._piece_index(t)
+        i = self._piece_index(t, side)
         u = t - self.x[i]
         c = self.c[i]
         out = ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
         return out if out.ndim else float(out)
 
+    def __call__(self, t):
+        return self._eval(t, "right")
+
     def left_limit(self, t):
         """Limit from the left; equals the value where the curve is continuous."""
-        t = np.asarray(t, dtype=float)
-        i = self._piece_index(t, side="left")
-        u = t - self.x[i]
-        c = self.c[i]
-        out = ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
-        return out if out.ndim else float(out)
+        return self._eval(t, "left")
 
     def derivative(self) -> "PiecewisePoly":
         c = self.c
@@ -215,21 +213,19 @@ class CurveSum:
     smooth: SmoothCurve | None = None
     const: float = 0.0
 
-    def __call__(self, t):
+    def _eval(self, t, side):
         out = np.zeros_like(np.asarray(t, dtype=float)) + self.const
         if self.poly is not None:
-            out = out + self.poly(t)
+            out = out + self.poly._eval(t, side)
         if self.smooth is not None:
             out = out + self.smooth(t)
         return out if out.ndim else float(out)
 
+    def __call__(self, t):
+        return self._eval(t, "right")
+
     def left_limit(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float)) + self.const
-        if self.poly is not None:
-            out = out + self.poly.left_limit(t)
-        if self.smooth is not None:
-            out = out + self.smooth(t)
-        return out if out.ndim else float(out)
+        return self._eval(t, "left")
 
     def derivative(self) -> "CurveSum":
         return CurveSum(
@@ -304,6 +300,52 @@ def _quad_roots(a, b, c):
     return r1, r2
 
 
+def _window(poly: PiecewisePoly, lo: float, hi: float):
+    """Pieces of ``poly`` meeting [lo, hi], with [lo, hi] in each piece's local offsets.
+
+    Returns ``(idx, ulo, uhi)``: piece indices and the clipped local offsets
+    of ``lo`` and ``hi`` within each of those pieces.
+    """
+    x = poly.x
+    m = poly.npieces
+    i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
+    i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
+    idx = np.arange(i0, i1 + 1)
+    h = x[idx + 1] - x[idx]
+    return idx, np.clip(lo - x[idx], 0.0, h), np.clip(hi - x[idx], 0.0, h)
+
+
+def _poly_stationary(cc, ulo, uhi):
+    """Stationary points of cubic pieces strictly inside (ulo, uhi), local offsets.
+
+    ``cc`` holds local coefficients, one row per piece.  Returns a
+    ``(pieces, 2)`` array, NaN where a piece has fewer interior roots.
+    """
+    r = np.column_stack(_quad_roots(3.0 * cc[:, 3], 2.0 * cc[:, 2], cc[:, 1]))
+    inside = (r > ulo[:, None]) & (r < uhi[:, None])
+    return np.where(inside, r, np.nan)
+
+
+def _linear_stationary(slope, dphi, alo, ahi):
+    """Roots of ``slope + dphi(t)`` on each bracket [alo, ahi]; NaN where none.
+
+    ``dphi`` is the derivative of the smooth part, assumed monotone, so a
+    constant/linear piece plus the smooth part has at most one stationary
+    point per piece, isolated by a sign change at the bracket ends.
+    """
+    mask = ((slope + dphi(alo)) * (slope + dphi(ahi)) < 0.0) & (ahi > alo)
+    out = np.full(len(alo), np.nan)
+    if np.any(mask):
+        sl = slope[mask]
+        out[mask] = _bisect_many(lambda t: sl + dphi(t), alo[mask], ahi[mask])
+    return out
+
+
+def _flat(lo: float, hi: float) -> PiecewisePoly:
+    """The zero polynomial on [lo, hi], standing in for a missing poly part."""
+    return PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
+
+
 def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
     """Exact extrema of a piecewise polynomial over [lo, hi].
 
@@ -311,24 +353,13 @@ def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
     left endpoint, its (open) right endpoint value, and interior stationary
     points, which together cover the closure of the range.
     """
-    x, c = pp.x, pp.c
-    m = pp.npieces
-    i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
-    i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
-    idx = np.arange(i0, i1 + 1)
-    h = x[idx + 1] - x[idx]
-    ulo = np.clip(lo - x[idx], 0.0, h)
-    uhi = np.clip(hi - x[idx], 0.0, h)
-    cc = c[idx]
-    r1, r2 = _quad_roots(3.0 * cc[:, 3], 2.0 * cc[:, 2], cc[:, 1])
-    us = np.column_stack([ulo, uhi, r1, r2])
-    bad = ~((us > ulo[:, None]) & (us < uhi[:, None]))
-    bad[:, 0] = False
-    bad[:, 1] = False
-    us = np.where(bad, ulo[:, None], us)
+    idx, ulo, uhi = _window(pp, lo, hi)
+    cc = pp.c[idx]
+    # a piece without an interior root repeats its left end
+    us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
     vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
     flat_v = vals.ravel()
-    flat_t = (x[idx][:, None] + us).ravel()
+    flat_t = (pp.x[idx][:, None] + us).ravel()
     kmin = int(np.argmin(flat_v))
     kmax = int(np.argmax(flat_v))
     return Extrema(float(flat_v[kmin]), float(flat_t[kmin]),
@@ -408,36 +439,22 @@ def _stationary_points_hybrid(cc, x0, a, b, smooth: SmoothCurve):
 
 def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
     """Extrema of ``poly + smooth`` on [lo, hi]."""
-    x, c = poly.x, poly.c
-    m = poly.npieces
-    i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
-    i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
-    idx = np.arange(i0, i1 + 1)
-    h = x[idx + 1] - x[idx]
-    alo = x[idx] + np.clip(lo - x[idx], 0.0, h)
-    ahi = x[idx] + np.clip(hi - x[idx], 0.0, h)
-    cc = c[idx]
+    idx, ulo, uhi = _window(poly, lo, hi)
+    x0 = poly.x[idx]
+    alo = x0 + ulo
+    ahi = x0 + uhi
+    cc = poly.c[idx]
 
     cand_t = [alo, ahi]
     if np.all(cc[:, 2:] == 0.0) and smooth.order >= 1:
-        # vectorized path for constant/linear pieces: at most one stationary
-        # point per piece since the smooth derivative is monotone
-        dphi = smooth.funcs[1]
-        slope = cc[:, 1]
-        da = slope + dphi(alo)
-        db = slope + dphi(ahi)
-        mask = (da * db < 0.0) & (ahi > alo)
-        if np.any(mask):
-            sl = slope[mask]
-            roots = _bisect_many(lambda t: sl + dphi(t), alo[mask], ahi[mask])
-            full = np.full(len(idx), np.nan)
-            full[mask] = roots
-            cand_t.append(np.where(np.isnan(full), alo, full))
+        roots = _linear_stationary(cc[:, 1], smooth.funcs[1], alo, ahi)
+        if not np.all(np.isnan(roots)):
+            cand_t.append(np.where(np.isnan(roots), alo, roots))
     else:
         for j in range(len(idx)):
             if ahi[j] <= alo[j]:
                 continue
-            for t in _stationary_points_hybrid(cc[j], x[idx[j]], alo[j], ahi[j], smooth):
+            for t in _stationary_points_hybrid(cc[j], x0[j], alo[j], ahi[j], smooth):
                 onehot = alo.copy()
                 onehot[j] = t
                 cand_t.append(onehot)
@@ -445,7 +462,7 @@ def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: flo
     best_min = (math.inf, lo)
     best_max = (-math.inf, lo)
     for ts in cand_t:
-        u = ts - x[idx]
+        u = ts - x0
         vals = ((cc[:, 3] * u + cc[:, 2]) * u + cc[:, 1]) * u + cc[:, 0] + smooth(ts)
         j = int(np.argmin(vals))
         if vals[j] < best_min[0]:
@@ -454,11 +471,6 @@ def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: flo
         if vals[j] > best_max[0]:
             best_max = (float(vals[j]), float(ts[j]))
     return Extrema(best_min[0], best_min[1], best_max[0], best_max[1])
-
-
-def _smooth_only_extrema(smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
-    zero = PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
-    return _hybrid_extrema(zero, smooth, lo, hi)
 
 
 def extrema(g, lo: float, hi: float) -> Extrema:
@@ -470,15 +482,13 @@ def extrema(g, lo: float, hi: float) -> Extrema:
     if hi <= lo:
         raise ValueError("empty interval")
     cs = as_curve(g)
+    if cs.poly is None and cs.smooth is None:
+        return Extrema(cs.const, lo, cs.const, lo)
+    poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.smooth is None:
-        if cs.poly is None:
-            return Extrema(cs.const, lo, cs.const, lo)
-        e = _poly_extrema(cs.poly, lo, hi)
-        return Extrema(e.min_val + cs.const, e.min_at, e.max_val + cs.const, e.max_at)
-    if cs.poly is None:
-        e = _smooth_only_extrema(cs.smooth, lo, hi)
+        e = _poly_extrema(poly, lo, hi)
     else:
-        e = _hybrid_extrema(cs.poly, cs.smooth, lo, hi)
+        e = _hybrid_extrema(poly, cs.smooth, lo, hi)
     return Extrema(e.min_val + cs.const, e.min_at, e.max_val + cs.const, e.max_at)
 
 
@@ -532,44 +542,36 @@ class _RangeTable:
         return out_min, out_max
 
 
-def _pinned_pair_candidates(cs: CurveSum, pts: np.ndarray, width: float, lo: float, hi: float):
+def _pinned_pair_candidates(cs: CurveSum, width: float, lo: float, hi: float):
     """Increment candidates for window pairs pinned at exact distance ``width``.
 
     When both window ends sit strictly inside pieces, the optimal pair has
     equal one-sided slopes.  For pure polynomials the pinned increment is a
     quadratic in the window position and is solved in closed form; for
     constant/linear pieces plus a smooth part with monotone second derivative
-    a single bisection per overlapping piece pair suffices.  Pairs whose
-    increment derivative cannot vanish are skipped.
+    (the only pieces :func:`modulus` admits next to a smooth part) a single
+    bisection per overlapping piece pair suffices.  Pairs whose increment
+    derivative cannot vanish are skipped.
     """
     poly = cs.poly
-    if poly is None or poly.npieces == 0:
+    if poly is None:
         return []
     x, c = poly.x, poly.c
     m = poly.npieces
-    smooth = cs.smooth
     out = []
-    hybrid_linear = smooth is not None and np.all(c[:, 2:] == 0.0)
-    if smooth is not None and not hybrid_linear:
-        raise NotImplementedError(
-            "modulus with quadratic/cubic pieces plus a smooth part is not supported"
-        )
-    dphi = smooth.funcs[1] if hybrid_linear else None
+    dphi = None if cs.smooth is None else cs.smooth.funcs[1]
     for bpiece in range(m):
         wlo = max(x[bpiece], lo)
         whi = min(x[bpiece + 1], hi - width)
         if whi <= wlo:
             continue
-        a0 = int(np.clip(np.searchsorted(x, wlo + width, side="right") - 1, 0, m - 1))
-        a1 = int(np.clip(np.searchsorted(x, whi + width, side="right") - 1, 0, m - 1))
-        for apiece in range(a0, a1 + 1):
+        for apiece in _window(poly, wlo + width, whi + width)[0]:
             qlo = max(wlo, x[apiece] - width)
-            qhi = min(whi, (x[apiece + 1] if apiece + 1 <= m else hi) - width)
-            qhi = min(qhi, hi - width)
+            qhi = min(whi, x[apiece + 1] - width, hi - width)
             if qhi <= qlo:
                 continue
             ca, cb = c[apiece], c[bpiece]
-            if hybrid_linear:
+            if dphi is not None:
                 ds = ca[1] - cb[1]
                 f = lambda w, ds=ds: ds + dphi(w + width) - dphi(w)
                 if f(qlo) * f(qhi) < 0.0:
@@ -610,52 +612,22 @@ def modulus(g, width: float, interval) -> float:
         return e.max_val - e.min_val
 
     # events: breakpoints, interval ends, and stationary points inside pieces
+    # (NaN marks a piece without one and drops out with the range filter)
     ev = [np.array([lo, hi])]
+    poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.poly is not None:
-        bx = cs.poly.x
-        ev.append(bx[(bx > lo) & (bx < hi)])
-    if cs.smooth is not None or (cs.poly is not None and cs.poly.degree() >= 2):
-        body = extrema(cs, lo, hi)  # runs the stationary-point cascade
-        ev.append(np.array([body.min_at, body.max_at]))
-        # per-piece stationary points (arc splitting)
-        poly = cs.poly if cs.poly is not None else PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
-        if cs.smooth is not None:
-            if np.all(poly.c[:, 2:] == 0.0):
-                x = poly.x
-                m = poly.npieces
-                i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
-                i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
-                idx = np.arange(i0, i1 + 1)
-                h = x[idx + 1] - x[idx]
-                alo = x[idx] + np.clip(lo - x[idx], 0.0, h)
-                ahi = x[idx] + np.clip(hi - x[idx], 0.0, h)
-                dphi = cs.smooth.funcs[1]
-                slope = poly.c[idx, 1]
-                da = slope + dphi(alo)
-                db = slope + dphi(ahi)
-                mask = (da * db < 0.0) & (ahi > alo)
-                if np.any(mask):
-                    sl = slope[mask]
-                    ev.append(_bisect_many(lambda t: sl + dphi(t), alo[mask], ahi[mask]))
-            else:
-                raise NotImplementedError(
-                    "modulus with quadratic/cubic pieces plus a smooth part is not supported"
-                )
-        else:
-            dp = poly.derivative()
-            for j in range(poly.npieces):
-                u0 = max(0.0, lo - poly.x[j])
-                u1 = min(poly.x[j + 1] - poly.x[j], hi - poly.x[j])
-                if u1 <= u0:
-                    continue
-                r1, r2 = _quad_roots(
-                    np.array([3.0 * poly.c[j, 3]]),
-                    np.array([2.0 * poly.c[j, 2]]),
-                    np.array([poly.c[j, 1]]),
-                )
-                for r in (float(r1[0]), float(r2[0])):
-                    if not math.isnan(r) and u0 < r < u1:
-                        ev.append(np.array([poly.x[j] + r]))
+        ev.append(poly.x[(poly.x > lo) & (poly.x < hi)])
+    if cs.smooth is not None:
+        if np.any(poly.c[:, 2:] != 0.0):
+            raise NotImplementedError(
+                "modulus with quadratic/cubic pieces plus a smooth part is not supported"
+            )
+        idx, ulo, uhi = _window(poly, lo, hi)
+        x0 = poly.x[idx]
+        ev.append(_linear_stationary(poly.c[idx, 1], cs.smooth.funcs[1], x0 + ulo, x0 + uhi))
+    elif poly.degree() >= 2:
+        idx, ulo, uhi = _window(poly, lo, hi)
+        ev.append((poly.x[idx][:, None] + _poly_stationary(poly.c[idx], ulo, uhi)).ravel())
 
     pts = np.unique(np.concatenate(ev))
     pts = pts[(pts >= lo) & (pts <= hi)]
@@ -684,7 +656,7 @@ def modulus(g, width: float, interval) -> float:
     here_lo = np.minimum(rvals, lvals)
     best = float(np.max(np.maximum(here_hi - wmin, wmax - here_lo)))
 
-    for w in _pinned_pair_candidates(cs, pts, width, lo, hi):
+    for w in _pinned_pair_candidates(cs, width, lo, hi):
         inc = abs(float(cs(w + width)) - float(cs(w)))
         best = max(best, inc)
     return max(best, 0.0)

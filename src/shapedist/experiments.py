@@ -29,9 +29,10 @@ from .bounds import (
 from .convexlse import FitError, fit_lse
 from .curves import sup_norm
 from .empirical import ecdf, ecdf_curve, integrated_ecdf, integrated_ecdf_curve, sample, seed_for
-from .models import constants, knot_mesh_convex, knot_mesh_monotone, make_model
+from .models import AnalyticModel, constants, knot_mesh_convex, knot_mesh_monotone, make_model
 from .monotone import broken_line_error_report, concavity_event, kw_tail_bound, lcm
 from .spline import (
+    _defect,
     convexity_event,
     interp_integrated_cdf,
     interp_integrated_ecdf,
@@ -80,7 +81,8 @@ class ExperimentConfig:
     k_override: int = 0
 
 
-def _validate(config: ExperimentConfig, min_sizes: int = 1) -> None:
+def _validate(config: ExperimentConfig, min_sizes: int = 1) -> AnalyticModel:
+    """Check the settings every driver shares; return the configured model."""
     if not config.model:
         raise ConfigError("no model given")
     if config.target not in ("monotone", "convex"):
@@ -92,12 +94,16 @@ def _validate(config: ExperimentConfig, min_sizes: int = 1) -> None:
         raise ConfigError("n_grid must be strictly increasing sizes >= 2")
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if config.c0 <= 0:
-        raise ConfigError("c0 must be positive")
+    if not 0 < config.c0 < math.inf:
+        raise ConfigError("c0 must be positive and finite")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
     if config.k_override < 0 or config.k_override == 1:
         raise ConfigError("k_override must be 0 (off) or >= 2")
+    try:
+        return make_model(config.model, config.params, config.tau_quantile)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def k_rule(n: int, beta: float, m: int, c0: float = 1.0) -> int:
@@ -142,74 +148,54 @@ def _ols(x, y) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (top level so they can cross process boundaries)
+# replicate worker (top level so it can cross process boundaries)
 
-def _monotone_replicate(task):
-    name, params, tau_q, n, rep, seed, k = task
+def _replicate(task):
+    """One seeded replicate: the shape event on the rule mesh, and optionally
+    the sup-norm distances of the target's estimator from the ECDF side.
+
+    Monotone: ``sup |Fhat_n - Fn|`` over the sample range.  Convex:
+    ``sup |Ftilde_n - Fn|`` and ``sup |Htilde_n - Yn|`` over [0, tau].
+    """
+    target, distances, name, params, tau_q, n, rep, seed, k = task
     model = make_model(name, params, tau_q)
     data = sample(model, n, seed)
-    maj = lcm(data)
-    xmax = float(data.x[-1])
-    dist = sup_norm(maj.as_curve(), ecdf_curve(data), (0.0, xmax))
-    mesh = knot_mesh_monotone(model, k)
+    sup_f = sup_h = None
+    if target == "monotone":
+        if distances:
+            sup_f = float(sup_norm(lcm(data).as_curve(), ecdf_curve(data),
+                                   (0.0, float(data.x[-1]))))
+        event = concavity_event(data, knot_mesh_monotone(model, k))
+    else:
+        if distances:
+            try:
+                fit = fit_lse(data)
+            except FitError as err:
+                raise FitError(f"n={n} replicate={rep} seed={seed}: {err}") from err
+            tau = model.tau
+            cap = max(tau, float(data.x[-1])) * 1.5 + 1.0
+            sup_f = float(sup_norm(fit.cdf_curve(cap), ecdf_curve(data, upto=cap), (0.0, tau)))
+            sup_h = float(sup_norm(fit.integrated_cdf_curve(cap),
+                                   integrated_ecdf_curve(data, upto=cap), (0.0, tau)))
+        event = convexity_event(data, knot_mesh_convex(model, k))
     return {
         "model": name, "n": n, "k": k, "replicate": rep,
-        "sup_F_diff": float(dist), "sup_H_diff": None,
-        "event_An": int(concavity_event(data, mesh)), "seed": seed,
+        "sup_F_diff": sup_f, "sup_H_diff": sup_h,
+        "event_An": int(event), "seed": seed,
     }
 
 
-def _convex_replicate(task):
-    name, params, tau_q, n, rep, seed, k = task
-    model = make_model(name, params, tau_q)
-    data = sample(model, n, seed)
-    try:
-        fit = fit_lse(data)
-    except FitError as err:
-        raise FitError(f"n={n} replicate={rep} seed={seed}: {err}") from err
-    tau = model.tau
-    cap = max(tau, float(data.x[-1])) * 1.5 + 1.0
-    sup_f = sup_norm(fit.cdf_curve(cap), ecdf_curve(data, upto=cap), (0.0, tau))
-    sup_h = sup_norm(fit.integrated_cdf_curve(cap),
-                     integrated_ecdf_curve(data, upto=cap), (0.0, tau))
-    mesh = knot_mesh_convex(model, k)
-    return {
-        "model": name, "n": n, "k": k, "replicate": rep,
-        "sup_F_diff": float(sup_f), "sup_H_diff": float(sup_h),
-        "event_An": int(convexity_event(data, mesh)), "seed": seed,
-    }
-
-
-def _monotone_event_replicate(task):
-    name, params, tau_q, n, rep, seed, k = task
-    model = make_model(name, params, tau_q)
-    data = sample(model, n, seed)
-    return {
-        "model": name, "n": n, "k": k, "replicate": rep,
-        "sup_F_diff": None, "sup_H_diff": None,
-        "event_An": int(concavity_event(data, knot_mesh_monotone(model, k))),
-        "seed": seed,
-    }
-
-
-def _convex_event_replicate(task):
-    name, params, tau_q, n, rep, seed, k = task
-    model = make_model(name, params, tau_q)
-    data = sample(model, n, seed)
-    return {
-        "model": name, "n": n, "k": k, "replicate": rep,
-        "sup_F_diff": None, "sup_H_diff": None,
-        "event_An": int(convexity_event(data, knot_mesh_convex(model, k))),
-        "seed": seed,
-    }
-
-
-def _run_tasks(worker, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with Pool(processes=workers) as pool:
-            return pool.map(worker, tasks, chunksize=chunk)
-    return [worker(t) for t in tasks]
+def _run_replicates(config: ExperimentConfig, target: str, distances: bool, sizes) -> list:
+    """Rows of ``_replicate`` for every ``(n, k)`` pair in ``sizes`` and every
+    replicate, in that order, on ``config.workers`` processes (one pool)."""
+    tasks = [(target, distances, config.model, config.params, config.tau_quantile,
+              n, rep, seed_for(config.base_seed, n, rep), k)
+             for n, k in sizes for rep in range(config.replicates)]
+    if config.workers > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (config.workers * 8))
+        with Pool(processes=config.workers) as pool:
+            return pool.map(_replicate, tasks, chunksize=chunk)
+    return [_replicate(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +243,6 @@ def _meta(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # drivers
 
-def _rate_run(config: ExperimentConfig, worker, ks: dict) -> list:
-    tasks = [
-        (config.model, config.params, config.tau_quantile,
-         n, rep, seed_for(config.base_seed, n, rep), ks[n])
-        for n in config.n_grid for rep in range(config.replicates)
-    ]
-    return _run_tasks(worker, tasks, config.workers)
-
-
 def _per_n_summary(config: ExperimentConfig, rows, ks: dict) -> list:
     out = []
     for n in config.n_grid:
@@ -302,6 +279,29 @@ def _log_xy(config: ExperimentConfig, summary, key: str):
     return x, y
 
 
+def _k_rule_constants(model: AnalyticModel, target: str, what: str):
+    """``(beta, m)`` of the target's cell-count rule; rejects unusable models."""
+    if target == "monotone" and not np.isfinite(model.support_end):
+        raise ConfigError(f"{what} needs a finite-support model")
+    cons = constants(model)
+    beta, m = (cons.beta1, 1) if target == "monotone" else (cons.beta2, 2)
+    if not (np.isfinite(beta) and beta > 0):
+        raise ConfigError(f"{what} needs a strictly curved model")
+    return beta, m
+
+
+def _run_rate(config: ExperimentConfig, target: str) -> RateResult:
+    model = _validate(config, min_sizes=3)
+    beta, m = _k_rule_constants(model, target, f"{target} rate run")
+    ks = {n: config.k_override or k_rule(n, beta, m, config.c0) for n in config.n_grid}
+    rows = _run_replicates(config, target, True, ks.items())
+    summary = _per_n_summary(config, rows, ks)
+    fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
+    fit_h = None if target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
+    _emit_rate(config, rows, summary)
+    return RateResult(fit_F=fit_f, fit_H=fit_h, rows=rows, summary=summary)
+
+
 def run_monotone_rate(config: ExperimentConfig) -> RateResult:
     """Sup-norm distance of the concave-majorant estimator from the ECDF.
 
@@ -309,20 +309,7 @@ def run_monotone_rate(config: ExperimentConfig) -> RateResult:
     log mean against ``log(n^-1 log n)``; the fitted slope estimates the
     convergence exponent (2/3 for strictly curved targets).
     """
-    _validate(config, min_sizes=3)
-    model = make_model(config.model, config.params, config.tau_quantile)
-    if not np.isfinite(model.support_end):
-        raise ConfigError("monotone rate run needs a finite-support model")
-    cons = constants(model)
-    if not (np.isfinite(cons.beta1) and cons.beta1 > 0):
-        raise ConfigError("monotone rate run needs beta1 > 0")
-    ks = {n: config.k_override or k_rule(n, cons.beta1, 1, config.c0)
-          for n in config.n_grid}
-    rows = _rate_run(config, _monotone_replicate, ks)
-    summary = _per_n_summary(config, rows, ks)
-    fit = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
-    _emit_rate(config, rows, summary)
-    return RateResult(fit_F=fit, fit_H=None, rows=rows, summary=summary)
+    return _run_rate(config, "monotone")
 
 
 def run_convex_rate(config: ExperimentConfig) -> RateResult:
@@ -331,19 +318,7 @@ def run_convex_rate(config: ExperimentConfig) -> RateResult:
     Fits two exponents: one for ``sup |Ftilde_n - Fn|`` (target 3/5) and
     one for ``sup |Htilde_n - Yn|`` (target 4/5), both on [0, tau].
     """
-    _validate(config, min_sizes=3)
-    model = make_model(config.model, config.params, config.tau_quantile)
-    cons = constants(model)
-    if not (np.isfinite(cons.beta2) and cons.beta2 > 0):
-        raise ConfigError("convex rate run needs beta2 > 0")
-    ks = {n: config.k_override or k_rule(n, cons.beta2, 2, config.c0)
-          for n in config.n_grid}
-    rows = _rate_run(config, _convex_replicate, ks)
-    summary = _per_n_summary(config, rows, ks)
-    fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
-    fit_h = _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
-    _emit_rate(config, rows, summary)
-    return RateResult(fit_F=fit_f, fit_H=fit_h, rows=rows, summary=summary)
+    return _run_rate(config, "convex")
 
 
 _EVENT_SUMMARY_COLUMNS = ("model", "target", "c0", "n", "k", "freq", "bound", "vacuous")
@@ -357,27 +332,19 @@ def run_event_frequency(config: ExperimentConfig) -> list:
     the rule-chosen mesh.  Each summary row carries the analytic bound on
     the failure probability and whether that bound is vacuous (>= 1).
     """
-    _validate(config)
-    model = make_model(config.model, config.params, config.tau_quantile)
-    cons = constants(model)
-    if config.target == "monotone":
-        if not np.isfinite(model.support_end):
-            raise ConfigError("monotone events need a finite-support model")
-        beta, m, worker = cons.beta1, 1, _monotone_event_replicate
+    model = _validate(config)
+    beta, m = _k_rule_constants(model, config.target, f"{config.target} event run")
+    if config.k_override:
+        sweep = (None,)
+    elif config.c0_sweep and all(0 < c0 < math.inf for c0 in config.c0_sweep):
+        sweep = tuple(config.c0_sweep)
     else:
-        beta, m, worker = cons.beta2, 2, _convex_event_replicate
-    if not (np.isfinite(beta) and beta > 0):
-        raise ConfigError("event frequency run needs a strictly curved model")
-
-    sweep = (None,) if config.k_override else tuple(config.c0_sweep)
+        raise ConfigError("c0_sweep must be a non-empty list of positive, finite values")
     rows, summary = [], []
     for c0 in sweep:
         for n in config.n_grid:
             k = config.k_override or k_rule(n, beta, m, c0)
-            tasks = [(config.model, config.params, config.tau_quantile,
-                      n, rep, seed_for(config.base_seed, n, rep), k)
-                     for rep in range(config.replicates)]
-            got = _run_tasks(worker, tasks, config.workers)
+            got = _run_replicates(config, config.target, False, [(n, k)])
             rows.extend(got)
             freq = float(np.mean([r["event_An"] for r in got]))
             if config.target == "monotone":
@@ -481,8 +448,8 @@ def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
     fv = np.asarray(model.F(a), dtype=float)
     s = interp_integrated_cdf(model, mesh).slopes
     dy = np.diff(y)
-    t_det = 0.5 * (s[:-1] + s[1:]) * d - dy
-    r_det = 0.5 * (fv[:-1] + fv[1:]) * d - dy
+    t_det = _defect(s, dy, d)
+    r_det = _defect(fv, dy, d)
 
     sizes = (15000, 30000)
     abs_rr = {}
@@ -496,8 +463,8 @@ def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
             fn = ecdf(data, a)
             sn = interp_integrated_ecdf(data, mesh).slopes
             dyn = np.diff(yn)
-            T = 0.5 * (sn[:-1] + sn[1:]) * d - dyn
-            R = 0.5 * (fn[:-1] + fn[1:]) * d - dyn
+            T = _defect(sn, dyn, d)
+            R = _defect(fn, dyn, d)
             rr[rep] = abs(R[j - 1] - r_det[j - 1])
             ww[rep] = abs((T[j - 1] - t_det[j - 1]) - (R[j - 1] - r_det[j - 1]))
         abs_rr[n] = rr
@@ -535,8 +502,7 @@ def run_lemma_suite(config: ExperimentConfig) -> dict:
     ``name``, ``pass``, ``lhs``, ``rhs``, ``margin``.  Writes JSON to
     ``config.out`` when set.
     """
-    _validate(config)
-    model = make_model(config.model, config.params, config.tau_quantile)
+    model = _validate(config)
     checks = _suite_deterministic(model, config)
     checks.extend(_suite_monte_carlo(model, config))
     report = {"checks": checks, "pass": all(c["pass"] for c in checks)}

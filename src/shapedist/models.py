@@ -329,32 +329,29 @@ class KnotMesh:
         return float(np.max(self.deltas))
 
 
-def knot_mesh_convex(model: AnalyticModel, k: int) -> KnotMesh:
-    """Knots with equal CDF increments spanning ``[0, tau]``."""
+def _knot_mesh(model: AnalyticModel, k: int, mass: float, end: float) -> KnotMesh:
+    """Knots ``0 = a_0 < ... < a_k = end`` with CDF increments ``mass / k``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    u = model.tau_mass * np.arange(k + 1) / k
+    u = mass * np.arange(k + 1) / k
     knots = np.asarray(model.Finv(u), dtype=float)
     knots[0] = 0.0
-    knots[-1] = model.tau
+    knots[-1] = end
     if np.any(np.diff(knots) <= 0):
         raise ValueError("mesh knots are not strictly increasing")
-    return KnotMesh(k=k, knots=knots, p=1.0 / k, mass=model.tau_mass)
+    return KnotMesh(k=k, knots=knots, p=1.0 / k, mass=mass)
+
+
+def knot_mesh_convex(model: AnalyticModel, k: int) -> KnotMesh:
+    """Knots with equal CDF increments spanning ``[0, tau]``."""
+    return _knot_mesh(model, k, model.tau_mass, model.tau)
 
 
 def knot_mesh_monotone(model: AnalyticModel, k: int) -> KnotMesh:
     """Knots with equal CDF increments spanning the full (finite) support."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not np.isfinite(model.support_end):
         raise ValueError("full-support mesh needs a model with finite support")
-    u = np.arange(k + 1) / k
-    knots = np.asarray(model.Finv(u), dtype=float)
-    knots[0] = 0.0
-    knots[-1] = model.support_end
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("mesh knots are not strictly increasing")
-    return KnotMesh(k=k, knots=knots, p=1.0 / k, mass=1.0)
+    return _knot_mesh(model, k, 1.0, model.support_end)
 
 
 def mean_value_knot(model: AnalyticModel, mesh: KnotMesh, j: int) -> float:

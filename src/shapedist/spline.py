@@ -143,6 +143,11 @@ def interp_integrated_cdf(model: AnalyticModel, mesh: KnotMesh) -> CubicSplineIn
     return complete_spline(a, vals, float(model.F(a[0])), float(model.F(a[-1])))
 
 
+def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Per-cell trapezoid defect: mean of the end slopes times width, minus increment."""
+    return 0.5 * (slopes[:-1] + slopes[1:]) * widths - increments
+
+
 def second_derivative_slopes(spline: CubicSplineInterpolant) -> np.ndarray:
     """Per-cell slopes of the spline's second derivative.
 
@@ -155,7 +160,7 @@ def second_derivative_slopes(spline: CubicSplineInterpolant) -> np.ndarray:
     dy = np.diff(spline.values)
     s0, s1 = spline.slopes[:-1], spline.slopes[1:]
     from_coeffs = 6.0 * (s0 + s1 - 2.0 * dy / h) / h**2
-    bracket = 12.0 / h**3 * (0.5 * (s0 + s1) * h - dy)
+    bracket = 12.0 / h**3 * _defect(spline.slopes, dy, h)
     scale = np.max(np.abs(bracket)) + 1.0
     if np.any(np.abs(from_coeffs - bracket) > 1e-9 * scale):
         raise AssertionError("second-derivative slope routes disagree")
@@ -172,7 +177,7 @@ def hermite_second_derivative_slopes(data: EmpiricalData, mesh: KnotMesh) -> np.
     h = mesh.deltas
     fv = np.asarray(ecdf(data, a), dtype=float)
     yv = np.asarray(integrated_ecdf(data, a), dtype=float)
-    return 12.0 / h**3 * (0.5 * (fv[:-1] + fv[1:]) * h - np.diff(yv))
+    return 12.0 / h**3 * _defect(fv, np.diff(yv), h)
 
 
 def convexity_event(data: EmpiricalData, mesh: KnotMesh) -> bool:

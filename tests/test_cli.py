@@ -71,11 +71,30 @@ def test_fit_error_exit_one(monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
 
 
+EVENTS_ARGS = ["events", "--model", "truncated-exponential", "--params", "1.0",
+               "--n-grid", "64", "--reps", "1"]
+
+
 def test_config_error_exit_two(capsys):
-    assert cli.main(RATE_ARGS + ["--c0", "0"]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert cli.main(RATE_ARGS + ["--config", "/nonexistent/conf"]) == 2
-    assert cli.main(RATE_ARGS + ["--params", "abc"]) == 2
+    bad = [
+        RATE_ARGS + ["--c0", "0"],
+        RATE_ARGS + ["--c0", "nan"],
+        RATE_ARGS + ["--c0", "inf"],
+        RATE_ARGS + ["--config", "/nonexistent/conf"],
+        RATE_ARGS + ["--params", "abc"],
+        # model settings the model catalog rejects
+        RATE_ARGS + ["--model", "nope"],
+        RATE_ARGS + ["--tau-q", "1.5"],
+        RATE_ARGS + ["--params", "-1"],
+        # the events c0 sweep: non-empty, every value positive and finite
+        EVENTS_ARGS + ["--c0-sweep=-1,1"],
+        EVENTS_ARGS + ["--c0-sweep="],
+        EVENTS_ARGS + ["--c0-sweep=0,1"],
+        EVENTS_ARGS + ["--c0-sweep=1,nan"],
+    ]
+    for args in bad:
+        assert cli.main(args) == 2, args
+        assert capsys.readouterr().err.startswith("config error"), args
 
 
 def test_load_config_file(tmp_path):

@@ -1,0 +1,119 @@
+"""Exact extrema and moduli: each stationary-point path against dense evaluation."""
+
+import numpy as np
+import pytest
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+from shapedist.curves import (
+    PiecewisePoly,
+    SmoothCurve,
+    _pinned_pair_candidates,
+    as_curve,
+    curve_sub,
+    extrema,
+    modulus,
+)
+from shapedist.empirical import sample, seed_for
+from shapedist.models import knot_mesh_convex, make_model
+from shapedist.spline import complete_spline, interp_integrated_ecdf
+
+MODEL = make_model("truncated-exponential", (1.0,))  # tau = log 4
+TOL = 1e-12
+
+
+def cubic_with_jumps(seed):
+    """Random cubic pieces, discontinuous at every breakpoint."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, MODEL.tau, 6)), [MODEL.tau]])
+    return PiecewisePoly(x, rng.normal(size=(len(x) - 1, 4)))
+
+
+def linear_minus_cdf(seed):
+    """Linear pieces with jumps minus ``F``; slopes within the range of ``f``,
+    so pieces have interior stationary points."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, MODEL.tau, 6)), [MODEL.tau]])
+    c = np.zeros((len(x) - 1, 4))
+    c[:, 0] = rng.normal(scale=0.1, size=len(c))
+    c[:, 1] = rng.uniform(0.3, 0.95, size=len(c))
+    return curve_sub(PiecewisePoly(x, c), MODEL.F_curve())
+
+
+def centered_spline(seed):
+    """Cubic pieces plus a smooth part: spline of ``Y_n`` minus ``Y``."""
+    data = sample(MODEL, 200, seed_for(seed, 200, 0))
+    spline = interp_integrated_ecdf(data, knot_mesh_convex(MODEL, 6))
+    return curve_sub(spline.as_curve(), MODEL.Fint_curve())
+
+
+def smooth_only(seed):
+    """No polynomial part: ``F(t) - c t``, with an interior maximum at ``log(1/c)``."""
+    c = 0.3 + 0.1 * seed
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    line = SmoothCurve(lambda t: c * np.asarray(t, dtype=float), lambda t: c + zero(t), zero, zero)
+    return MODEL.F_curve() - line
+
+
+PATHS = {
+    "cubic": cubic_with_jumps,
+    "linear+smooth": linear_minus_cdf,
+    "cubic+smooth": centered_spline,
+    "smooth": smooth_only,
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_extrema_attained_and_bound_dense_grid(path, seed):
+    g = as_curve(PATHS[path](seed))
+    assert (g.poly is None) == (path == "smooth")
+    assert (g.smooth is None) == (path == "cubic")
+    lo, hi = 0.05, 0.95 * MODEL.tau
+    e = extrema(g, lo, hi)
+    assert lo <= e.min_at <= hi and lo <= e.max_at <= hi
+    for val, at in ((e.min_val, e.min_at), (e.max_val, e.max_at)):
+        got = (float(g(at)), float(g.left_limit(at)))
+        assert min(abs(v - val) for v in got) <= TOL, (val, got)
+
+    grid = np.linspace(lo, hi, 20001)
+    vals = np.asarray(g(grid))
+    assert vals.min() >= e.min_val - TOL and vals.max() <= e.max_val + TOL
+    if g.poly is not None:
+        bx = g.poly.x[(g.poly.x > lo) & (g.poly.x < hi)]
+        limits = np.concatenate([np.asarray(g(bx)), np.asarray(g.left_limit(bx))])
+        assert limits.min() >= e.min_val - TOL and limits.max() <= e.max_val + TOL
+
+
+def test_smooth_only_extremum_is_the_stationary_point():
+    e = extrema(smooth_only(2), 0.0, MODEL.tau)  # F(t) - t/2 peaks at log 2
+    assert abs(e.max_at - np.log(2.0)) < 1e-9
+    assert e.max_val == pytest.approx(0.5 - 0.5 * np.log(2.0), abs=TOL)
+    assert e.min_at == 0.0 and e.min_val == 0.0
+
+
+def sliding_window_modulus(g, width, lo, hi, points=40001):
+    """``max |g(t) - g(s)|`` over grid pairs at most ``width`` apart, and the grid step."""
+    t = np.linspace(lo, hi, points)
+    step = t[1] - t[0]
+    vals = np.asarray(g(t))
+    size = 2 * int(np.floor(width / step)) + 1
+    hi_win = maximum_filter1d(vals, size, mode="nearest")
+    lo_win = minimum_filter1d(vals, size, mode="nearest")
+    return float(np.max(np.maximum(hi_win - vals, vals - lo_win))), step
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_modulus_continuous_cubic_spline_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]])
+    spline = complete_spline(knots, rng.normal(size=len(knots)), rng.normal(), rng.normal())
+    g = spline.as_curve()
+    lipschitz = float(np.max(np.abs(g.derivative()(np.linspace(0.0, 1.0, 20001)))))
+    for width in (0.07, 0.19, 0.45):
+        # the closed-form pinned-pair path runs: some window pair of exact
+        # width has both ends strictly inside pieces with equal slopes
+        assert _pinned_pair_candidates(as_curve(g), width, 0.0, 1.0)
+        exact = modulus(g, width, (0.0, 1.0))
+        brute, step = sliding_window_modulus(g, width, 0.0, 1.0)
+        assert brute <= exact + TOL
+        assert exact <= brute + 2.0 * lipschitz * step + TOL

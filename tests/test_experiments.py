@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,18 +95,26 @@ def test_convex_rate_has_both_fits():
 
 
 def test_rate_csv_identical_across_runs_and_workers(tmp_path):
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-    run_convex_rate(small_convex_config(out=str(paths[0])))
-    run_convex_rate(small_convex_config(out=str(paths[1])))
-    run_convex_rate(small_convex_config(out=str(paths[2]), workers=2))
-    blobs = [(p.read_bytes(), (p.parent / (p.stem + ".summary.csv")).read_bytes())
-             for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-    head = blobs[0][0].decode().splitlines()
-    assert head[0] == "# shapedist-rate-v1"
-    assert head[1].startswith("# model=truncated-exponential ")
-    assert head[2] == ",".join(REPLICATE_COLUMNS)
-    assert blobs[0][1].decode().splitlines()[0] == "# shapedist-rate-summary-v1"
+    # both rate drivers, and the events driver for both targets: the same
+    # bytes from two runs at workers=1 and one at workers=2
+    cases = [
+        (run_convex_rate, small_convex_config(), "rate"),
+        (run_monotone_rate, small_monotone_config(), "rate"),
+        (run_event_frequency, small_monotone_config(c0_sweep=(1.0, 2.0)), "events"),
+        (run_event_frequency, small_convex_config(c0_sweep=(1.0, 2.0)), "events"),
+    ]
+    for i, (driver, config, schema) in enumerate(cases):
+        blobs = []
+        for run, workers in enumerate((1, 1, 2)):
+            out = tmp_path / f"case{i}-run{run}.csv"
+            driver(replace(config, out=str(out), workers=workers))
+            blobs.append((out.read_bytes(), (out.parent / (out.stem + ".summary.csv")).read_bytes()))
+        assert blobs[0] == blobs[1] == blobs[2], (driver.__name__, config.target)
+        head = blobs[0][0].decode().splitlines()
+        assert head[0] == f"# shapedist-{schema}-v1"
+        assert head[1].startswith("# model=truncated-exponential ")
+        assert head[2] == ",".join(REPLICATE_COLUMNS)
+        assert blobs[0][1].decode().splitlines()[0] == f"# shapedist-{schema}-summary-v1"
 
 
 def test_event_frequency_with_k_override(tmp_path):
