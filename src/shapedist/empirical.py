@@ -57,6 +57,9 @@ class EmpiricalData:
         x = np.sort(np.asarray(self.x, dtype=float))
         if len(x) == 0:
             raise ValueError("empty sample")
+        # NaN sorts last and -inf first, so the two ends decide.
+        if not (x[0] >= 0.0 and np.isfinite(x[-1])):
+            raise ValueError("sample values must be finite and nonnegative")
         object.__setattr__(self, "x", x)
 
     @property
@@ -66,6 +69,18 @@ class EmpiricalData:
     @cached_property
     def _prefix(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.x)])
+
+    @cached_property
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """ECDF corner points ``(xs, ys)``: distinct values and the ECDF at each.
+
+        Shared by every caller, so both arrays are read-only.
+        """
+        xs, counts = np.unique(self.x, return_counts=True)
+        ys = np.cumsum(counts) / self.n
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        return xs, ys
 
 
 def sample(model: AnalyticModel, n: int, seed: int) -> EmpiricalData:
@@ -107,8 +122,7 @@ def ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
     order statistic and its left limit are both representable.  Evaluations
     beyond the data are the true continuation of the ECDF.
     """
-    xs, counts = np.unique(data.x, return_counts=True)
-    vals = np.cumsum(counts) / data.n
+    xs, vals = data.corners
     hi = float(xs[-1]) + max(1.0, float(xs[-1]))
     if upto is not None:
         hi = max(hi, float(upto))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .curves import PiecewisePoly, extrema, sup_norm
 from .empirical import EmpiricalData, ecdf, ecdf_curve
@@ -44,7 +45,7 @@ class PiecewiseLinear:
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise ValueError("need matching 1-d vertex arrays with >= 2 points")
-        if np.any(np.diff(x) <= 0):
+        if not np.all(np.diff(x) > 0):
             raise ValueError("vertex abscissae must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -102,13 +103,21 @@ def lcm(data: EmpiricalData) -> PiecewiseLinear:
 
     The hull is taken over ``(0, 0)`` and the upper corner points
     ``(X_(i), i/n)`` of the ECDF (tied observations collapse into one corner).
+    Candidate vertices are the block boundaries of the pool-adjacent-violators
+    (PAVA) fit of the corner-to-corner slopes, weighted by their widths, under
+    a nonincreasing constraint: the pooled means are the Grenander slopes.
+    The exact cross-product pass of :func:`concave_majorant_points` then runs
+    on those few candidates only, so hull slopes are strictly decreasing.
     """
-    xs, counts = np.unique(data.x, return_counts=True)
-    ys = np.cumsum(counts) / data.n
+    xs, ys = data.corners
     if xs[0] > 0.0:
         xs = np.concatenate([[0.0], xs])
         ys = np.concatenate([[0.0], ys])
-    return concave_majorant_points(xs, ys)
+    if len(xs) < 2:
+        raise ValueError("the concave majorant needs a positive observation")
+    dx = np.diff(xs)
+    blocks = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False).blocks
+    return concave_majorant_points(xs[blocks], ys[blocks])
 
 
 def grenander_density(majorant: PiecewiseLinear, t):

@@ -156,5 +156,8 @@ def test_empirical_data_validates():
         EmpiricalData(np.array([]))
     with pytest.raises(ValueError):
         sample(make_model("uniform", ()), 0, seed=1)
+    for bad in ([1.0, np.nan, 2.0], [np.nan], [1.0, np.inf], [-np.inf, 1.0], [-1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            EmpiricalData(np.array(bad))
     d = EmpiricalData(np.array([3.0, 1.0, 2.0]))
     np.testing.assert_array_equal(d.x, [1.0, 2.0, 3.0])

@@ -2,12 +2,14 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from shapedist.empirical import EmpiricalData, ecdf, ecdf_curve, sample, seed_for, sup_norm
 from shapedist.models import constants, knot_mesh_monotone, make_model
 from shapedist.monotone import (
+    PiecewiseLinear,
     broken_line,
     broken_line_error_report,
     concave_majorant_points,
@@ -50,6 +52,78 @@ def test_lcm_matches_chord_oracle(seed):
     curve = lcm(d).as_curve()
     for t in np.linspace(0.0, float(d.x[-1]), 60):
         assert math.isclose(curve(t), hull_oracle(d, t), abs_tol=1e-12)
+
+
+def corner_hull(d: EmpiricalData):
+    """The Python hull over every ECDF corner, as ``lcm`` built it before PAVA."""
+    xs, ys = d.corners
+    if xs[0] > 0.0:
+        xs = np.concatenate([[0.0], xs])
+        ys = np.concatenate([[0.0], ys])
+    return concave_majorant_points(xs, ys)
+
+
+@pytest.mark.parametrize("n", [512, 4096, 32768])
+def test_lcm_vertices_equal_python_hull(n):
+    for name, params in (("truncated-exponential", (1.0,)), ("beta-like", (2.0,))):
+        d = sample(make_model(name, params), n, seed_for(31, n, 0))
+        h, want = lcm(d), corner_hull(d)
+        np.testing.assert_array_equal(h.x, want.x)
+        np.testing.assert_array_equal(h.y, want.y)
+
+
+def test_lcm_ties_match_python_hull():
+    # Lattice data: many tied observations and exactly collinear corners.
+    # Vertex sets may differ here (rounding can leave a collinear vertex in
+    # the Python hull), so compare the functions.
+    rng = np.random.default_rng(12)
+    samples = [rng.integers(0, 12, int(rng.integers(2, 300))).astype(float) for _ in range(60)]
+    samples += [np.repeat(rng.exponential(size=7), rng.integers(1, 9, 7)) for _ in range(20)]
+    for x in samples:
+        d = EmpiricalData(x)
+        if d.x[-1] == 0.0:
+            continue
+        h, want = lcm(d), corner_hull(d)
+        t = np.linspace(0.0, float(d.x[-1]), 500)
+        np.testing.assert_allclose(h(t), want(t), rtol=0, atol=1e-12)
+        assert np.all(np.diff(h.slopes) < 0.0)
+
+
+def test_lcm_collinear_witness():
+    # Every corner of this sample lies on the chord from (0, 1/12) to (11, 1);
+    # the Python hull over all corners keeps 4 and 9 through rounding.
+    d = EmpiricalData(np.array([8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11], dtype=float))
+    h = lcm(d)
+    np.testing.assert_array_equal(h.x, [0.0, 11.0])
+    assert np.all(np.diff(h.slopes) < 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.floats(0.01, 100.0))
+def test_lcm_properties(ints, scale):
+    d = EmpiricalData(np.array(ints, dtype=float) * scale)
+    if d.x[-1] == 0.0:
+        with pytest.raises(ValueError, match="positive observation"):
+            lcm(d)
+        return
+    h = lcm(d)
+    xs, ys = d.corners
+    tol = 1e-12
+    assert np.all(h(xs) >= ys - tol)                       # majorant at every corner
+    np.testing.assert_allclose(h.y, ecdf(d, h.x), rtol=0, atol=tol)  # touches at vertices
+    assert np.all(np.diff(h.slopes) < 0.0)                  # strictly concave
+    assert h.x[0] == 0.0 and h.x[-1] == d.x[-1]
+    assert math.isclose(h.y[-1], 1.0, rel_tol=0, abs_tol=tol)  # unit mass
+
+
+def test_lcm_rejects_bad_samples():
+    for bad in ([1.0, np.nan, 2.0], [1.0, np.inf], [-1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lcm(EmpiricalData(np.array(bad)))
+    with pytest.raises(ValueError, match="positive observation"):
+        lcm(EmpiricalData(np.array([0.0])))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseLinear(np.array([0.0, np.nan, 1.0]), np.zeros(3))
 
 
 def test_lcm_dominates_and_touches():
