@@ -14,11 +14,13 @@ Two kinds of curve objects appear:
   derivatives, used for analytic CDFs and their integrals.
 
 A :class:`CurveSum` combines one of each (plus a constant), which is exactly
-the shape of differences like ``ecdf - F`` or ``spline - Y``.  Extrema of such
-differences are located by a nested bisection cascade that is exact whenever
-the relevant derivative of the smooth part is monotone on each piece; all
-catalog models used here satisfy that (their densities have one-signed,
-monotone first and second derivatives on the working interval).
+the shape of differences like ``ecdf - F`` or ``spline - Y``.  Stationary
+points of such differences come from one bisection cascade down the
+derivative chain, vectorized across pieces (one batched bisection per
+level), which is exact whenever the relevant derivative of the smooth part is
+monotone on each piece; all catalog models used here satisfy that (their
+densities have one-signed, monotone first and second derivatives on the
+working interval).
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ import math
 import numpy as np
 
 _BISECT_ITERS = 90
+
+
+def _check_breakpoints(x: np.ndarray, name: str = "breakpoints") -> None:
+    """Refuse breakpoints that are not finite and strictly increasing (NaN included)."""
+    if not (np.all(np.diff(x) > 0) and np.isfinite(x[0]) and np.isfinite(x[-1])):
+        raise ValueError(f"{name} must be finite and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,7 @@ class PiecewisePoly:
             raise ValueError("need at least one piece")
         if c.shape != (len(x) - 1, 4):
             raise ValueError(f"coefficient array must be ({len(x)-1}, 4)")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        _check_breakpoints(x)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "c", c)
 
@@ -326,21 +333,6 @@ def _poly_stationary(cc, ulo, uhi):
     return np.where(inside, r, np.nan)
 
 
-def _linear_stationary(slope, dphi, alo, ahi):
-    """Roots of ``slope + dphi(t)`` on each bracket [alo, ahi]; NaN where none.
-
-    ``dphi`` is the derivative of the smooth part, assumed monotone, so a
-    constant/linear piece plus the smooth part has at most one stationary
-    point per piece, isolated by a sign change at the bracket ends.
-    """
-    mask = ((slope + dphi(alo)) * (slope + dphi(ahi)) < 0.0) & (ahi > alo)
-    out = np.full(len(alo), np.nan)
-    if np.any(mask):
-        sl = slope[mask]
-        out[mask] = _bisect_many(lambda t: sl + dphi(t), alo[mask], ahi[mask])
-    return out
-
-
 def _flat(lo: float, hi: float) -> PiecewisePoly:
     """The zero polynomial on [lo, hi], standing in for a missing poly part."""
     return PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
@@ -366,75 +358,74 @@ def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
                    float(flat_v[kmax]), float(flat_t[kmax]))
 
 
-def _bisect_many(func, a, b, iters=_BISECT_ITERS):
-    """Vectorized bisection on brackets [a, b] where func changes sign."""
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    fa = func(a)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        take_left = fa * fm <= 0.0
-        b = np.where(take_left, mid, b)
-        a = np.where(take_left, a, mid)
-        fa = np.where(take_left, fa, fm)
-        if np.all(b - a <= 1e-15 * (1.0 + np.abs(a))):
-            break
-    return 0.5 * (a + b)
+def _bisect_many(func, a, b):
+    """Vectorized bisection on brackets [a, b] where func changes sign.
 
-
-def _bisect_one(func, a, b, iters=_BISECT_ITERS):
-    fa = func(a)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-15 * (1.0 + abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
-def _stationary_points_hybrid(cc, x0, a, b, smooth: SmoothCurve):
-    """Stationary points of ``p(t - x0) + phi(t)`` on (a, b), scalar cascade.
-
-    ``cc`` holds local coefficients of the cubic piece ``p``.  Works down the
-    derivative chain: at the deepest level the polynomial term is constant and
-    the last smooth derivative is assumed monotone, so each level has at most
-    one more root than the level below, all isolated by sign changes.
+    Each bracket stops once ``b - a <= 1e-15 * (1 + |a|)``, so its result does
+    not depend on which other brackets share the batch.
     """
-    deg = 3 if cc[3] != 0.0 else (2 if cc[2] != 0.0 else (1 if cc[1] != 0.0 else 0))
-    need = deg  # derivative chain depth used below
-    if smooth.order < max(need, 1):
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa = func(a)
+    run = np.ones(a.shape, dtype=bool)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        fm = func(mid)
+        left = fa * fm <= 0.0
+        b = np.where(run & left, mid, b)
+        a = np.where(run & ~left, mid, a)
+        fa = np.where(run & ~left, fm, fa)
+        run &= b - a > 1e-15 * (1.0 + np.abs(a))
+        if not run.any():
+            break
+    return 0.5 * (a + b)
+
+
+def _eval_hybrid(pc, x0, fs, t):
+    """``p(t - x0) + fs(t)`` for a cubic ``p`` with coefficients ``pc[0..3]``,
+    each broadcast against ``t``."""
+    u = t - x0
+    return ((pc[3] * u + pc[2]) * u + pc[1]) * u + pc[0] + fs(t)
+
+
+def _hybrid_stationary(cc, x0, alo, ahi, smooth: SmoothCurve):
+    """Stationary points of ``p_j(t - x0_j) + phi(t)`` inside each (alo_j, ahi_j).
+
+    ``cc`` holds the local coefficients of the cubic pieces ``p_j``.  The
+    cascade works down the derivative chain for all pieces at once, each to
+    its own depth: at a piece's deepest level the polynomial term is constant
+    and the last smooth derivative is assumed monotone, so each level has at
+    most one more root than the level below, all isolated by sign changes
+    and found with one :func:`_bisect_many` call per level.  Returns a
+    ``(pieces, m)`` array, NaN where a piece has fewer than ``m`` points.
+    """
+    deg = np.select([cc[:, 3] != 0.0, cc[:, 2] != 0.0, cc[:, 1] != 0.0], [3, 2, 1], 0)
+    live = ahi > alo
+    if smooth.order < max(1, int(deg[live].max(initial=0))):
         raise ValueError("smooth part lacks derivatives for exact extrema")
-
-    def dlevel(level):
-        # level-th derivative of the piece+smooth difference, as a callable
-        pc = list(cc)
-        for _ in range(level + 1):
-            pc = [pc[1], 2.0 * pc[2], 3.0 * pc[3], 0.0]
-        fs = smooth.funcs[level + 1]
-        return lambda t: ((pc[3] * (t - x0) + pc[2]) * (t - x0) + pc[1]) * (t - x0) + pc[0] + fs(t)
-
-    # splits[L] = roots of the (L+1)-th derivative, deepest level first
-    top = min(deg, smooth.order - 1, 2)
-    roots: list[float] = []
-    for level in range(top, -1, -1):
-        f = dlevel(level)
-        pts = [a, *sorted(roots), b]
-        new: list[float] = []
-        for u, v in zip(pts[:-1], pts[1:]):
-            fu, fv = f(u), f(v)
-            if fu == 0.0:
-                new.append(u)
-            if fu * fv < 0.0:
-                new.append(_bisect_one(f, u, v))
-        if f(b) == 0.0:
-            new.append(b)
-        roots = new
-    return [t for t in roots if a < t < b]
+    depth = np.where(live, np.minimum(deg, min(smooth.order - 1, 2)), -1)
+    ders = [cc]
+    for _ in range(3):
+        d = ders[-1]
+        ders.append(np.column_stack([d[:, 1], 2.0 * d[:, 2], 3.0 * d[:, 3], np.zeros(len(d))]))
+    roots = np.full((len(cc), 0), np.nan)
+    for level in range(int(depth.max(initial=-1)), -1, -1):
+        on = depth >= level
+        pc, xo, fs = ders[level + 1][on].T, x0[on], smooth.funcs[level + 1]
+        # bracket points: the roots of the level below between the piece ends
+        pts = np.column_stack([alo[on], roots[on], ahi[on]])
+        q = np.fmax.accumulate(pts, axis=1)
+        fq = _eval_hybrid(pc[:, :, None], xo[:, None], fs, q)
+        new = np.column_stack([np.where((fq == 0.0) & ~np.isnan(pts), q, np.nan),
+                               np.full((len(q), q.shape[1] - 1), np.nan)])
+        i, k = np.nonzero(fq[:, :-1] * fq[:, 1:] < 0.0)
+        if len(i):
+            new[i, q.shape[1] + k] = _bisect_many(
+                lambda t: _eval_hybrid(pc[:, i], xo[i], fs, t), q[i, k], q[i, k + 1])
+        new = np.sort(new, axis=1)  # NaN last
+        roots = np.full((len(cc), int(np.max(np.sum(~np.isnan(new), axis=1)))), np.nan)
+        roots[on] = new[:, :roots.shape[1]]
+    return np.where((roots > alo[:, None]) & (roots < ahi[:, None]), roots, np.nan)
 
 
 def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
@@ -442,35 +433,15 @@ def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: flo
     idx, ulo, uhi = _window(poly, lo, hi)
     x0 = poly.x[idx]
     alo = x0 + ulo
-    ahi = x0 + uhi
-    cc = poly.c[idx]
-
-    cand_t = [alo, ahi]
-    if np.all(cc[:, 2:] == 0.0) and smooth.order >= 1:
-        roots = _linear_stationary(cc[:, 1], smooth.funcs[1], alo, ahi)
-        if not np.all(np.isnan(roots)):
-            cand_t.append(np.where(np.isnan(roots), alo, roots))
-    else:
-        for j in range(len(idx)):
-            if ahi[j] <= alo[j]:
-                continue
-            for t in _stationary_points_hybrid(cc[j], x0[j], alo[j], ahi[j], smooth):
-                onehot = alo.copy()
-                onehot[j] = t
-                cand_t.append(onehot)
-
-    best_min = (math.inf, lo)
-    best_max = (-math.inf, lo)
-    for ts in cand_t:
-        u = ts - x0
-        vals = ((cc[:, 3] * u + cc[:, 2]) * u + cc[:, 1]) * u + cc[:, 0] + smooth(ts)
-        j = int(np.argmin(vals))
-        if vals[j] < best_min[0]:
-            best_min = (float(vals[j]), float(ts[j]))
-        j = int(np.argmax(vals))
-        if vals[j] > best_max[0]:
-            best_max = (float(vals[j]), float(ts[j]))
-    return Extrema(best_min[0], best_min[1], best_max[0], best_max[1])
+    roots = _hybrid_stationary(poly.c[idx], x0, alo, x0 + uhi, smooth)
+    # a piece without a root repeats its left end; column-major order ranks
+    # left ends first, then right ends, then roots
+    ts = np.column_stack([alo, x0 + uhi, np.fmax(roots, alo[:, None])])
+    vals = _eval_hybrid(poly.c[idx].T[:, :, None], x0[:, None], smooth, ts).ravel(order="F")
+    ts = ts.ravel(order="F")
+    kmin = int(np.argmin(vals))
+    kmax = int(np.argmax(vals))
+    return Extrema(float(vals[kmin]), float(ts[kmin]), float(vals[kmax]), float(ts[kmax]))
 
 
 def extrema(g, lo: float, hi: float) -> Extrema:
@@ -549,33 +520,29 @@ def _pinned_pair_candidates(cs: CurveSum, width: float, lo: float, hi: float):
     equal one-sided slopes.  For pure polynomials the pinned increment is a
     quadratic in the window position and is solved in closed form; for
     constant/linear pieces plus a smooth part with monotone second derivative
-    (the only pieces :func:`modulus` admits next to a smooth part) a single
-    bisection per overlapping piece pair suffices.  Pairs whose increment
-    derivative cannot vanish are skipped.
+    (the only pieces :func:`modulus` admits next to a smooth part) one root
+    per overlapping piece pair suffices, and all pairs share one batched
+    bisection.  Pairs whose increment derivative cannot vanish are skipped.
     """
     poly = cs.poly
     if poly is None:
         return []
     x, c = poly.x, poly.c
-    m = poly.npieces
     out = []
-    dphi = None if cs.smooth is None else cs.smooth.funcs[1]
-    for bpiece in range(m):
+    brackets = []  # (slope difference, qlo, qhi) per piece pair, smooth part only
+    for bpiece in range(poly.npieces):
         wlo = max(x[bpiece], lo)
         whi = min(x[bpiece + 1], hi - width)
         if whi <= wlo:
             continue
         for apiece in _window(poly, wlo + width, whi + width)[0]:
             qlo = max(wlo, x[apiece] - width)
-            qhi = min(whi, x[apiece + 1] - width, hi - width)
+            qhi = min(whi, x[apiece + 1] - width)
             if qhi <= qlo:
                 continue
             ca, cb = c[apiece], c[bpiece]
-            if dphi is not None:
-                ds = ca[1] - cb[1]
-                f = lambda w, ds=ds: ds + dphi(w + width) - dphi(w)
-                if f(qlo) * f(qhi) < 0.0:
-                    out.append(_bisect_one(f, qlo, qhi))
+            if cs.smooth is not None:
+                brackets.append((ca[1] - cb[1], qlo, qhi))
             else:
                 # derivative of increment: p_a'(w + width) - p_b'(w), quadratic in w
                 da = x[apiece] - width  # local origin of shifted piece a
@@ -590,6 +557,12 @@ def _pinned_pair_candidates(cs: CurveSum, width: float, lo: float, hi: float):
                 for r in (float(r1[0]), float(r2[0])):
                     if not math.isnan(r) and qlo < r < qhi:
                         out.append(r)
+    if brackets:
+        dphi = cs.smooth.funcs[1]
+        ds, qlo, qhi = np.array(brackets).T
+        slope = lambda w, ds: ds + dphi(w + width) - dphi(w)
+        s = slope(qlo, ds) * slope(qhi, ds) < 0.0
+        out.extend(_bisect_many(lambda w: slope(w, ds[s]), qlo[s], qhi[s]))
     return out
 
 
@@ -617,17 +590,16 @@ def modulus(g, width: float, interval) -> float:
     poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.poly is not None:
         ev.append(poly.x[(poly.x > lo) & (poly.x < hi)])
+    idx, ulo, uhi = _window(poly, lo, hi)
+    x0 = poly.x[idx]
     if cs.smooth is not None:
         if np.any(poly.c[:, 2:] != 0.0):
             raise NotImplementedError(
                 "modulus with quadratic/cubic pieces plus a smooth part is not supported"
             )
-        idx, ulo, uhi = _window(poly, lo, hi)
-        x0 = poly.x[idx]
-        ev.append(_linear_stationary(poly.c[idx, 1], cs.smooth.funcs[1], x0 + ulo, x0 + uhi))
+        ev.append(_hybrid_stationary(poly.c[idx], x0, x0 + ulo, x0 + uhi, cs.smooth).ravel())
     elif poly.degree() >= 2:
-        idx, ulo, uhi = _window(poly, lo, hi)
-        ev.append((poly.x[idx][:, None] + _poly_stationary(poly.c[idx], ulo, uhi)).ravel())
+        ev.append((x0[:, None] + _poly_stationary(poly.c[idx], ulo, uhi)).ravel())
 
     pts = np.unique(np.concatenate(ev))
     pts = pts[(pts >= lo) & (pts <= hi)]

@@ -80,8 +80,15 @@ class PiecewiseLinear:
 def concave_majorant_points(x, y) -> PiecewiseLinear:
     """Upper concave hull of the points ``(x_i, y_i)`` as a piecewise line.
 
-    Vertices with collinear neighbours are dropped, so hull slopes are
-    strictly decreasing and the construction is idempotent.
+    A vertex is dropped when the cross product with its neighbours is
+    ``>= 0``, so collinear vertices go whenever that product comes out
+    nonnegative.  On exactly collinear points it can round below zero, and
+    then the vertex survives: the ECDF corners of the sample
+    ``[8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11]`` give vertices at
+    ``x = [0, 4, 9, 11]`` whose three slopes are all ``1/12``.  Slopes are
+    therefore nonincreasing, not always strictly decreasing.  :func:`lcm`
+    avoids this by pooling the slopes with PAVA first and passing only the
+    block boundaries here.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PiecewisePoly, as_curve, curve_sub, extrema, modulus
+from .curves import PiecewisePoly, _check_breakpoints, as_curve, curve_sub, extrema, modulus
 from .empirical import EmpiricalData, ecdf, integrated_ecdf
 from .models import AnalyticModel, KnotMesh, _extreme
 
@@ -105,9 +105,8 @@ def complete_spline(knots, values, s0: float, sk: float) -> CubicSplineInterpola
     values = np.asarray(values, dtype=float)
     if knots.ndim != 1 or knots.shape != values.shape or len(knots) < 2:
         raise ValueError("need matching 1-d knot/value arrays with >= 2 points")
+    _check_breakpoints(knots, "knots")
     h = np.diff(knots)
-    if np.any(h <= 0):
-        raise ValueError("knots must be strictly increasing")
     d = np.diff(values) / h
     slopes = _solve_interior_slopes(h, d, float(s0), float(sk))
     return CubicSplineInterpolant(knots, values, slopes)
@@ -120,8 +119,7 @@ def hermite_spline(knots, values, slopes) -> CubicSplineInterpolant:
     slopes = np.asarray(slopes, dtype=float)
     if not (knots.shape == values.shape == slopes.shape) or len(knots) < 2:
         raise ValueError("need matching knot/value/slope arrays with >= 2 points")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly increasing")
+    _check_breakpoints(knots, "knots")
     return CubicSplineInterpolant(knots, values, slopes)
 
 

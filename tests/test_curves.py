@@ -5,8 +5,11 @@ import pytest
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from shapedist.curves import (
+    CurveSum,
     PiecewisePoly,
     SmoothCurve,
+    _bisect_many,
+    _hybrid_stationary,
     _pinned_pair_candidates,
     as_curve,
     curve_sub,
@@ -46,6 +49,26 @@ def centered_spline(seed):
     return curve_sub(spline.as_curve(), MODEL.Fint_curve())
 
 
+def mixed_minus_integrated_cdf(seed):
+    """Pieces alternately exactly linear and cubic, minus ``Y``, so the cascade
+    runs to depth 1 on some pieces and depth 2 on others.  About each piece
+    midpoint ``m`` the derivative is ``F(m) - F(t)`` on linear pieces (one
+    stationary point) and ``e (t - m) - f''(m) (t - m)^3 / 6 + ...`` on cubic
+    pieces (three, which only the depth-2 cascade separates)."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, MODEL.tau, 6)), [MODEL.tau]])
+    d = 0.5 * np.diff(x)  # midpoint offset
+    m = x[:-1] + d
+    e = MODEL.fsecond(m) * (rng.uniform(0.4, 0.8, len(m)) * d) ** 2 / 6.0
+    # p'(t) = F(m) + (f(m) + e) (t - m) + f'(m) (t - m)^2 / 2, in offsets u = t - x_i
+    A, B, C = MODEL.F(m), MODEL.f(m) + e, 0.5 * MODEL.fprime(m)
+    c = np.column_stack([rng.normal(scale=0.1, size=len(m)),
+                         A - B * d + C * d * d, 0.5 * (B - 2.0 * C * d), C / 3.0])
+    c[::2, 1:] = 0.0
+    c[::2, 1] = A[::2]
+    return curve_sub(PiecewisePoly(x, c), MODEL.Fint_curve())
+
+
 def smooth_only(seed):
     """No polynomial part: ``F(t) - c t``, with an interior maximum at ``log(1/c)``."""
     c = 0.3 + 0.1 * seed
@@ -58,6 +81,7 @@ PATHS = {
     "cubic": cubic_with_jumps,
     "linear+smooth": linear_minus_cdf,
     "cubic+smooth": centered_spline,
+    "mixed+smooth": mixed_minus_integrated_cdf,
     "smooth": smooth_only,
 }
 
@@ -89,6 +113,56 @@ def test_smooth_only_extremum_is_the_stationary_point():
     assert abs(e.max_at - np.log(2.0)) < 1e-9
     assert e.max_val == pytest.approx(0.5 - 0.5 * np.log(2.0), abs=TOL)
     assert e.min_at == 0.0 and e.min_val == 0.0
+
+
+@pytest.mark.parametrize("path", ["linear+smooth", "cubic+smooth", "mixed+smooth"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hybrid_stationary_brackets_every_sign_change(path, seed):
+    g = as_curve(PATHS[path](seed))
+    x = g.poly.x
+    roots = _hybrid_stationary(g.poly.c, x[:-1], x[:-1], x[1:], g.smooth)
+    dg = g.derivative()
+    counts = []
+    for j in range(g.poly.npieces):
+        r = roots[j][~np.isnan(roots[j])]
+        counts.append(len(r))
+        assert np.all(np.abs(dg(r)) <= TOL)
+        t = np.linspace(x[j], x[j + 1], 2001)[1:-1]
+        v = dg(t)
+        for k in np.flatnonzero(v[:-1] * v[1:] < 0.0):
+            assert np.any((r >= t[k]) & (r <= t[k + 1])), (j, t[k])
+    if path == "mixed+smooth":
+        assert counts[1::2] == [3] * len(counts[1::2]) and counts[::2] == [1] * len(counts[::2])
+
+
+def test_cubic_plus_smooth_piece_returns_both_stationary_points():
+    # g(t) = p(t) + t/10 with g'(t) = 3 (t - 0.25)(t - 0.7) on the one piece [0, 1]
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    line = SmoothCurve(lambda t: 0.1 * np.asarray(t, dtype=float), lambda t: 0.1 + zero(t), zero, zero)
+    c = np.array([[0.0, 0.425, -1.425, 1.0]])
+    roots = _hybrid_stationary(c, np.array([0.0]), np.array([0.0]), np.array([1.0]), line)
+    np.testing.assert_allclose(np.sort(roots[~np.isnan(roots)]), [0.25, 0.7], atol=1e-12)
+    e = extrema(CurveSum(PiecewisePoly(np.array([0.0, 1.0]), c), line), 0.1, 0.9)
+    assert abs(e.max_at - 0.25) < 1e-12 and abs(e.min_at - 0.7) < 1e-12
+
+
+def test_bisect_many_brackets_independent_of_batch():
+    # narrow brackets stop after fewer steps than wide ones; each result must
+    # be the one it gets when bisected alone
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.uniform(0.0, 1e-3, 6), rng.uniform(-1e6, 0.0, 6)])
+    b = np.concatenate([a[:6] + 1e-3, rng.uniform(1.0, 1e6, 6)])
+    r = a + rng.uniform(0.1, 0.9, 12) * (b - a)
+    batch = _bisect_many(lambda t: np.tanh(t - r), a, b)
+    for j in range(len(a)):
+        alone = _bisect_many(lambda t: np.tanh(t - r[j]), a[j:j + 1], b[j:j + 1])
+        assert alone[0] == batch[j], (j, alone[0], batch[j])
+
+
+def test_piecewise_poly_rejects_bad_breakpoints():
+    for x in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, 1.0, 0.5]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            PiecewisePoly(np.array(x), np.zeros((2, 4)))
 
 
 def sliding_window_modulus(g, width, lo, hi, points=40001):

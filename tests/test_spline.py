@@ -264,3 +264,9 @@ def test_spline_rejects_bad_input():
         complete_spline(np.array([0.0, 1.0]), np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError):
         hermite_spline(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+    for knots in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        knots = np.array(knots)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            complete_spline(knots, np.zeros(3), 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            hermite_spline(knots, np.zeros(3), np.zeros(3))
