@@ -2,10 +2,13 @@
 
 Every run is reproducible: replicate ``r`` at sample size ``n`` draws from
 a counter-based generator keyed by ``seed_for(base_seed, n, r)``, results
-are merged in (n, replicate) order regardless of worker count, and CSV
-floats are written with ``repr`` so identical configs give identical bytes.
+are merged in task order regardless of worker count, and CSV floats are
+written with ``repr`` so identical configs give identical bytes.  Rate rows
+come in (n, replicate) order.  Event rows come in (c0, n, replicate) order,
+from one draw per (n, replicate) shared by every c0 of the sweep.
 """
 
+import functools
 import json
 import math
 import os
@@ -150,22 +153,34 @@ def _ols(x, y) -> RateFit:
 # ---------------------------------------------------------------------------
 # replicate worker (top level so it can cross process boundaries)
 
+@functools.lru_cache
+def _model_and_meshes(name: str, params: tuple, tau_q: float, target: str, ks: tuple):
+    """The model and its target's knot mesh for each cell count in ``ks``,
+    built once per process and shared by every replicate."""
+    model = make_model(name, params, tau_q)
+    mesh = knot_mesh_monotone if target == "monotone" else knot_mesh_convex
+    return model, tuple(mesh(model, k) for k in ks)
+
+
 def _replicate(task):
-    """One seeded replicate: the shape event on the rule mesh, and optionally
-    the sup-norm distances of the target's estimator from the ECDF side.
+    """One seeded replicate: the shape event on the mesh of each cell count
+    in ``ks``, and optionally the sup-norm distances of the target's
+    estimator from the ECDF side.
 
     Monotone: ``sup |Fhat_n - Fn|`` over the sample range.  Convex:
     ``sup |Ftilde_n - Fn|`` and ``sup |Htilde_n - Yn|`` over [0, tau].
+    Returns a row whose ``k`` is ``ks`` and whose ``event_An`` holds one
+    event per entry of ``ks``; ``_row`` picks one of them.
     """
-    target, distances, name, params, tau_q, n, rep, seed, k = task
-    model = make_model(name, params, tau_q)
+    target, distances, name, params, tau_q, n, rep, seed, ks = task
+    model, meshes = _model_and_meshes(name, params, tau_q, target, ks)
     data = sample(model, n, seed)
     sup_f = sup_h = None
     if target == "monotone":
         if distances:
             sup_f = float(sup_norm(lcm(data).as_curve(), ecdf_curve(data),
                                    (0.0, float(data.x[-1]))))
-        event = concavity_event(data, knot_mesh_monotone(model, k))
+        event = concavity_event
     else:
         if distances:
             try:
@@ -177,20 +192,25 @@ def _replicate(task):
             sup_f = float(sup_norm(fit.cdf_curve(cap), ecdf_curve(data, upto=cap), (0.0, tau)))
             sup_h = float(sup_norm(fit.integrated_cdf_curve(cap),
                                    integrated_ecdf_curve(data, upto=cap), (0.0, tau)))
-        event = convexity_event(data, knot_mesh_convex(model, k))
+        event = convexity_event
     return {
-        "model": name, "n": n, "k": k, "replicate": rep,
+        "model": name, "n": n, "k": ks, "replicate": rep,
         "sup_F_diff": sup_f, "sup_H_diff": sup_h,
-        "event_An": int(event), "seed": seed,
+        "event_An": tuple(int(event(data, mesh)) for mesh in meshes), "seed": seed,
     }
 
 
+def _row(result: dict, i: int) -> dict:
+    """The replicate row of ``_replicate`` result ``result`` at its ``i``-th cell count."""
+    return dict(result, k=result["k"][i], event_An=result["event_An"][i])
+
+
 def _run_replicates(config: ExperimentConfig, target: str, distances: bool, sizes) -> list:
-    """Rows of ``_replicate`` for every ``(n, k)`` pair in ``sizes`` and every
-    replicate, in that order, on ``config.workers`` processes (one pool)."""
-    tasks = [(target, distances, config.model, config.params, config.tau_quantile,
-              n, rep, seed_for(config.base_seed, n, rep), k)
-             for n, k in sizes for rep in range(config.replicates)]
+    """Results of ``_replicate`` for every ``(n, ks)`` pair in ``sizes`` and
+    every replicate, in that order, on ``config.workers`` processes (one pool)."""
+    tasks = [(target, distances, config.model, tuple(config.params), config.tau_quantile,
+              n, rep, seed_for(config.base_seed, n, rep), ks)
+             for n, ks in sizes for rep in range(config.replicates)]
     if config.workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (config.workers * 8))
         with Pool(processes=config.workers) as pool:
@@ -294,7 +314,8 @@ def _run_rate(config: ExperimentConfig, target: str) -> RateResult:
     model = _validate(config, min_sizes=3)
     beta, m = _k_rule_constants(model, target, f"{target} rate run")
     ks = {n: config.k_override or k_rule(n, beta, m, config.c0) for n in config.n_grid}
-    rows = _run_replicates(config, target, True, ks.items())
+    got = _run_replicates(config, target, True, [(n, (k,)) for n, k in ks.items()])
+    rows = [_row(r, 0) for r in got]
     summary = _per_n_summary(config, rows, ks)
     fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
     fit_h = None if target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
@@ -331,6 +352,11 @@ def run_event_frequency(config: ExperimentConfig) -> list:
     ordered second-derivative slopes of the spline interpolant (convex) on
     the rule-chosen mesh.  Each summary row carries the analytic bound on
     the failure probability and whether that bound is vacuous (>= 1).
+
+    Replicate ``r`` at size ``n`` is drawn once and its event evaluated on
+    the mesh of every distinct ``k`` the sweep gives at ``n``; all
+    replicates run in one pool.  Rows and summary rows come in
+    ``(c0, n, replicate)`` order, so every c0 sees the same samples.
     """
     model = _validate(config)
     beta, m = _k_rule_constants(model, config.target, f"{config.target} event run")
@@ -340,11 +366,17 @@ def run_event_frequency(config: ExperimentConfig) -> list:
         sweep = tuple(config.c0_sweep)
     else:
         raise ConfigError("c0_sweep must be a non-empty list of positive, finite values")
+    ks = {(c0, n): config.k_override or k_rule(n, beta, m, c0)
+          for c0 in sweep for n in config.n_grid}
+    per_n = {n: tuple(sorted({ks[c0, n] for c0 in sweep})) for n in config.n_grid}
+    results = _run_replicates(config, config.target, False, per_n.items())
+    reps = config.replicates
+    by_n = {n: results[i * reps:(i + 1) * reps] for i, n in enumerate(config.n_grid)}
     rows, summary = [], []
     for c0 in sweep:
         for n in config.n_grid:
-            k = config.k_override or k_rule(n, beta, m, c0)
-            got = _run_replicates(config, config.target, False, [(n, k)])
+            k = ks[c0, n]
+            got = [_row(r, per_n[n].index(k)) for r in by_n[n]]
             rows.extend(got)
             freq = float(np.mean([r["event_An"] for r in got]))
             if config.target == "monotone":

@@ -148,15 +148,23 @@ def constants(model: AnalyticModel) -> ModelConstants:
 
 
 def _bisect_inverse(F, lo: float, hi: float, u, iters: int = 80):
-    """Vectorized bisection solve of F(x) = u on [lo, hi] for increasing F."""
+    """Vectorized bisection solve of F(x) = u on [lo, hi] for increasing F.
+
+    Runs ``iters`` steps, or stops early after the first step that moves no
+    bracket end: the next step depends only on ``(a, b)``, so every later
+    step would repeat it and the result is the same to the bit.
+    """
     u = np.asarray(u, dtype=float)
     a = np.full(u.shape, lo)
     b = np.full(u.shape, hi)
     for _ in range(iters):
         mid = 0.5 * (a + b)
         less = F(mid) < u
-        a = np.where(less, mid, a)
-        b = np.where(less, b, mid)
+        a_next = np.where(less, mid, a)
+        b_next = np.where(less, b, mid)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
     out = 0.5 * (a + b)
     return out if out.ndim else float(out)
 
@@ -312,7 +320,8 @@ class KnotMesh:
     """Probability-equal knot mesh ``0 = a_0 < ... < a_k``.
 
     ``mass`` is the total CDF increment spanned (``F(a_k) - F(a_0)``); each
-    cell carries mass ``mass / k``.  ``p = 1/k``.
+    cell carries mass ``mass / k``.  ``p = 1/k``.  ``knots`` is read-only,
+    since a mesh may be shared by every caller in a process.
     """
 
     k: int
@@ -339,6 +348,7 @@ def _knot_mesh(model: AnalyticModel, k: int, mass: float, end: float) -> KnotMes
     knots[-1] = end
     if np.any(np.diff(knots) <= 0):
         raise ValueError("mesh knots are not strictly increasing")
+    knots.flags.writeable = False
     return KnotMesh(k=k, knots=knots, p=1.0 / k, mass=mass)
 
 

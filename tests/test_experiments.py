@@ -1,5 +1,6 @@
 """Experiment drivers: seeding, determinism, summaries, lemma suite."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import shapedist.experiments as experiments
 from shapedist.bounds import convexity_event_bound
-from shapedist.empirical import seed_for
+from shapedist.empirical import sample, seed_for
 from shapedist.experiments import (
     REPLICATE_COLUMNS,
     ConfigError,
@@ -115,6 +117,54 @@ def test_rate_csv_identical_across_runs_and_workers(tmp_path):
         assert head[1].startswith("# model=truncated-exponential ")
         assert head[2] == ",".join(REPLICATE_COLUMNS)
         assert blobs[0][1].decode().splitlines()[0] == f"# shapedist-{schema}-summary-v1"
+
+
+# beta-like events with a sweep whose k differ at 300 and 1000 and agree
+# at 1 and 2 (k = 3, 2, 2, 4 at n = 128; 4, 2, 2, 5 at n = 256)
+BETA_EVENTS = ExperimentConfig(model="beta-like", params=(2.0,), target="convex",
+                               n_grid=(128, 256), replicates=4, base_seed=7, tau_quantile=0.9,
+                               c0_sweep=(300.0, 1.0, 2.0, 1000.0))
+BETA_EVENTS_SHA256 = {
+    "events.csv": "6617b6607aa4f8dc1f4fc638b35631dd5371717095ef58c7027027896fd8164d",
+    "events.summary.csv": "38aa7e1f74aefc958d804638d8495e245178b9b802b395668efd84d57bf2bf55",
+}
+
+
+def _event_digests(config, out_dir) -> dict:
+    run_event_frequency(replace(config, out=str(out_dir / "events.csv")))
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in BETA_EVENTS_SHA256}
+
+
+def test_beta_events_bytes_frozen_across_workers_and_calls(tmp_path):
+    # digests of a driver that redrew each sample per (c0, n, replicate):
+    # drawing once per (n, replicate) must not change a byte.  workers=1
+    # runs twice, so the second call reuses the process's cached meshes
+    for i, workers in enumerate((1, 1, 2, 3)):
+        out_dir = tmp_path / f"run{i}"
+        out_dir.mkdir()
+        assert _event_digests(replace(BETA_EVENTS, workers=workers), out_dir) \
+            == BETA_EVENTS_SHA256, workers
+
+
+def test_beta_events_list_params_give_the_same_bytes(tmp_path):
+    # a list cannot key the per-process model cache; the driver must cope
+    assert _event_digests(replace(BETA_EVENTS, params=[2.0]), tmp_path) == BETA_EVENTS_SHA256
+
+
+def test_event_sweep_draws_each_sample_once(monkeypatch):
+    draws = []
+
+    def counted(model, n, seed):
+        draws.append((n, seed))
+        return sample(model, n, seed)
+
+    monkeypatch.setattr(experiments, "sample", counted)
+    cfg = BETA_EVENTS
+    summary = run_event_frequency(cfg)
+    assert len(summary) == len(cfg.c0_sweep) * len(cfg.n_grid)
+    assert len(draws) == len(cfg.n_grid) * cfg.replicates
+    assert len(set(draws)) == len(draws)
 
 
 def test_event_frequency_with_k_override(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from shapedist.models import (
     CATALOG,
+    _bisect_inverse,
     constants,
     knot_mesh_convex,
     knot_mesh_monotone,
@@ -149,6 +150,50 @@ def test_mesh_widths_and_max():
     # Exp(1), mass .75, k = 3: knots -ln(1 - j/4).
     want = [0.0, -math.log(0.75), -math.log(0.5), math.log(4.0)]
     np.testing.assert_allclose(mesh.knots, want, atol=1e-12)
+
+
+def test_mesh_knots_are_read_only():
+    # a mesh may be shared by every replicate of a process
+    mesh = knot_mesh_convex(make_model("truncated-exponential", (1.0,)), 4)
+    with pytest.raises(ValueError):
+        mesh.knots[1] = 0.5
+
+
+def _bisect_80(F, u):
+    """The bisection on [0, 1] run for all of its 80 steps."""
+    u = np.asarray(u, dtype=float)
+    a = np.zeros(u.shape)
+    b = np.ones(u.shape)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        less = F(mid) < u
+        a = np.where(less, mid, a)
+        b = np.where(less, b, mid)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 5.0])
+def test_beta_like_inverse_stops_early_to_the_same_bits(b):
+    m = make_model("beta-like", (b,), 0.9)
+    u = np.concatenate([np.random.default_rng(11).random(4096), [0.0, 0.5, 1.0 - 2.0 ** -53]])
+    assert m.Finv(u).tobytes() == _bisect_80(m.F, u).tobytes()
+    # the scalar path (tau) and the knot-mesh vector
+    assert isinstance(m.tau, float)
+    assert np.float64(m.tau).tobytes() == _bisect_80(m.F, 0.9).tobytes()
+    want = _bisect_80(m.F, 0.9 * np.arange(8) / 7)
+    want[0], want[-1] = 0.0, m.tau
+    assert knot_mesh_convex(m, 7).knots.tobytes() == want.tobytes()
+    # and it does stop early on the draws: their brackets settle before
+    # step 80 (u = 0 alone would halve its bracket 1074 times)
+    draws = u[:4096]
+    steps = []
+
+    def counted(x):
+        steps.append(1)
+        return m.F(x)
+
+    assert _bisect_inverse(counted, 0.0, 1.0, draws).tobytes() == _bisect_80(m.F, draws).tobytes()
+    assert len(steps) < 80
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
