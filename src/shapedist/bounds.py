@@ -13,7 +13,9 @@ defects rescaled by 12 / width^3.
 
 The module also evaluates the closed-form Bernstein/binomial tail bounds
 for the statistics, the Taylor bracket for the population defect, and the
-mesh-ratio and interpolation-gap checks used by the lemma suite.
+mesh-ratio and interpolation-gap checks used by the lemma suite.  Report
+rows come from ``curves._check``, the lemma suite's one row builder, and
+``pass`` means ``lhs <= rhs`` exactly, with no slack.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .empirical import EmpiricalData, ecdf, integrated_ecdf
+from .curves import _check
+from .empirical import EmpiricalData, ecdf
 from .models import (
     AnalyticModel,
     KnotMesh,
@@ -90,25 +93,28 @@ def _cell_defect(model: AnalyticModel, s: float, t: float) -> float:
         - (float(model.Fint(t)) - float(model.Fint(s)))
 
 
+def _sample_defects(data: EmpiricalData, mesh: KnotMesh):
+    """Spline and raw defects ``(T, R)`` of the integrated ECDF on the mesh."""
+    spline = interp_integrated_ecdf(data, mesh)
+    dy = np.diff(spline.values)
+    return (_defect(spline.slopes, dy, mesh.deltas),
+            _defect(ecdf(data, mesh.knots), dy, mesh.deltas))
+
+
+def _population_defects(model: AnalyticModel, mesh: KnotMesh):
+    """Spline and raw defects ``(t, r)`` of the integrated CDF on the mesh."""
+    spline = interp_integrated_cdf(model, mesh)
+    dy = np.diff(spline.values)
+    return (_defect(spline.slopes, dy, mesh.deltas),
+            _defect(np.asarray(model.F(mesh.knots), dtype=float), dy, mesh.deltas))
+
+
 def compute_quantities(data: EmpiricalData, model: AnalyticModel,
                        mesh: KnotMesh) -> LemmaQuantities:
     """Evaluate all per-cell statistics for one sample on one mesh."""
-    a = mesh.knots
     widths = mesh.deltas
-
-    yn = integrated_ecdf(data, a)
-    fn = ecdf(data, a)
-    sn = interp_integrated_ecdf(data, mesh).slopes
-    y = np.asarray(model.Fint(a), dtype=float)
-    fv = np.asarray(model.F(a), dtype=float)
-    s = interp_integrated_cdf(model, mesh).slopes
-
-    dyn = np.diff(yn)
-    dy = np.diff(y)
-    T = _defect(sn, dyn, widths)
-    R = _defect(fn, dyn, widths)
-    t = _defect(s, dy, widths)
-    r = _defect(fv, dy, widths)
+    T, R = _sample_defects(data, mesh)
+    t, r = _population_defects(model, mesh)
     W = (T - t) - (R - r)
     b = t - r
 
@@ -301,14 +307,7 @@ def cell_variance_report(model: AnalyticModel, mesh: KnotMesh) -> list[dict]:
     for j in range(1, mesh.k + 1):
         lhs = cell_variance(model, float(a[j - 1]), float(a[j]))
         fstar = float(model.f(mean_value_knot(model, mesh, j)))
-        rhs = cell_variance_bound(mesh.p, fstar)
-        rows.append({
-            "name": f"cell-variance-vs-bound[{j}]",
-            "lhs": lhs,
-            "rhs": rhs,
-            "pass": bool(lhs <= rhs * (1.0 + 1e-12)),
-            "margin": rhs - lhs,
-        })
+        rows.append(_check(f"cell-variance-vs-bound[{j}]", lhs, cell_variance_bound(mesh.p, fstar)))
     return rows
 
 
@@ -324,20 +323,16 @@ def interp_gap_report(model: AnalyticModel, k_list) -> dict:
     rows = []
     for k in k_list:
         mesh = knot_mesh_convex(model, int(k))
-        a = mesh.knots
-        d = mesh.deltas
-        y = np.asarray(model.Fint(a), dtype=float)
-        fv = np.asarray(model.F(a), dtype=float)
-        s = interp_integrated_cdf(model, mesh).slopes
-        gap = _defect(s, np.diff(y), d) - _defect(fv, np.diff(y), d)
+        t, r = _population_defects(model, mesh)
+        gap = t - r
         max_abs = float(np.max(np.abs(gap)))
         bound = mesh.mesh ** 4 * sup_curv / 24.0
         rows.append({
             "k": int(k),
             "max_abs_gap": max_abs,
-            "max_rescaled_gap": float(np.max(np.abs(gap) / d ** 4)),
+            "max_rescaled_gap": float(np.max(np.abs(gap) / mesh.deltas ** 4)),
             "bound": bound,
-            "pass": bool(max_abs <= bound * (1.0 + 1e-9)),
+            "pass": bool(max_abs <= bound),
         })
     ratios = [row["max_rescaled_gap"] for row in rows]
     decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(ratios, ratios[1:]))

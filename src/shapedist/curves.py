@@ -127,10 +127,6 @@ class PiecewisePoly:
             raise ValueError("domains do not overlap")
         xs = np.union1d(self.x, other.x)
         xs = xs[(xs >= lo) & (xs <= hi)]
-        if xs[0] != lo:
-            xs = np.concatenate([[lo], xs])
-        if xs[-1] != hi:
-            xs = np.concatenate([xs, [hi]])
         a = self._retarget(xs)
         b = other._retarget(xs)
         return PiecewisePoly(xs, a.c + sign * b.c)
@@ -471,6 +467,16 @@ def sup_norm(g, h, interval) -> float:
     """
     lo, hi = float(interval[0]), float(interval[1])
     return extrema(curve_sub(g, h), lo, hi).sup_abs
+
+
+#: Keys of a lemma-check row, in the order ``_check`` builds them.
+_CHECK_COLUMNS = ("name", "pass", "lhs", "rhs", "margin")
+
+
+def _check(name: str, lhs: float, rhs: float, ok=None) -> dict:
+    """One lemma-check row; ``pass`` is ``lhs <= rhs`` exactly unless ``ok`` is given."""
+    ok = bool(lhs <= rhs) if ok is None else bool(ok)
+    return dict(zip(_CHECK_COLUMNS, (name, ok, float(lhs), float(rhs), float(rhs - lhs))))
 
 
 class _RangeTable:

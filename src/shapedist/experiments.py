@@ -18,6 +18,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .bounds import (
+    _population_defects,
+    _sample_defects,
     bernstein_cell_bound,
     bernstein_residual_bound,
     binomial_cell_bound,
@@ -30,17 +32,11 @@ from .bounds import (
     trapezoid_remainder_bounds,
 )
 from .convexlse import FitError, fit_lse
-from .curves import sup_norm
-from .empirical import ecdf, ecdf_curve, integrated_ecdf, integrated_ecdf_curve, sample, seed_for
+from .curves import _check, sup_norm
+from .empirical import ecdf_curve, integrated_ecdf_curve, sample, seed_for
 from .models import AnalyticModel, constants, knot_mesh_convex, knot_mesh_monotone, make_model
 from .monotone import broken_line_error_report, concavity_event, kw_tail_bound, lcm
-from .spline import (
-    _defect,
-    convexity_event,
-    interp_integrated_cdf,
-    interp_integrated_ecdf,
-    smooth_interp_error_bounds,
-)
+from .spline import convexity_event, smooth_interp_error_bounds
 
 __all__ = [
     "ConfigError",
@@ -400,12 +396,6 @@ def run_event_frequency(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # lemma suite
 
-def _check(name: str, lhs: float, rhs: float, ok=None) -> dict:
-    ok = bool(lhs <= rhs) if ok is None else bool(ok)
-    return {"name": name, "pass": ok, "lhs": float(lhs), "rhs": float(rhs),
-            "margin": float(rhs - lhs)}
-
-
 def _suite_deterministic(model, config: ExperimentConfig) -> list:
     checks = []
     cons = constants(model)
@@ -455,13 +445,12 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
     for k in (5, 20, 80, 200):
         mesh = knot_mesh_convex(model, k)
         for row in smooth_interp_error_bounds(model, mesh):
-            checks.append(_check(f"{row['name']}[k={k}]", row["lhs"], row["rhs"]))
+            checks.append(dict(row, name=f"{row['name']}[k={k}]"))
     for k in (5, 20, 80):
         row = broken_line_error_report(model, knot_mesh_convex(model, k))
-        checks.append(_check(f"{row['name']}[k={k}]", row["lhs"], row["rhs"]))
+        checks.append(dict(row, name=f"{row['name']}[k={k}]"))
 
-    for row in cell_variance_report(model, knot_mesh_convex(model, 10)):
-        checks.append(_check(row["name"], row["lhs"], row["rhs"]))
+    checks.extend(cell_variance_report(model, knot_mesh_convex(model, 10)))
     return checks
 
 
@@ -471,17 +460,9 @@ def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
     k = 3
     j = 2
     mesh = knot_mesh_convex(model, k)
-    a = mesh.knots
-    d = mesh.deltas
     p = mesh.p
-    fstar = mesh.mass * p / float(d[j - 1])
-
-    y = np.asarray(model.Fint(a), dtype=float)
-    fv = np.asarray(model.F(a), dtype=float)
-    s = interp_integrated_cdf(model, mesh).slopes
-    dy = np.diff(y)
-    t_det = _defect(s, dy, d)
-    r_det = _defect(fv, dy, d)
+    fstar = mesh.mass * p / float(mesh.deltas[j - 1])
+    t_det, r_det = _population_defects(model, mesh)
 
     sizes = (15000, 30000)
     abs_rr = {}
@@ -491,12 +472,7 @@ def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
         ww = np.empty(reps)
         for rep in range(reps):
             data = sample(model, n, seed_for(config.base_seed, n, rep))
-            yn = integrated_ecdf(data, a)
-            fn = ecdf(data, a)
-            sn = interp_integrated_ecdf(data, mesh).slopes
-            dyn = np.diff(yn)
-            T = _defect(sn, dyn, d)
-            R = _defect(fn, dyn, d)
+            T, R = _sample_defects(data, mesh)
             rr[rep] = abs(R[j - 1] - r_det[j - 1])
             ww[rep] = abs((T[j - 1] - t_det[j - 1]) - (R[j - 1] - r_det[j - 1]))
         abs_rr[n] = rr

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .curves import PiecewisePoly, extrema, sup_norm
+from .curves import PiecewisePoly, _check, extrema, sup_norm
 from .empirical import EmpiricalData, ecdf, ecdf_curve
 from .models import AnalyticModel, KnotMesh
 
@@ -61,12 +61,6 @@ class PiecewiseLinear:
         """Slope of the segment ending at (or containing) ``t``."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.x, t, side="left") - 1, 0, len(self.x) - 2)
-        out = self.slopes[i]
-        return out if out.ndim else float(out)
-
-    def right_slope(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
         out = self.slopes[i]
         return out if out.ndim else float(out)
 
@@ -157,9 +151,7 @@ def broken_line_error_report(model: AnalyticModel, mesh: KnotMesh) -> dict:
     lhs = sup_norm(interp.as_curve(), model.F_curve(), (knots[0], knots[-1]))
     dsup = extrema(model.f_curve().derivative(), float(knots[0]), float(knots[-1]))
     sup_fp = max(abs(dsup.min_val), abs(dsup.max_val))
-    rhs = mesh.mesh**2 * sup_fp / 8.0
-    return {"name": "chord-error-vs-curvature", "lhs": lhs, "rhs": rhs,
-            "pass": bool(lhs <= rhs * (1.0 + 1e-12)), "margin": rhs - lhs}
+    return _check("chord-error-vs-curvature", lhs, mesh.mesh**2 * sup_fp / 8.0)
 
 
 def concavity_event(data: EmpiricalData, mesh: KnotMesh) -> bool:

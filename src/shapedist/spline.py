@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PiecewisePoly, _check_breakpoints, as_curve, curve_sub, extrema, modulus
+from .curves import (
+    PiecewisePoly,
+    _check,
+    _check_breakpoints,
+    as_curve,
+    curve_sub,
+    extrema,
+    modulus,
+)
 from .empirical import EmpiricalData, ecdf, integrated_ecdf
 from .models import AnalyticModel, KnotMesh, _extreme
 
@@ -208,13 +216,9 @@ def interp_error_report(g, mesh: KnotMesh) -> list[dict]:
     osc = modulus(gprime, mesh.mesh, (lo, hi))
     lhs_d = extrema(err_d, lo, hi).sup_abs
     lhs = extrema(err, lo, hi).sup_abs
-    rhs_d = 19.0 / 4.0 * osc
-    rhs = 19.0 / 8.0 * mesh.mesh * osc
     return [
-        {"name": "spline-deriv-error-vs-oscillation", "lhs": lhs_d, "rhs": rhs_d,
-         "pass": bool(lhs_d <= rhs_d * (1.0 + 1e-12)), "margin": rhs_d - lhs_d},
-        {"name": "spline-error-vs-oscillation", "lhs": lhs, "rhs": rhs,
-         "pass": bool(lhs <= rhs * (1.0 + 1e-12)), "margin": rhs - lhs},
+        _check("spline-deriv-error-vs-oscillation", lhs_d, 19.0 / 4.0 * osc),
+        _check("spline-error-vs-oscillation", lhs, 19.0 / 8.0 * mesh.mesh * osc),
     ]
 
 
@@ -235,12 +239,8 @@ def smooth_interp_error_bounds(model: AnalyticModel, mesh: KnotMesh) -> list[dic
     lhs = extrema(curve_sub(spline.as_curve(), model.Fint_curve()), lo, hi).sup_abs
     lhs_d = extrema(curve_sub(spline.as_curve().derivative(), model.F_curve()), lo, hi).sup_abs
     osc = modulus(model.F_curve(), mesh.mesh, (lo, hi))
-    rows = [
-        ("spline-error-vs-fourth-derivative", lhs, 5.0 / 384.0 * mesh.mesh**4 * m4),
-        ("spline-deriv-error-vs-fourth-derivative", lhs_d, mesh.mesh**3 * m4 / 24.0),
-        ("spline-deriv-error-vs-cdf-oscillation", lhs_d, 19.0 / 4.0 * osc),
-    ]
     return [
-        {"name": nm, "lhs": l, "rhs": r, "pass": bool(l <= r * (1.0 + 1e-12)), "margin": r - l}
-        for nm, l, r in rows
+        _check("spline-error-vs-fourth-derivative", lhs, 5.0 / 384.0 * mesh.mesh**4 * m4),
+        _check("spline-deriv-error-vs-fourth-derivative", lhs_d, mesh.mesh**3 * m4 / 24.0),
+        _check("spline-deriv-error-vs-cdf-oscillation", lhs_d, 19.0 / 4.0 * osc),
     ]

@@ -23,12 +23,16 @@ from shapedist.bounds import (
     slope_difference_bound,
     trapezoid_remainder_bounds,
 )
-from shapedist.empirical import sample, seed_for
+from shapedist.curves import curve_sub
+from shapedist.empirical import integrated_ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
+from shapedist.monotone import broken_line_error_report
 from shapedist.spline import (
     hermite_second_derivative_slopes,
+    interp_error_report,
     interp_integrated_cdf,
     interp_integrated_ecdf,
+    smooth_interp_error_bounds,
 )
 
 
@@ -185,6 +189,29 @@ def test_cell_variance_report_passes(name, params):
     for row in rows:
         assert row["pass"], row
         assert row["margin"] >= 0.0
+
+
+def test_report_rows_share_the_check_format():
+    # every inequality report yields rows in the lemma suite's own format:
+    # its key order, and a pass that is exactly lhs <= rhs, with no slack
+    rows = []
+    for name, params in (("truncated-exponential", (1.0,)), ("beta-like", (2.0,)),
+                         ("uniform", ())):
+        m = make_model(name, params)
+        for k in (5, 20):
+            mesh = knot_mesh_convex(m, k)
+            rows += smooth_interp_error_bounds(m, mesh)
+            rows.append(broken_line_error_report(m, mesh))
+            rows += cell_variance_report(m, mesh)
+        d = sample(m, 60, seed_for(41, 60, 0))
+        hi = max(float(m.tau), float(d.x[-1])) + 1.0
+        g = curve_sub(integrated_ecdf_curve(d, hi), m.Fint_curve())
+        rows += interp_error_report(g, knot_mesh_convex(m, 5))
+    assert len(rows) == 3 * (2 * 4 + 5 + 20 + 2)
+    for row in rows:
+        assert tuple(row) == ("name", "pass", "lhs", "rhs", "margin"), row
+        assert row["pass"] is (row["lhs"] <= row["rhs"]), row
+        assert row["margin"] == row["rhs"] - row["lhs"], row
 
 
 def test_interp_gap_report_refinement():

@@ -236,6 +236,9 @@ def test_lemma_suite_report(tmp_path):
     on_disk = json.loads(out.read_text())
     assert on_disk["pass"] is True
     assert [c["name"] for c in on_disk["checks"]] == names
+    # frozen bytes: how the check rows are built must not move a bit of the report
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9")
 
 
 def test_lemma_suite_deterministic():
