@@ -26,7 +26,6 @@ working interval).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -519,57 +518,16 @@ class _RangeTable:
         return out_min, out_max
 
 
-def _pinned_pair_candidates(cs: CurveSum, width: float, lo: float, hi: float):
-    """Increment candidates for window pairs pinned at exact distance ``width``.
-
-    When both window ends sit strictly inside pieces, the optimal pair has
-    equal one-sided slopes.  For pure polynomials the pinned increment is a
-    quadratic in the window position and is solved in closed form; for
-    constant/linear pieces plus a smooth part with monotone second derivative
-    (the only pieces :func:`modulus` admits next to a smooth part) one root
-    per overlapping piece pair suffices, and all pairs share one batched
-    bisection.  Pairs whose increment derivative cannot vanish are skipped.
-    """
-    poly = cs.poly
-    if poly is None:
-        return []
-    x, c = poly.x, poly.c
-    out = []
-    brackets = []  # (slope difference, qlo, qhi) per piece pair, smooth part only
-    for bpiece in range(poly.npieces):
-        wlo = max(x[bpiece], lo)
-        whi = min(x[bpiece + 1], hi - width)
-        if whi <= wlo:
-            continue
-        for apiece in _window(poly, wlo + width, whi + width)[0]:
-            qlo = max(wlo, x[apiece] - width)
-            qhi = min(whi, x[apiece + 1] - width)
-            if qhi <= qlo:
-                continue
-            ca, cb = c[apiece], c[bpiece]
-            if cs.smooth is not None:
-                brackets.append((ca[1] - cb[1], qlo, qhi))
-            else:
-                # derivative of increment: p_a'(w + width) - p_b'(w), quadratic in w
-                da = x[apiece] - width  # local origin of shifted piece a
-                A = 3.0 * (ca[3] - cb[3])
-                B = (-6.0 * ca[3] * da + 2.0 * ca[2]) - (-6.0 * cb[3] * x[bpiece] + 2.0 * cb[2])
-                C = ((3.0 * ca[3] * da - 2.0 * ca[2]) * da + ca[1]) - (
-                    (3.0 * cb[3] * x[bpiece] - 2.0 * cb[2]) * x[bpiece] + cb[1]
-                )
-                if A == 0.0 and B == 0.0:
-                    continue
-                r1, r2 = _quad_roots(np.array([A]), np.array([B]), np.array([C]))
-                for r in (float(r1[0]), float(r2[0])):
-                    if not math.isnan(r) and qlo < r < qhi:
-                        out.append(r)
-    if brackets:
-        dphi = cs.smooth.funcs[1]
-        ds, qlo, qhi = np.array(brackets).T
-        slope = lambda w, ds: ds + dphi(w + width) - dphi(w)
-        s = slope(qlo, ds) * slope(qhi, ds) < 0.0
-        out.extend(_bisect_many(lambda w: slope(w, ds[s]), qlo[s], qhi[s]))
-    return out
+def _shifted(cs: CurveSum, width: float) -> CurveSum:
+    """``t -> g(t + width)``, dropping pieces that the shift collapses to zero width."""
+    poly, smooth = cs.poly, cs.smooth
+    if poly is not None:
+        x = poly.x - width
+        keep = np.diff(x) > 0.0
+        poly = PiecewisePoly(np.append(x[:-1][keep], x[-1]), poly.c[keep])
+    if smooth is not None:
+        smooth = SmoothCurve(*((lambda t, f=f: f(t + width)) for f in smooth.funcs))
+    return CurveSum(poly, smooth, cs.const)
 
 
 def modulus(g, width: float, interval) -> float:
@@ -579,6 +537,11 @@ def modulus(g, width: float, interval) -> float:
     and for constant/linear pieces plus a smooth part whose first and second
     derivatives are monotone on the interval -- which covers empirical CDFs,
     their centered versions, and all catalog model curves.
+
+    A best pair either has an end at an event (breakpoint, interval end or
+    stationary point), found with range tables over the events, or sits
+    exactly ``width`` apart, where it is an extremum of the increment curve
+    ``g(w + width) - g(w)`` on ``[lo, hi - width]`` from :func:`extrema`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if width <= 0.0:
@@ -634,7 +597,6 @@ def modulus(g, width: float, interval) -> float:
     here_lo = np.minimum(rvals, lvals)
     best = float(np.max(np.maximum(here_hi - wmin, wmax - here_lo)))
 
-    for w in _pinned_pair_candidates(cs, width, lo, hi):
-        inc = abs(float(cs(w + width)) - float(cs(w)))
-        best = max(best, inc)
+    if cs.poly is None or cs.poly.x[-1] - width > cs.poly.x[0]:
+        best = max(best, extrema(curve_sub(_shifted(cs, width), cs), lo, hi - width).sup_abs)
     return max(best, 0.0)

@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -201,10 +201,10 @@ def _row(result: dict, i: int) -> dict:
     return dict(result, k=result["k"][i], event_An=result["event_An"][i])
 
 
-def _run_replicates(config: ExperimentConfig, target: str, distances: bool, sizes) -> list:
+def _run_replicates(config: ExperimentConfig, distances: bool, sizes) -> list:
     """Results of ``_replicate`` for every ``(n, ks)`` pair in ``sizes`` and
     every replicate, in that order, on ``config.workers`` processes (one pool)."""
-    tasks = [(target, distances, config.model, tuple(config.params), config.tau_quantile,
+    tasks = [(config.target, distances, config.model, tuple(config.params), config.tau_quantile,
               n, rep, seed_for(config.base_seed, n, rep), ks)
              for n, ks in sizes for rep in range(config.replicates)]
     if config.workers > 1 and len(tasks) > 1:
@@ -281,12 +281,13 @@ _SUMMARY_COLUMNS = ("model", "n", "k", "mean_sup_F_diff", "mean_sup_H_diff",
                     "root_n_mean_sup_F_diff", "root_n_mean_sup_H_diff", "event_freq")
 
 
-def _emit_rate(config: ExperimentConfig, rows, summary) -> None:
+def _emit(config: ExperimentConfig, kind: str, rows, summary_columns, summary) -> None:
+    """Write the replicate rows to ``config.out`` and the summary next to it, if set."""
     if not config.out:
         return
-    _write_csv(config.out, "shapedist-rate-v1", _meta(config), REPLICATE_COLUMNS, rows)
-    _write_csv(_summary_path(config.out), "shapedist-rate-summary-v1",
-               _meta(config), _SUMMARY_COLUMNS, summary)
+    _write_csv(config.out, f"shapedist-{kind}-v1", _meta(config), REPLICATE_COLUMNS, rows)
+    _write_csv(_summary_path(config.out), f"shapedist-{kind}-summary-v1",
+               _meta(config), summary_columns, summary)
 
 
 def _log_xy(config: ExperimentConfig, summary, key: str):
@@ -306,16 +307,17 @@ def _k_rule_constants(model: AnalyticModel, target: str, what: str):
     return beta, m
 
 
-def _run_rate(config: ExperimentConfig, target: str) -> RateResult:
+def _run_rate(config: ExperimentConfig) -> RateResult:
+    target = config.target
     model = _validate(config, min_sizes=3)
     beta, m = _k_rule_constants(model, target, f"{target} rate run")
     ks = {n: config.k_override or k_rule(n, beta, m, config.c0) for n in config.n_grid}
-    got = _run_replicates(config, target, True, [(n, (k,)) for n, k in ks.items()])
+    got = _run_replicates(config, True, [(n, (k,)) for n, k in ks.items()])
     rows = [_row(r, 0) for r in got]
     summary = _per_n_summary(config, rows, ks)
     fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
     fit_h = None if target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
-    _emit_rate(config, rows, summary)
+    _emit(config, "rate", rows, _SUMMARY_COLUMNS, summary)
     return RateResult(fit_F=fit_f, fit_H=fit_h, rows=rows, summary=summary)
 
 
@@ -326,7 +328,7 @@ def run_monotone_rate(config: ExperimentConfig) -> RateResult:
     log mean against ``log(n^-1 log n)``; the fitted slope estimates the
     convergence exponent (2/3 for strictly curved targets).
     """
-    return _run_rate(config, "monotone")
+    return _run_rate(replace(config, target="monotone"))
 
 
 def run_convex_rate(config: ExperimentConfig) -> RateResult:
@@ -335,7 +337,7 @@ def run_convex_rate(config: ExperimentConfig) -> RateResult:
     Fits two exponents: one for ``sup |Ftilde_n - Fn|`` (target 3/5) and
     one for ``sup |Htilde_n - Yn|`` (target 4/5), both on [0, tau].
     """
-    return _run_rate(config, "convex")
+    return _run_rate(replace(config, target="convex"))
 
 
 _EVENT_SUMMARY_COLUMNS = ("model", "target", "c0", "n", "k", "freq", "bound", "vacuous")
@@ -365,7 +367,7 @@ def run_event_frequency(config: ExperimentConfig) -> list:
     ks = {(c0, n): config.k_override or k_rule(n, beta, m, c0)
           for c0 in sweep for n in config.n_grid}
     per_n = {n: tuple(sorted({ks[c0, n] for c0 in sweep})) for n in config.n_grid}
-    results = _run_replicates(config, config.target, False, per_n.items())
+    results = _run_replicates(config, False, per_n.items())
     reps = config.replicates
     by_n = {n: results[i * reps:(i + 1) * reps] for i, n in enumerate(config.n_grid)}
     rows, summary = [], []
@@ -385,11 +387,7 @@ def run_event_frequency(config: ExperimentConfig) -> list:
                 "n": n, "k": k, "freq": freq, "bound": bound,
                 "vacuous": int(bound >= 1.0),
             })
-    if config.out:
-        _write_csv(config.out, "shapedist-events-v1", _meta(config),
-                   REPLICATE_COLUMNS, rows)
-        _write_csv(_summary_path(config.out), "shapedist-events-summary-v1",
-                   _meta(config), _EVENT_SUMMARY_COLUMNS, summary)
+    _emit(config, "events", rows, _EVENT_SUMMARY_COLUMNS, summary)
     return summary
 
 

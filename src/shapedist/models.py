@@ -215,15 +215,17 @@ def _build_shifted_power(params):
     def rem(x):
         return np.maximum(theta - np.asarray(x, dtype=float), 0.0)
 
-    f = lambda x: c * rem(x) ** p
-    fprime = lambda x: -c * p * rem(x) ** (p - 1.0)
-    fsecond = lambda x: c * p * (p - 1.0) * rem(x) ** (p - 2.0)
-    F = lambda x: 1.0 - (rem(x) / theta) ** (p + 1.0)
-    Finv = lambda u: theta * (1.0 - (1.0 - np.asarray(u, dtype=float)) ** (1.0 / (p + 1.0)))
+    # np.power, not **: a numpy scalar would take the scalar power routine,
+    # whose last bits differ from the array loop
+    f = lambda x: c * np.power(rem(x), p)
+    fprime = lambda x: -c * p * np.power(rem(x), p - 1.0)
+    fsecond = lambda x: c * p * (p - 1.0) * np.power(rem(x), p - 2.0)
+    F = lambda x: 1.0 - np.power(rem(x) / theta, p + 1.0)
+    Finv = lambda u: theta * (1.0 - np.power(1.0 - np.asarray(u, dtype=float), 1.0 / (p + 1.0)))
 
     def Fint(t):
         t = np.asarray(t, dtype=float)
-        return t - theta / (p + 2.0) * (1.0 - (rem(t) / theta) ** (p + 2.0))
+        return t - theta / (p + 2.0) * (1.0 - np.power(rem(t) / theta, p + 2.0))
 
     return theta, f, fprime, fsecond, F, Finv, Fint
 

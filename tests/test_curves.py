@@ -10,13 +10,13 @@ from shapedist.curves import (
     SmoothCurve,
     _bisect_many,
     _hybrid_stationary,
-    _pinned_pair_candidates,
+    _shifted,
     as_curve,
     curve_sub,
     extrema,
     modulus,
 )
-from shapedist.empirical import sample, seed_for
+from shapedist.empirical import EmpiricalData, ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
 from shapedist.spline import complete_spline, interp_integrated_ecdf
 
@@ -40,6 +40,11 @@ def linear_minus_cdf(seed):
     c[:, 0] = rng.normal(scale=0.1, size=len(c))
     c[:, 1] = rng.uniform(0.3, 0.95, size=len(c))
     return curve_sub(PiecewisePoly(x, c), MODEL.F_curve())
+
+
+def ecdf_minus_cdf(seed):
+    """Constant pieces with a jump at every order statistic, minus ``F``."""
+    return curve_sub(ecdf_curve(sample(MODEL, 40, seed_for(seed, 40, 0))), MODEL.F_curve())
 
 
 def centered_spline(seed):
@@ -79,6 +84,7 @@ def smooth_only(seed):
 
 PATHS = {
     "cubic": cubic_with_jumps,
+    "constant+smooth": ecdf_minus_cdf,
     "linear+smooth": linear_minus_cdf,
     "cubic+smooth": centered_spline,
     "mixed+smooth": mixed_minus_integrated_cdf,
@@ -176,18 +182,49 @@ def sliding_window_modulus(g, width, lo, hi, points=40001):
     return float(np.max(np.maximum(hi_win - vals, vals - lo_win))), step
 
 
+def lipschitz(g, lo, hi):
+    """Largest ``|g'|`` on a dense grid of [lo, hi]."""
+    return float(np.max(np.abs(as_curve(g).derivative()(np.linspace(lo, hi, 20001)))))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_modulus_continuous_cubic_spline_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]])
     spline = complete_spline(knots, rng.normal(size=len(knots)), rng.normal(), rng.normal())
     g = spline.as_curve()
-    lipschitz = float(np.max(np.abs(g.derivative()(np.linspace(0.0, 1.0, 20001)))))
-    for width in (0.07, 0.19, 0.45):
-        # the closed-form pinned-pair path runs: some window pair of exact
-        # width has both ends strictly inside pieces with equal slopes
-        assert _pinned_pair_candidates(as_curve(g), width, 0.0, 1.0)
+    slope = lipschitz(g, 0.0, 1.0)
+    pinned = []
+    for width in (0.02, 0.07, 0.19, 0.45):
         exact = modulus(g, width, (0.0, 1.0))
         brute, step = sliding_window_modulus(g, width, 0.0, 1.0)
         assert brute <= exact + TOL
-        assert exact <= brute + 2.0 * lipschitz * step + TOL
+        assert exact <= brute + 2.0 * slope * step + TOL
+        # a pair exactly ``width`` apart, both ends inside (0, 1), sets the modulus
+        inc = extrema(curve_sub(_shifted(as_curve(g), width), g), 0.0, 1.0 - width)
+        at = inc.max_at if inc.max_val >= -inc.min_val else inc.min_at
+        pinned.append(0.0 < at < 1.0 - width and inc.sup_abs == exact)
+    assert any(pinned)
+
+
+@pytest.mark.parametrize("path", ["cubic", "constant+smooth", "linear+smooth", "smooth"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_modulus_matches_brute_force(path, seed):
+    g = PATHS[path](seed)
+    lo, hi = 0.05, 0.95 * MODEL.tau
+    slope = lipschitz(g, lo, hi)
+    for width in (0.03, 0.2, 0.6):
+        exact = modulus(g, width, (lo, hi))
+        brute, step = sliding_window_modulus(g, width, lo, hi)
+        assert brute <= exact + TOL
+        assert exact <= brute + 2.0 * slope * step + TOL, (width, exact, brute)
+
+
+def test_modulus_shift_drops_collapsed_pieces():
+    # shifting by 0.3 maps 0, 1e-20 and 2e-20 to one breakpoint
+    g = ecdf_curve(EmpiricalData(np.array([1e-20, 2e-20, 0.5])), upto=2.0)
+    assert modulus(g, 0.3, (0.0, 2.0)) == 0.6666666666666666
+    # a curve shorter than the width has no pair of its own that far apart;
+    # its last piece continues to the end of the interval
+    line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    assert modulus(line, 0.6, (0.0, 1.0)) == 0.6

@@ -119,6 +119,16 @@ def test_rate_csv_identical_across_runs_and_workers(tmp_path):
         assert blobs[0][1].decode().splitlines()[0] == f"# shapedist-{schema}-summary-v1"
 
 
+@pytest.mark.parametrize("driver, target", [(run_monotone_rate, "monotone"),
+                                            (run_convex_rate, "convex")])
+def test_rate_csv_header_records_the_target_that_ran(tmp_path, driver, target):
+    # the config names the other target; the header must name the one that ran
+    other = "convex" if target == "monotone" else "monotone"
+    driver(small_monotone_config(target=other, replicates=1, out=str(tmp_path / "rate.csv")))
+    for name in ("rate.csv", "rate.summary.csv"):
+        assert f" target={target} " in (tmp_path / name).read_text().splitlines()[1]
+
+
 # beta-like events with a sweep whose k differ at 300 and 1000 and agree
 # at 1 and 2 (k = 3, 2, 2, 4 at n = 128; 4, 2, 2, 5 at n = 256)
 BETA_EVENTS = ExperimentConfig(model="beta-like", params=(2.0,), target="convex",

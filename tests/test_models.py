@@ -224,3 +224,14 @@ def test_catalog_rejects_bad_input():
     with pytest.raises(ValueError):
         knot_mesh_convex(make_model("uniform", ()), 0)
     assert set(CATALOG) == {"truncated-exponential", "shifted-power", "beta-like", "uniform"}
+
+
+@pytest.mark.parametrize("name,params", ALL_MODELS)
+def test_scalar_and_array_evaluation_agree_bitwise(name, params):
+    # a numpy scalar and an array may take different power routines
+    m = make_model(name, params)
+    grid = np.linspace(0.0, m.tau, 2001)
+    for fn, t in [(m.f, grid), (m.fprime, grid), (m.fsecond, grid), (m.F, grid),
+                  (m.Fint, grid), (m.Finv, np.linspace(0.0, 1.0, 201, endpoint=False))]:
+        scalars = np.array([fn(float(s)) for s in t])
+        np.testing.assert_array_equal(scalars, fn(t))
