@@ -21,6 +21,16 @@ level), which is exact whenever the relevant derivative of the smooth part is
 monotone on each piece; all catalog models used here satisfy that (their
 densities have one-signed, monotone first and second derivatives on the
 working interval).
+
+A sum or difference of two piecewise polynomials lives on the union of their
+breakpoints over the overlap of their domains: one linear-time merge of the
+two sorted breakpoint arrays gives that grid and each operand's piece under
+every grid point, with no search.  When both operands are lines (degree
+<= 1), as in ``lcm - ecdf``, only the constant and slope columns are built,
+and extrema evaluate each piece at its two ends alone; higher degrees add
+the interior stationary points.  As in evaluation, the first piece continues
+left of the outer breakpoints and the last piece right of them, so extrema
+cover all of any finite interval.
 """
 
 from __future__ import annotations
@@ -36,6 +46,27 @@ def _check_breakpoints(x: np.ndarray, name: str = "breakpoints") -> None:
     """Refuse breakpoints that are not finite and strictly increasing (NaN included)."""
     if not (np.all(np.diff(x) > 0) and np.isfinite(x[0]) and np.isfinite(x[-1])):
         raise ValueError(f"{name} must be finite and strictly increasing")
+
+
+def _merge(xa: np.ndarray, xb: np.ndarray, lo: float, hi: float):
+    """Sorted union of two breakpoint arrays on their overlap [lo, hi], with
+    the piece of each operand under every point but the last.
+
+    A stable argsort of the concatenation merges the two sorted runs in
+    linear time (timsort).  At the last copy of each value, a running count of
+    the points of ``xa`` passed so far equals ``searchsorted(xa, t, "right")``,
+    and the rest of the merge position counts those of ``xb``; so neither
+    array is searched.  Every point but ``hi`` lies inside both operands'
+    pieces, so the indices need no clipping.  Returns ``(xs, ia, ib)``.
+    """
+    both = np.concatenate([xa, xb])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    del both
+    last = np.append(merged[1:] != merged[:-1], True)
+    keep = np.flatnonzero(last & (merged >= lo) & (merged <= hi))
+    seen_a = np.cumsum(order < len(xa))[keep[:-1]]
+    return merged[keep], seen_a - 1, keep[:-1] - seen_a
 
 
 @dataclass(frozen=True)
@@ -67,10 +98,14 @@ class PiecewisePoly:
         return len(self.x) - 1
 
     def degree(self) -> int:
-        for d in (3, 2, 1):
-            if np.any(self.c[:, d] != 0.0):
-                return d
-        return 0
+        """Highest power with a nonzero coefficient in some piece.
+
+        One contiguous pass: each row's four nonzero flags, read as one
+        ``uint32``, OR-reduce to one flag per column (in memory order).
+        """
+        rows = np.not_equal(self.c, 0.0, order="C").view(np.uint32)
+        nonzero = np.flatnonzero(np.bitwise_or.reduce(rows, axis=0).view(np.bool_))
+        return int(nonzero[-1]) if len(nonzero) else 0
 
     def _piece_index(self, t, side="right"):
         return np.clip(np.searchsorted(self.x, t, side=side) - 1, 0, self.npieces - 1)
@@ -109,26 +144,37 @@ class PiecewisePoly:
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
-    def _retarget(self, xs: np.ndarray) -> "PiecewisePoly":
-        """Re-express on a finer breakpoint grid spanning a sub-interval."""
-        i = np.clip(np.searchsorted(self.x, xs[:-1], side="right") - 1, 0, self.npieces - 1)
+    def _retarget(self, xs: np.ndarray, i: np.ndarray | None = None, deg: int = 3):
+        """Coefficient columns re-expressed on a finer breakpoint grid ``xs``
+        spanning a sub-interval.
+
+        ``i`` holds the piece of ``self`` under each of ``xs[:-1]`` when the
+        caller already knows it.  With ``deg <= 1`` (pieces known to be lines)
+        only the ``c0`` and ``c1`` columns are built; otherwise all four.
+        """
+        if i is None:
+            i = np.clip(np.searchsorted(self.x, xs[:-1], side="right") - 1, 0, self.npieces - 1)
         d = xs[:-1] - self.x[i]
+        if deg <= 1:
+            c1 = self.c[i, 1]
+            return c1 * d + self.c[i, 0], c1
         c0, c1, c2, c3 = (self.c[i, j] for j in range(4))
         n0 = ((c3 * d + c2) * d + c1) * d + c0
         n1 = (3.0 * c3 * d + 2.0 * c2) * d + c1
         n2 = 3.0 * c3 * d + c2
-        return PiecewisePoly(xs, np.column_stack([n0, n1, n2, c3]))
+        return n0, n1, n2, c3
 
     def _binary(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
         lo = max(self.x[0], other.x[0])
         hi = min(self.x[-1], other.x[-1])
         if hi <= lo:
             raise ValueError("domains do not overlap")
-        xs = np.union1d(self.x, other.x)
-        xs = xs[(xs >= lo) & (xs <= hi)]
-        a = self._retarget(xs)
-        b = other._retarget(xs)
-        return PiecewisePoly(xs, a.c + sign * b.c)
+        xs, ia, ib = _merge(self.x, other.x, lo, hi)
+        deg = max(self.degree(), other.degree())
+        c = np.zeros((len(xs) - 1, 4))
+        for j, (ca, cb) in enumerate(zip(self._retarget(xs, ia, deg), other._retarget(xs, ib, deg))):
+            c[:, j] = ca + sign * cb
+        return PiecewisePoly(xs, c)
 
     def __add__(self, other):
         if isinstance(other, PiecewisePoly):
@@ -305,16 +351,24 @@ def _quad_roots(a, b, c):
 def _window(poly: PiecewisePoly, lo: float, hi: float):
     """Pieces of ``poly`` meeting [lo, hi], with [lo, hi] in each piece's local offsets.
 
-    Returns ``(idx, ulo, uhi)``: piece indices and the clipped local offsets
-    of ``lo`` and ``hi`` within each of those pieces.
+    Returns ``(sl, ulo, uhi)``: a slice of the pieces and the local offsets of
+    ``lo`` and ``hi`` within each of them.  Only the first piece can start
+    past its left end and only the last can stop before its right end.  As in
+    evaluation, the first piece of ``poly`` continues to the left of ``x[0]``
+    and the last to the right of ``x[-1]``, so the offsets of the window ends
+    are not clipped and windows partly or wholly outside the breakpoints are
+    covered.
     """
     x = poly.x
     m = poly.npieces
     i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
     i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
-    idx = np.arange(i0, i1 + 1)
-    h = x[idx + 1] - x[idx]
-    return idx, np.clip(lo - x[idx], 0.0, h), np.clip(hi - x[idx], 0.0, h)
+    sl = slice(i0, i1 + 1)
+    ulo = np.zeros(i1 + 1 - i0)
+    ulo[0] = lo - x[i0]
+    uhi = x[i0 + 1:i1 + 2] - x[sl]
+    uhi[-1] = hi - x[i1]
+    return sl, ulo, uhi
 
 
 def _poly_stationary(cc, ulo, uhi):
@@ -328,6 +382,12 @@ def _poly_stationary(cc, ulo, uhi):
     return np.where(inside, r, np.nan)
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    """Refuse an interval unless both ends are finite and ``lo < hi`` (NaN included)."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, got ({lo}, {hi})")
+
+
 def _flat(lo: float, hi: float) -> PiecewisePoly:
     """The zero polynomial on [lo, hi], standing in for a missing poly part."""
     return PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
@@ -338,15 +398,20 @@ def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
 
     One-sided limits at breakpoints count: each piece contributes its closed
     left endpoint, its (open) right endpoint value, and interior stationary
-    points, which together cover the closure of the range.
+    points, which together cover the closure of the range.  Lines (degree
+    <= 1) have none of the last kind, so only their two ends are evaluated.
     """
-    idx, ulo, uhi = _window(pp, lo, hi)
-    cc = pp.c[idx]
-    # a piece without an interior root repeats its left end
-    us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
-    vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
+    sl, ulo, uhi = _window(pp, lo, hi)
+    cc = pp.c[sl]
+    if pp.degree() <= 1:
+        us = np.column_stack([ulo, uhi])
+        vals = cc[:, 1, None] * us + cc[:, 0, None]
+    else:
+        # a piece without an interior root repeats its left end
+        us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
+        vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
     flat_v = vals.ravel()
-    flat_t = (pp.x[idx][:, None] + us).ravel()
+    flat_t = (pp.x[sl][:, None] + us).ravel()
     kmin = int(np.argmin(flat_v))
     kmax = int(np.argmax(flat_v))
     return Extrema(float(flat_v[kmin]), float(flat_t[kmin]),
@@ -425,14 +490,14 @@ def _hybrid_stationary(cc, x0, alo, ahi, smooth: SmoothCurve):
 
 def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
     """Extrema of ``poly + smooth`` on [lo, hi]."""
-    idx, ulo, uhi = _window(poly, lo, hi)
-    x0 = poly.x[idx]
+    sl, ulo, uhi = _window(poly, lo, hi)
+    x0 = poly.x[sl]
     alo = x0 + ulo
-    roots = _hybrid_stationary(poly.c[idx], x0, alo, x0 + uhi, smooth)
+    roots = _hybrid_stationary(poly.c[sl], x0, alo, x0 + uhi, smooth)
     # a piece without a root repeats its left end; column-major order ranks
     # left ends first, then right ends, then roots
     ts = np.column_stack([alo, x0 + uhi, np.fmax(roots, alo[:, None])])
-    vals = _eval_hybrid(poly.c[idx].T[:, :, None], x0[:, None], smooth, ts).ravel(order="F")
+    vals = _eval_hybrid(poly.c[sl].T[:, :, None], x0[:, None], smooth, ts).ravel(order="F")
     ts = ts.ravel(order="F")
     kmin = int(np.argmin(vals))
     kmax = int(np.argmax(vals))
@@ -443,10 +508,10 @@ def extrema(g, lo: float, hi: float) -> Extrema:
     """Exact extrema (values and locations) of a curve over [lo, hi].
 
     One-sided limits at jump points participate, so the results equal the
-    closure of the range of ``g`` on the interval.
+    closure of the range of ``g`` on the interval.  The ends must be finite
+    with ``lo < hi``.
     """
-    if hi <= lo:
-        raise ValueError("empty interval")
+    _check_interval(lo, hi)
     cs = as_curve(g)
     if cs.poly is None and cs.smooth is None:
         return Extrema(cs.const, lo, cs.const, lo)
@@ -459,7 +524,7 @@ def extrema(g, lo: float, hi: float) -> Extrema:
 
 
 def sup_norm(g, h, interval) -> float:
-    """Exact sup of ``|g - h|`` over a closed interval.
+    """Exact sup of ``|g - h|`` over a closed interval with finite ends.
 
     Both arguments may be piecewise polynomials, smooth curves, curve sums,
     or constants.  Jumps contribute through their one-sided limits.
@@ -518,6 +583,26 @@ class _RangeTable:
         return out_min, out_max
 
 
+def _covering(poly: PiecewisePoly, lo: float, hi: float) -> PiecewisePoly:
+    """``poly`` with breakpoints spanning [lo, hi], its end pieces continued.
+
+    Differences such as the increment curve of :func:`modulus` only cover the
+    overlap of their operands' breakpoints, so a curve that stops short of
+    the interval is first extended.  The last piece only needs a later right
+    end; the first is re-based at ``lo`` as an extra piece, so values on the
+    original breakpoints keep every bit.
+    """
+    x, c = poly.x, poly.c
+    if x[0] <= lo and hi <= x[-1]:
+        return poly
+    if hi > x[-1]:
+        x = np.append(x[:-1], hi)
+    if lo < x[0]:
+        head = np.column_stack(poly._retarget(np.array([lo, x[0]])))
+        x, c = np.append(lo, x), np.vstack([head, c])
+    return PiecewisePoly(x, c)
+
+
 def _shifted(cs: CurveSum, width: float) -> CurveSum:
     """``t -> g(t + width)``, dropping pieces that the shift collapses to zero width."""
     poly, smooth = cs.poly, cs.smooth
@@ -542,16 +627,20 @@ def modulus(g, width: float, interval) -> float:
     stationary point), found with range tables over the events, or sits
     exactly ``width`` apart, where it is an extremum of the increment curve
     ``g(w + width) - g(w)`` on ``[lo, hi - width]`` from :func:`extrema`.
+    As in evaluation, the poly part's end pieces continue past its outer
+    breakpoints.  The interval ends must be finite with ``lo < hi``, and
+    ``width`` finite and positive.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if width <= 0.0:
-        raise ValueError("width must be positive")
-    if hi <= lo:
-        raise ValueError("empty interval")
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValueError(f"width must be finite and positive, got {width}")
+    _check_interval(lo, hi)
     cs = as_curve(g)
     if width >= hi - lo:
         e = extrema(cs, lo, hi)
         return e.max_val - e.min_val
+    if cs.poly is not None:
+        cs = CurveSum(_covering(cs.poly, lo, hi), cs.smooth, cs.const)
 
     # events: breakpoints, interval ends, and stationary points inside pieces
     # (NaN marks a piece without one and drops out with the range filter)
@@ -559,16 +648,17 @@ def modulus(g, width: float, interval) -> float:
     poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.poly is not None:
         ev.append(poly.x[(poly.x > lo) & (poly.x < hi)])
-    idx, ulo, uhi = _window(poly, lo, hi)
-    x0 = poly.x[idx]
+    sl, ulo, uhi = _window(poly, lo, hi)
+    x0 = poly.x[sl]
+    deg = poly.degree()
     if cs.smooth is not None:
-        if np.any(poly.c[:, 2:] != 0.0):
+        if deg >= 2:
             raise NotImplementedError(
                 "modulus with quadratic/cubic pieces plus a smooth part is not supported"
             )
-        ev.append(_hybrid_stationary(poly.c[idx], x0, x0 + ulo, x0 + uhi, cs.smooth).ravel())
-    elif poly.degree() >= 2:
-        ev.append((x0[:, None] + _poly_stationary(poly.c[idx], ulo, uhi)).ravel())
+        ev.append(_hybrid_stationary(poly.c[sl], x0, x0 + ulo, x0 + uhi, cs.smooth).ravel())
+    elif deg >= 2:
+        ev.append((x0[:, None] + _poly_stationary(poly.c[sl], ulo, uhi)).ravel())
 
     pts = np.unique(np.concatenate(ev))
     pts = pts[(pts >= lo) & (pts <= hi)]
@@ -597,6 +687,5 @@ def modulus(g, width: float, interval) -> float:
     here_lo = np.minimum(rvals, lvals)
     best = float(np.max(np.maximum(here_hi - wmin, wmax - here_lo)))
 
-    if cs.poly is None or cs.poly.x[-1] - width > cs.poly.x[0]:
-        best = max(best, extrema(curve_sub(_shifted(cs, width), cs), lo, hi - width).sup_abs)
+    best = max(best, extrema(curve_sub(_shifted(cs, width), cs), lo, hi - width).sup_abs)
     return max(best, 0.0)

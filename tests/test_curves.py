@@ -1,23 +1,29 @@
 """Exact extrema and moduli: each stationary-point path against dense evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from shapedist.curves import (
     CurveSum,
+    Extrema,
     PiecewisePoly,
     SmoothCurve,
     _bisect_many,
     _hybrid_stationary,
+    _poly_stationary,
     _shifted,
     as_curve,
     curve_sub,
     extrema,
     modulus,
+    sup_norm,
 )
 from shapedist.empirical import EmpiricalData, ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
+from shapedist.monotone import lcm
 from shapedist.spline import complete_spline, interp_integrated_ecdf
 
 MODEL = make_model("truncated-exponential", (1.0,))  # tau = log 4
@@ -40,6 +46,12 @@ def linear_minus_cdf(seed):
     c[:, 0] = rng.normal(scale=0.1, size=len(c))
     c[:, 1] = rng.uniform(0.3, 0.95, size=len(c))
     return curve_sub(PiecewisePoly(x, c), MODEL.F_curve())
+
+
+def lcm_minus_ecdf(seed):
+    """Lines minus steps, no smooth part: the LCM of a sample minus its ECDF."""
+    data = sample(MODEL, 40, seed_for(seed, 40, 0))
+    return curve_sub(lcm(data).as_curve(), ecdf_curve(data))
 
 
 def ecdf_minus_cdf(seed):
@@ -85,6 +97,7 @@ def smooth_only(seed):
 PATHS = {
     "cubic": cubic_with_jumps,
     "constant+smooth": ecdf_minus_cdf,
+    "linear": lcm_minus_ecdf,
     "linear+smooth": linear_minus_cdf,
     "cubic+smooth": centered_spline,
     "mixed+smooth": mixed_minus_integrated_cdf,
@@ -97,7 +110,7 @@ PATHS = {
 def test_extrema_attained_and_bound_dense_grid(path, seed):
     g = as_curve(PATHS[path](seed))
     assert (g.poly is None) == (path == "smooth")
-    assert (g.smooth is None) == (path == "cubic")
+    assert (g.smooth is None) == (path in ("cubic", "linear"))
     lo, hi = 0.05, 0.95 * MODEL.tau
     e = extrema(g, lo, hi)
     assert lo <= e.min_at <= hi and lo <= e.max_at <= hi
@@ -207,7 +220,7 @@ def test_modulus_continuous_cubic_spline_matches_brute_force(seed):
     assert any(pinned)
 
 
-@pytest.mark.parametrize("path", ["cubic", "constant+smooth", "linear+smooth", "smooth"])
+@pytest.mark.parametrize("path", ["cubic", "linear", "constant+smooth", "linear+smooth", "smooth"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_modulus_matches_brute_force(path, seed):
     g = PATHS[path](seed)
@@ -228,3 +241,157 @@ def test_modulus_shift_drops_collapsed_pieces():
     # its last piece continues to the end of the interval
     line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
     assert modulus(line, 0.6, (0.0, 1.0)) == 0.6
+
+
+def test_extrema_and_modulus_continue_the_end_pieces():
+    # a line whose only piece stops at 0.5 is still the line t -> t on [0, 1]
+    line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    assert extrema(line, 0.0, 1.0) == Extrema(0.0, 0.0, 1.0, 1.0)
+    assert [modulus(line, w, (0.0, 1.0)) for w in (0.2, 0.6, 1.0)] == [0.2, 0.6, 1.0]
+    # windows wholly outside the breakpoints
+    assert extrema(line, -1.0, -0.5) == Extrema(-1.0, -1.0, -0.5, -0.5)
+    assert extrema(line, 2.0, 3.0) == Extrema(2.0, 2.0, 3.0, 3.0)
+
+
+@pytest.mark.parametrize("x, c, interval", [
+    # slope -1 up to a jump to 5 at 1, then constant past the last breakpoint
+    ([0.0, 1.0, 2.0], [[0.0, -1.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]], (0.0, 4.0)),
+    # its mirror image, continued left of the first breakpoint
+    ([-2.0, -1.0, 0.0], [[5.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]], (-4.0, 0.0)),
+])
+def test_modulus_past_the_breakpoints_counts_true_increments(x, c, interval):
+    # the jump of 6 sets the modulus; continuing the end pieces of the
+    # increment curve instead of the curve itself would give 7.5
+    g = PiecewisePoly(np.array(x), np.array(c))
+    exact = modulus(g, 1.5, interval)
+    assert exact == 6.0
+    brute, _ = sliding_window_modulus(g, 1.5, *interval)
+    assert brute <= exact + TOL
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+                                    (-np.inf, 1.0), (1.0, 1.0), (1.0, 0.0)])
+def test_bad_intervals_are_refused(lo, hi):
+    line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="interval must be finite"):
+        extrema(line, lo, hi)
+    with pytest.raises(ValueError, match="interval must be finite"):
+        sup_norm(line, 0.0, (lo, hi))
+    with pytest.raises(ValueError, match="interval must be finite"):
+        modulus(line, 0.1, (lo, hi))
+
+
+@pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_bad_widths_are_refused(width):
+    line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        modulus(line, width, (0.0, 1.0))
+
+
+# The engine before the linear-time merge, kept verbatim as a bitwise oracle:
+# both operands retargeted as full n x 4 arrays onto the ``np.union1d`` grid,
+# and every piece evaluated at its two ends and two stationary-point columns.
+
+def _union_retarget(self, xs):
+    """Re-express on a finer breakpoint grid spanning a sub-interval."""
+    i = np.clip(np.searchsorted(self.x, xs[:-1], side="right") - 1, 0, self.npieces - 1)
+    d = xs[:-1] - self.x[i]
+    c0, c1, c2, c3 = (self.c[i, j] for j in range(4))
+    n0 = ((c3 * d + c2) * d + c1) * d + c0
+    n1 = (3.0 * c3 * d + 2.0 * c2) * d + c1
+    n2 = 3.0 * c3 * d + c2
+    return PiecewisePoly(xs, np.column_stack([n0, n1, n2, c3]))
+
+
+def _union_binary(self, other, sign):
+    lo = max(self.x[0], other.x[0])
+    hi = min(self.x[-1], other.x[-1])
+    if hi <= lo:
+        raise ValueError("domains do not overlap")
+    xs = np.union1d(self.x, other.x)
+    xs = xs[(xs >= lo) & (xs <= hi)]
+    a = _union_retarget(self, xs)
+    b = _union_retarget(other, xs)
+    return PiecewisePoly(xs, a.c + sign * b.c)
+
+
+def _clipped_window(poly, lo, hi):
+    x = poly.x
+    m = poly.npieces
+    i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
+    i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
+    idx = np.arange(i0, i1 + 1)
+    h = x[idx + 1] - x[idx]
+    return idx, np.clip(lo - x[idx], 0.0, h), np.clip(hi - x[idx], 0.0, h)
+
+
+def _union_poly_extrema(pp, lo, hi):
+    idx, ulo, uhi = _clipped_window(pp, lo, hi)
+    cc = pp.c[idx]
+    # a piece without an interior root repeats its left end
+    us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
+    vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
+    flat_v = vals.ravel()
+    flat_t = (pp.x[idx][:, None] + us).ravel()
+    kmin = int(np.argmin(flat_v))
+    kmax = int(np.argmax(flat_v))
+    return Extrema(float(flat_v[kmin]), float(flat_t[kmin]),
+                   float(flat_v[kmax]), float(flat_t[kmax]))
+
+
+def _random_operands(rng, deg_a, deg_b, layout):
+    """Two piecewise polynomials of the given degrees on overlapping domains."""
+    xa = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, rng.integers(1, 40))]))
+    if layout == "shared":
+        xb = xa.copy()
+    elif layout == "disjoint":
+        xb = np.unique(np.concatenate([[0.3, 1.4], rng.uniform(0.3, 1.4, rng.integers(1, 40))]))
+        xb = xb[~np.isin(xb, xa)]
+    else:  # some breakpoints shared, some not, domains partly overlapping
+        own = rng.uniform(-0.2, 0.8, rng.integers(1, 40))
+        xb = np.unique(np.concatenate([[-0.2, 0.8], rng.choice(xa[xa < 0.8], len(xa) // 2), own]))
+    polys = []
+    for x, deg in ((xa, deg_a), (xb, deg_b)):
+        # small integers make ties between piece ends, which argmin/argmax must break alike
+        c = (rng.normal(size=(len(x) - 1, 4)) if rng.random() < 0.5
+             else rng.integers(-2, 3, size=(len(x) - 1, 4)).astype(float))
+        c[:, deg + 1:] = 0.0
+        if rng.random() < 0.5:  # negative zeros in the unused and the slope columns
+            c[:, deg + 1:] = -0.0
+            if deg >= 1:
+                c[rng.random(len(c)) < 0.3, 1] = -0.0
+        polys.append(PiecewisePoly(x, c))
+    return polys
+
+
+@pytest.mark.parametrize("layout", ["shared", "disjoint", "partial"])
+@pytest.mark.parametrize("deg_a", [0, 1, 2, 3])
+@pytest.mark.parametrize("deg_b", [0, 1, 2, 3])
+def test_extrema_of_sums_and_differences_match_the_union_engine_bitwise(deg_a, deg_b, layout):
+    rng = np.random.default_rng([deg_a, deg_b, len(layout)])
+    for _ in range(25):
+        a, b = _random_operands(rng, deg_a, deg_b, layout)
+        lo0, hi0 = max(a.x[0], b.x[0]), min(a.x[-1], b.x[-1])
+        for lo, hi in ((lo0, hi0), np.sort(rng.uniform(lo0, hi0, 2))):
+            for sign, got in ((-1.0, extrema(curve_sub(a, b), lo, hi)), (1.0, extrema(a + b, lo, hi))):
+                e = _union_poly_extrema(_union_binary(a, b, sign), lo, hi)
+                want = Extrema(e.min_val + 0.0, e.min_at, e.max_val + 0.0, e.max_at)
+                assert [float.hex(v) for v in (got.min_val, got.min_at, got.max_val, got.max_at)] == \
+                    [float.hex(v) for v in (want.min_val, want.min_at, want.max_val, want.max_at)]
+
+
+def test_sup_norm_of_lcm_and_ecdf_peak_memory():
+    # The degree-<=1 branch keeps two coefficient columns per operand and two
+    # candidates per piece; retargeting full n x 4 arrays peaked at 25.1 n floats.
+    n = 2 ** 16
+    data = sample(MODEL, n, seed_for(3, n, 0))
+    a, b = lcm(data).as_curve(), ecdf_curve(data)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sup_norm(a, b, (0.0, float(data.x[-1])))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 8 * n, peak / (8 * n)
