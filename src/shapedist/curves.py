@@ -23,14 +23,14 @@ densities have one-signed, monotone first and second derivatives on the
 working interval).
 
 A sum or difference of two piecewise polynomials lives on the union of their
-breakpoints over the overlap of their domains: one linear-time merge of the
-two sorted breakpoint arrays gives that grid and each operand's piece under
-every grid point, with no search.  When both operands are lines (degree
-<= 1), as in ``lcm - ecdf``, only the constant and slope columns are built,
-and extrema evaluate each piece at its two ends alone; higher degrees add
-the interior stationary points.  As in evaluation, the first piece continues
-left of the outer breakpoints and the last piece right of them, so extrema
-cover all of any finite interval.
+breakpoints: one linear-time merge of the two sorted breakpoint arrays gives
+that grid and each operand's piece under every grid point, with no search.
+When both operands are lines (degree <= 1), as in ``lcm - ecdf``, only the
+constant and slope columns are built, and extrema evaluate each piece at its
+two ends alone; higher degrees add the interior stationary points.  As in
+evaluation, the first piece of a curve continues left of its outer
+breakpoints and the last piece right of them; this holds for each operand of
+a sum or difference too, so extrema cover all of any finite interval.
 """
 
 from __future__ import annotations
@@ -48,25 +48,27 @@ def _check_breakpoints(x: np.ndarray, name: str = "breakpoints") -> None:
         raise ValueError(f"{name} must be finite and strictly increasing")
 
 
-def _merge(xa: np.ndarray, xb: np.ndarray, lo: float, hi: float):
-    """Sorted union of two breakpoint arrays on their overlap [lo, hi], with
-    the piece of each operand under every point but the last.
+def _merge(xa: np.ndarray, xb: np.ndarray):
+    """Sorted union of two breakpoint arrays, with the piece of each operand
+    under every point but the last.
 
     A stable argsort of the concatenation merges the two sorted runs in
     linear time (timsort).  At the last copy of each value, a running count of
     the points of ``xa`` passed so far equals ``searchsorted(xa, t, "right")``,
     and the rest of the merge position counts those of ``xb``; so neither
-    array is searched.  Every point but ``hi`` lies inside both operands'
-    pieces, so the indices need no clipping.  Returns ``(xs, ia, ib)``.
+    array is searched.  Indices are clipped to each operand's pieces, so past
+    its own breakpoints an operand continues its end piece, as in evaluation.
+    Returns ``(xs, ia, ib)``.
     """
     both = np.concatenate([xa, xb])
     order = np.argsort(both, kind="stable")
     merged = both[order]
     del both
-    last = np.append(merged[1:] != merged[:-1], True)
-    keep = np.flatnonzero(last & (merged >= lo) & (merged <= hi))
+    keep = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
     seen_a = np.cumsum(order < len(xa))[keep[:-1]]
-    return merged[keep], seen_a - 1, keep[:-1] - seen_a
+    ib = keep[:-1] - seen_a
+    seen_a -= 1
+    return merged[keep], np.clip(seen_a, 0, len(xa) - 2, out=seen_a), np.clip(ib, 0, len(xb) - 2, out=ib)
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,14 @@ class PiecewisePoly:
         return len(self.x) - 1
 
     def degree(self) -> int:
-        """Highest power with a nonzero coefficient in some piece.
-
-        One contiguous pass: each row's four nonzero flags, read as one
-        ``uint32``, OR-reduce to one flag per column (in memory order).
-        """
-        rows = np.not_equal(self.c, 0.0, order="C").view(np.uint32)
-        nonzero = np.flatnonzero(np.bitwise_or.reduce(rows, axis=0).view(np.bool_))
+        """Highest power with a nonzero coefficient in some piece."""
+        # One contiguous pass: a row's four nonzero flags (one byte each) read
+        # as one uint32 and OR-ed over the rows.  np.any(c != 0, axis=0) takes
+        # 7-8x longer on (n, 4) arrays, which made one sup_norm(lcm, ecdf) call
+        # 25-30% slower at n = 32768 and 2^20 (three degree() calls per call).
+        row_flags = np.not_equal(self.c, 0.0, order="C").view(np.uint32)
+        column_flags = np.bitwise_or.reduce(row_flags, axis=0).view(np.bool_)
+        nonzero = np.flatnonzero(column_flags)
         return int(nonzero[-1]) if len(nonzero) else 0
 
     def _piece_index(self, t, side="right"):
@@ -144,16 +147,13 @@ class PiecewisePoly:
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
-    def _retarget(self, xs: np.ndarray, i: np.ndarray | None = None, deg: int = 3):
-        """Coefficient columns re-expressed on a finer breakpoint grid ``xs``
-        spanning a sub-interval.
+    def _retarget(self, xs: np.ndarray, i: np.ndarray, deg: int = 3):
+        """Coefficient columns re-expressed on a finer breakpoint grid ``xs``.
 
-        ``i`` holds the piece of ``self`` under each of ``xs[:-1]`` when the
-        caller already knows it.  With ``deg <= 1`` (pieces known to be lines)
-        only the ``c0`` and ``c1`` columns are built; otherwise all four.
+        ``i`` holds the piece of ``self`` under each of ``xs[:-1]``.  With
+        ``deg <= 1`` (pieces known to be lines) only the ``c0`` and ``c1``
+        columns are built; otherwise all four.
         """
-        if i is None:
-            i = np.clip(np.searchsorted(self.x, xs[:-1], side="right") - 1, 0, self.npieces - 1)
         d = xs[:-1] - self.x[i]
         if deg <= 1:
             c1 = self.c[i, 1]
@@ -165,11 +165,8 @@ class PiecewisePoly:
         return n0, n1, n2, c3
 
     def _binary(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
-        lo = max(self.x[0], other.x[0])
-        hi = min(self.x[-1], other.x[-1])
-        if hi <= lo:
-            raise ValueError("domains do not overlap")
-        xs, ia, ib = _merge(self.x, other.x, lo, hi)
+        """``self + sign * other`` on the union of both breakpoint ranges."""
+        xs, ia, ib = _merge(self.x, other.x)
         deg = max(self.degree(), other.degree())
         c = np.zeros((len(xs) - 1, 4))
         for j, (ca, cb) in enumerate(zip(self._retarget(xs, ia, deg), other._retarget(xs, ib, deg))):
@@ -583,26 +580,6 @@ class _RangeTable:
         return out_min, out_max
 
 
-def _covering(poly: PiecewisePoly, lo: float, hi: float) -> PiecewisePoly:
-    """``poly`` with breakpoints spanning [lo, hi], its end pieces continued.
-
-    Differences such as the increment curve of :func:`modulus` only cover the
-    overlap of their operands' breakpoints, so a curve that stops short of
-    the interval is first extended.  The last piece only needs a later right
-    end; the first is re-based at ``lo`` as an extra piece, so values on the
-    original breakpoints keep every bit.
-    """
-    x, c = poly.x, poly.c
-    if x[0] <= lo and hi <= x[-1]:
-        return poly
-    if hi > x[-1]:
-        x = np.append(x[:-1], hi)
-    if lo < x[0]:
-        head = np.column_stack(poly._retarget(np.array([lo, x[0]])))
-        x, c = np.append(lo, x), np.vstack([head, c])
-    return PiecewisePoly(x, c)
-
-
 def _shifted(cs: CurveSum, width: float) -> CurveSum:
     """``t -> g(t + width)``, dropping pieces that the shift collapses to zero width."""
     poly, smooth = cs.poly, cs.smooth
@@ -639,8 +616,6 @@ def modulus(g, width: float, interval) -> float:
     if width >= hi - lo:
         e = extrema(cs, lo, hi)
         return e.max_val - e.min_val
-    if cs.poly is not None:
-        cs = CurveSum(_covering(cs.poly, lo, hi), cs.smooth, cs.const)
 
     # events: breakpoints, interval ends, and stationary points inside pieces
     # (NaN marks a piece without one and drops out with the range filter)

@@ -65,10 +65,18 @@ class PiecewiseLinear:
         return out if out.ndim else float(out)
 
     def as_curve(self) -> PiecewisePoly:
-        c = np.zeros((len(self.x) - 1, 4))
-        c[:, 0] = self.y[:-1]
-        c[:, 1] = self.slopes
-        return PiecewisePoly(self.x, c)
+        """The same function as a :class:`PiecewisePoly`.
+
+        Constant pieces at ``y[0]`` and ``y[-1]`` open and close it, so past
+        the outer vertices the curve holds the end values, as ``__call__``
+        does, instead of continuing the end slopes.
+        """
+        x, y = self.x, self.y
+        pad = [max(1.0, abs(x[0])), max(1.0, abs(x[-1]))]
+        c = np.zeros((len(x) + 1, 4))
+        c[:, 0] = np.concatenate([y[:1], y])
+        c[1:-1, 1] = self.slopes
+        return PiecewisePoly(np.concatenate([[x[0] - pad[0]], x, [x[-1] + pad[1]]]), c)
 
 
 def concave_majorant_points(x, y) -> PiecewiseLinear:

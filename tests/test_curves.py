@@ -23,7 +23,7 @@ from shapedist.curves import (
 )
 from shapedist.empirical import EmpiricalData, ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
-from shapedist.monotone import lcm
+from shapedist.monotone import lcm, marshall_check
 from shapedist.spline import complete_spline, interp_integrated_ecdf
 
 MODEL = make_model("truncated-exponential", (1.0,))  # tau = log 4
@@ -269,6 +269,40 @@ def test_modulus_past_the_breakpoints_counts_true_increments(x, c, interval):
     assert brute <= exact + TOL
 
 
+def test_sum_past_one_operands_breakpoints_continues_that_operand():
+    # t on [0, 1] minus a step from 0 to 5 at 1.5: each operand continues its
+    # own end piece, so |a - b| peaks at 3.5 (left limit at 1.5) on [0, 2]
+    a = PiecewisePoly(np.array([0.0, 1.0]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    b = PiecewisePoly(np.array([0.0, 1.5, 3.0]),
+                      np.array([[0.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]]))
+    assert sup_norm(a, b, (0.0, 2.0)) == 3.5
+    assert extrema(curve_sub(a, b), 0.0, 2.0) == Extrema(-3.5, 1.5, 1.5, 1.5)
+    t = np.linspace(-1.0, 4.0, 50001)
+    d = a - b
+    np.testing.assert_allclose(d(t), a(t) - b(t), rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(d.left_limit(t), a.left_limit(t) - b.left_limit(t),
+                               rtol=0.0, atol=TOL)
+    # disjoint breakpoint ranges are no longer an error
+    far = PiecewisePoly(np.array([5.0, 6.0]), np.array([[1.0, 2.0, 0.0, 0.0]]))
+    np.testing.assert_allclose((a + far)(t), a(t) + far(t), rtol=0.0, atol=TOL)
+
+
+def test_marshall_lhs_is_the_sup_distance_of_the_lcm_itself():
+    # the LCM holds 1 past X_(n), as PiecewiseLinear.__call__ does; a curve
+    # continuing the last slope there overstated this replicate's lhs (0.01814)
+    model = make_model("truncated-exponential", (1.0, 1.0))
+    data = sample(model, 200, seed_for(9001, 200, 211))
+    majorant = lcm(data)
+    lhs, _ = marshall_check(majorant, data, model.F_curve(), (0.0, 1.0))
+    assert lhs == 0.014716879507069958
+    t = np.linspace(0.0, 1.0, 200001)
+    dense = np.max(np.abs(majorant(t) - model.F(t)))
+    assert dense <= lhs <= dense + 1e-5
+    curve = majorant.as_curve()
+    t = np.linspace(-2.0, 3.0, 5001)
+    np.testing.assert_allclose(curve(t), majorant(t), rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
                                     (-np.inf, 1.0), (1.0, 1.0), (1.0, 0.0)])
 def test_bad_intervals_are_refused(lo, hi):
@@ -288,9 +322,11 @@ def test_bad_widths_are_refused(width):
         modulus(line, width, (0.0, 1.0))
 
 
-# The engine before the linear-time merge, kept verbatim as a bitwise oracle:
-# both operands retargeted as full n x 4 arrays onto the ``np.union1d`` grid,
-# and every piece evaluated at its two ends and two stationary-point columns.
+# The engine before the linear-time merge, kept as a bitwise oracle: both
+# operands retargeted as full n x 4 arrays onto the ``np.union1d`` grid, and
+# every piece evaluated at its two ends and two stationary-point columns.  It
+# is verbatim but for the grid, which spanned only the overlap of the two
+# breakpoint ranges; it spans their union here, as the engine's now does.
 
 def _union_retarget(self, xs):
     """Re-express on a finer breakpoint grid spanning a sub-interval."""
@@ -304,12 +340,7 @@ def _union_retarget(self, xs):
 
 
 def _union_binary(self, other, sign):
-    lo = max(self.x[0], other.x[0])
-    hi = min(self.x[-1], other.x[-1])
-    if hi <= lo:
-        raise ValueError("domains do not overlap")
     xs = np.union1d(self.x, other.x)
-    xs = xs[(xs >= lo) & (xs <= hi)]
     a = _union_retarget(self, xs)
     b = _union_retarget(other, xs)
     return PiecewisePoly(xs, a.c + sign * b.c)
@@ -372,7 +403,8 @@ def test_extrema_of_sums_and_differences_match_the_union_engine_bitwise(deg_a, d
     for _ in range(25):
         a, b = _random_operands(rng, deg_a, deg_b, layout)
         lo0, hi0 = max(a.x[0], b.x[0]), min(a.x[-1], b.x[-1])
-        for lo, hi in ((lo0, hi0), np.sort(rng.uniform(lo0, hi0, 2))):
+        union = (min(a.x[0], b.x[0]), max(a.x[-1], b.x[-1]))
+        for lo, hi in ((lo0, hi0), np.sort(rng.uniform(lo0, hi0, 2)), union):
             for sign, got in ((-1.0, extrema(curve_sub(a, b), lo, hi)), (1.0, extrema(a + b, lo, hi))):
                 e = _union_poly_extrema(_union_binary(a, b, sign), lo, hi)
                 want = Extrema(e.min_val + 0.0, e.min_at, e.max_val + 0.0, e.max_at)
