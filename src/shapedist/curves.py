@@ -66,9 +66,10 @@ def _merge(xa: np.ndarray, xb: np.ndarray):
     del both
     keep = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
     seen_a = np.cumsum(order < len(xa))[keep[:-1]]
-    ib = keep[:-1] - seen_a
-    seen_a -= 1
-    return merged[keep], np.clip(seen_a, 0, len(xa) - 2, out=seen_a), np.clip(ib, 0, len(xb) - 2, out=ib)
+    ia, ib = seen_a - 1, keep[:-1] - seen_a
+    np.clip(ia, 0, len(xa) - 2, out=ia)
+    np.clip(ib, 0, len(xb) - 2, out=ib)
+    return merged[keep], ia, ib
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class PiecewisePoly:
     ``c[i,0] + c[i,1]*u + c[i,2]*u**2 + c[i,3]*u**3`` with ``u = t - x[i]``.
     The value at the right end ``x[-1]`` comes from the last piece, so a
     function built with a closing constant piece has no artificial jump there.
+    Past the outer breakpoints, evaluation continues the first and last pieces.
     """
 
     x: np.ndarray
