@@ -14,6 +14,18 @@ statistics, their midpoints, and one point past the data; once the grid is
 clean the gap is minimized *exactly* over its piecewise-cubic pieces and any
 continuous violation becomes a new generator, so the returned fit carries an
 exact nonnegativity certificate rather than a grid-limited one.
+
+The candidate grid is fixed for the whole fit, so its powers are computed
+once and each pass expands the fit's suffix sums over it in runs, one per
+kink, with no per-point search.  Before the exact minimization a screen
+clears data intervals: between consecutive order statistics the gap is
+convex (its second derivative is the fitted density and the ECDF integral is
+linear there), so its values at the ends and the midpoint bound its minimum.
+Only the uncleared pieces, always including ``[0, X_(1)]`` and the tail past
+``X_(n)``, are minimized exactly.  A violation found there is, bit for bit,
+the minimum and location the full minimization would give; when the screen
+finds none, the full minimization over every piece runs, and it alone ends a
+fit and gives its ``min_gap``.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import PiecewisePoly, curve_sub, extrema, sup_norm
+from .curves import (Extrema, PiecewisePoly, _piece_extrema, _sum_coefficients, curve_sub,
+                     extrema, sup_norm)
 from .empirical import EmpiricalData, ecdf_curve, integrated_ecdf, integrated_ecdf_curve
 
 __all__ = [
@@ -60,6 +73,14 @@ def lse_objective(data: EmpiricalData, thetas, weights) -> float:
     G = gram_matrix(thetas)
     v = np.asarray(integrated_ecdf(data, np.asarray(thetas, dtype=float)), dtype=float)
     return float(0.5 * c @ G @ c - c @ v)
+
+
+def _powers(t):
+    """``(t, 3t, 3t^2, t^3)``, the powers of ``t`` in the integrated CDF.
+
+    ``fit_lse`` computes them once for its fixed candidate grid.
+    """
+    return t, 3.0 * t, 3.0 * t * t, t**3
 
 
 @dataclass(frozen=True)
@@ -107,10 +128,27 @@ class ConvexLse:
     def integrated_cdf(self, t):
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.kinks, t, side="right")
-        s = self._suffix
-        tail = s[3, i] - 3.0 * t * s[2, i] + 3.0 * t * t * s[1, i] - t**3 * s[0, i]
-        out = t * s[2, 0] / 2.0 - s[3, 0] / 6.0 + tail / 6.0
+        out = self._integrated_cdf(_powers(t), self._suffix[:, i])
         return out if out.ndim else float(out)
+
+    def _integrated_cdf(self, p, s):
+        """Integrated CDF at the points whose :func:`_powers` are ``p``.
+
+        ``s`` holds the suffix column under each point: the column of the
+        first kink above it.
+        """
+        t, t3, tt3, ttt = p
+        tail = s[3] - t3 * s[2] + tt3 * s[1] - ttt * s[0]
+        return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
+
+    def _integrated_cdf_sorted(self, t, p):
+        """:meth:`integrated_cdf` at sorted points ``t`` with :func:`_powers` ``p``.
+
+        Sorted points pass the kinks in order, so the suffix columns are runs,
+        expanded with ``np.repeat`` instead of gathered point by point.
+        """
+        runs = np.diff(np.searchsorted(t, self.kinks, side="left"), prepend=0, append=len(t))
+        return self._integrated_cdf(p, np.repeat(self._suffix, runs, axis=1))
 
     def density_curve(self, upto: float) -> PiecewisePoly:
         bx = np.unique(np.concatenate([[0.0], self.kinks, [max(upto, self.kinks[-1] * 1.5)]]))
@@ -133,9 +171,9 @@ def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):
     """Equality solve on the active set plus ratio steps back to feasibility.
 
     ``yn_at`` re-evaluates the ECDF integral if a kink must be jittered away
-    from a singular Gram configuration.  Returns ``(thetas, weights, v)`` with
-    all weights strictly positive and the normal equations satisfied on the
-    surviving set.
+    from a singular Gram configuration.  Returns ``(thetas, weights, v, G)``
+    with all weights strictly positive, the normal equations satisfied on the
+    surviving set, and ``G`` its Gram matrix.
     """
     jitters = 0
     for _ in range(3 * len(thetas) + 12):
@@ -152,7 +190,7 @@ def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):
             v[-1] = yn_at(thetas[-1])
             continue
         if np.all(cn > 0.0):
-            return thetas, cn, v
+            return thetas, cn, v, G
         neg = cn <= 0.0
         denom = w[neg] - cn[neg]
         ratios = np.where(denom > 0.0, w[neg] / np.where(denom == 0.0, 1.0, denom), 0.0)
@@ -163,8 +201,68 @@ def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):
         keep = ~(neg & (w <= drop_value))
         thetas, w, v = thetas[keep], w[keep], v[keep]
         if len(thetas) == 0:
-            return thetas, w, v
+            return thetas, w, v, np.empty((0, 0))
     raise FitError("nonnegativity restoration cycled")
+
+
+def _candidate_grid(data: EmpiricalData):
+    """Candidate kinks: the order statistics, their midpoints and ``2 X_(n)``.
+
+    Returns ``(cands, at_data)``, the sorted distinct candidates and the
+    position of each distinct data value among them.
+    """
+    x = data.x
+    cands = np.unique(np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [2.0 * float(x[-1])]]))
+    return cands, np.searchsorted(cands, data.corners[0])
+
+
+def _uncleared_pieces(d_cand: np.ndarray, at_data: np.ndarray, yn: PiecewisePoly,
+                      clear_at: float) -> np.ndarray:
+    """Mask of the pieces of the integrated ECDF ``yn`` on which the gap needs an
+    exact minimum.
+
+    ``d_cand`` holds the gap ``G = H - Y_n`` at the candidates and ``at_data``
+    the position of each distinct data value among them.  Between two
+    consecutive values ``a < b`` the gap is convex (``H''`` is the fitted
+    density and ``Y_n`` is linear), so with ``m`` the midpoint candidate
+    ``min G >= min(G(m), 2 G(m) - G(a), 2 G(m) - G(b))`` on ``[a, b]``.  An
+    interval whose bound reaches ``clear_at`` is cleared.  The pieces
+    ``[0, X_(1)]`` and from ``X_(n)`` on, and any interval without a midpoint
+    candidate of its own, are always kept.  ``yn`` has one piece per distinct
+    data value, plus ``[0, X_(1)]`` when ``X_(1) > 0``.
+    """
+    ga, gb = d_cand[at_data[:-1]], d_cand[at_data[1:]]
+    gm = d_cand[at_data[:-1] + 1]
+    bound = np.minimum(gm, 2.0 * gm - np.maximum(ga, gb))
+    cleared = (np.diff(at_data) == 2) & (bound >= clear_at)
+    keep = np.ones(yn.npieces, dtype=bool)
+    first = yn.npieces - len(at_data)
+    keep[first:first + len(cleared)] = ~cleared
+    return keep
+
+
+def _gap_extrema_on(H: PiecewisePoly, yn: PiecewisePoly, keep: np.ndarray,
+                    hi: float) -> Extrema:
+    """Extrema of ``H - yn`` over ``[0, hi]``, taken only on the pieces of ``yn``
+    that the mask ``keep`` marks.
+
+    Both curves start at 0, and ``keep`` marks the piece of ``yn`` under
+    ``hi``.  Each piece of the difference inside them gets the
+    coefficients and candidates that ``extrema(curve_sub(H, yn), 0, hi)``
+    gives it, bit for bit, ranked in the same order.  So when every piece
+    left out lies above the returned minimum, that minimum and its location
+    are the full engine's.
+    """
+    pieces = np.flatnonzero(keep)
+    inside = H.x[keep[yn._piece_index(H.x)]]
+    pts = np.unique(np.concatenate([yn.x[pieces], yn.x[pieces + 1], inside]))
+    ib = yn._piece_index(pts)
+    left = np.flatnonzero(keep[ib] & (pts <= hi))
+    x0 = pts[left]
+    uhi = pts[np.minimum(left + 1, len(pts) - 1)] - x0
+    uhi[-1] = hi - x0[-1]
+    c = _sum_coefficients(H, yn, -1.0, x0, H._piece_index(x0), ib[left])
+    return _piece_extrema(x0, c, np.zeros(len(x0)), uhi, max(H.degree(), yn.degree()) <= 1)
 
 
 def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
@@ -179,16 +277,29 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
     max_iter : outer iteration cap, default ``100 n + 100``.
     full_output : also return a dict with the objective trace and certificate.
 
+    Each pass adds the candidate with the most negative gap.  Once the grid
+    is clean, the data intervals that the convexity screen cannot clear are
+    minimized exactly; a violation there becomes the next kink, the same one
+    the full minimization would pick.  Otherwise the gap is minimized exactly
+    over all of ``[0, horizon]``; only that full check ends the fit, and it
+    gives ``min_gap``.  ``tol`` must be finite and positive and ``max_iter``
+    at least 1, or ``ValueError`` is raised.
+
     Returns the fitted :class:`ConvexLse` (and the info dict if requested).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = float(data.x[-1])
-    gap_tol = tol * scale**3
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter is None:
         max_iter = 100 * data.n + 100
-    x = data.x
-    cands = np.unique(np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [2.0 * scale]]))
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    scale = float(data.x[-1])
+    gap_tol = tol * scale**3
+    # the screen clears an interval only this far above the certificate, which
+    # outweighs the rounding of the grid gap and of the exact pieces
+    clear_at = -gap_tol + max(gap_tol, 1e-12 * scale)
+    cands, at_data = _candidate_grid(data)
+    powers = _powers(cands)
     vcand = np.asarray(integrated_ecdf(data, cands), dtype=float)
 
     thetas = np.empty(0)
@@ -198,15 +309,10 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
     horizon = 3.0 * scale
     yn_curve = integrated_ecdf_curve(data, upto=1.01 * horizon)
 
-    def q_value():
-        if len(thetas) == 0:
-            return 0.0
-        return float(0.5 * w @ gram_matrix(thetas) @ w - w @ v)
-
     for _ in range(max_iter):
         if len(thetas):
             fit = ConvexLse(thetas, w)
-            d_cand = np.asarray(fit.integrated_cdf(cands), dtype=float) - vcand
+            d_cand = fit._integrated_cdf_sorted(cands, powers) - vcand
         else:
             fit = None
             d_cand = -vcand
@@ -216,24 +322,29 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
             # grid is clean; certify (or refute) over the continuum
             if fit is None:
                 raise FitError("degenerate sample: ECDF integral vanishes on the grid")
-            else:
-                horizon = max(horizon, 1.3 * float(thetas.max()))
-                if yn_curve.x[-1] < horizon:
-                    yn_curve = integrated_ecdf_curve(data, upto=1.01 * horizon)
-                gap = curve_sub(fit.integrated_cdf_curve(1.01 * horizon), yn_curve)
+            horizon = max(horizon, 1.3 * float(thetas.max()))
+            if yn_curve.x[-1] < horizon:
+                yn_curve = integrated_ecdf_curve(data, upto=1.01 * horizon)
+            H = fit.integrated_cdf_curve(1.01 * horizon)
+            # a violation found by the screen is the full engine's minimum;
+            # only the full check below can end the fit
+            ext = _gap_extrema_on(H, yn_curve,
+                                  _uncleared_pieces(d_cand, at_data, yn_curve, clear_at), horizon)
+            if ext.min_val >= -gap_tol:
+                gap = curve_sub(H, yn_curve)
                 ext = extrema(gap, 0.0, horizon)
                 tail_slope = fit.mass - 1.0
                 if ext.min_val >= -gap_tol and tail_slope >= -tol * scale**2:
                     info = {"objective_trace": qtrace, "min_gap": ext.min_val,
                             "iterations": len(qtrace), "horizon": horizon}
                     return (fit, info) if full_output else fit
-                if ext.min_val < -gap_tol:
-                    new_theta = float(ext.min_at)
-                else:
-                    # gap still drifts down past the horizon; aim where it
-                    # undershoots the certificate
-                    gap_h = float(gap(horizon))
-                    new_theta = horizon + (gap_h + 2.0 * gap_tol) / (-tail_slope)
+            if ext.min_val < -gap_tol:
+                new_theta = float(ext.min_at)
+            else:
+                # gap still drifts down past the horizon; aim where it
+                # undershoots the certificate
+                gap_h = float(gap(horizon))
+                new_theta = horizon + (gap_h + 2.0 * gap_tol) / (-tail_slope)
         if len(thetas) and np.min(np.abs(thetas - new_theta)) < 1e-13 * scale:
             new_theta = new_theta + 1e-9 * scale
             if np.min(np.abs(thetas - new_theta)) < 1e-13 * scale:
@@ -241,10 +352,10 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
         thetas = np.append(thetas, new_theta)
         w = np.append(w, 0.0)
         v = np.append(v, float(integrated_ecdf(data, new_theta)))
-        thetas, w, v = _solve_nonnegative(
+        thetas, w, v, G = _solve_nonnegative(
             thetas, v, w, lambda t: float(integrated_ecdf(data, t))
         )
-        qtrace.append(q_value())
+        qtrace.append(float(0.5 * w @ G @ w - w @ v) if len(thetas) else 0.0)
     raise FitError(f"no certificate after {max_iter} iterations")
 
 

@@ -25,9 +25,10 @@ working interval).
 A sum or difference of two piecewise polynomials lives on the union of their
 breakpoints: one linear-time merge of the two sorted breakpoint arrays gives
 that grid and each operand's piece under every grid point, with no search.
-When both operands are lines (degree <= 1), as in ``lcm - ecdf``, only the
-constant and slope columns are built, and extrema evaluate each piece at its
-two ends alone; higher degrees add the interior stationary points.  As in
+Each operand is re-expressed on that grid at its own degree: a line (degree
+<= 1) builds only its constant and slope columns.  When both operands are
+lines, as in ``lcm - ecdf``, extrema evaluate each piece at its two ends
+alone; higher degrees add the interior stationary points.  As in
 evaluation, the first piece of a curve continues left of its outer
 breakpoints and the last piece right of them; this holds for each operand of
 a sum or difference too, so extrema cover all of any finite interval.
@@ -70,6 +71,23 @@ def _merge(xa: np.ndarray, xb: np.ndarray):
     np.clip(ia, 0, len(xa) - 2, out=ia)
     np.clip(ib, 0, len(xb) - 2, out=ib)
     return merged[keep], ia, ib
+
+
+def _sum_coefficients(a: "PiecewisePoly", b: "PiecewisePoly", sign: float,
+                      x0: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Coefficients of ``a + sign * b`` on pieces starting at ``x0``.
+
+    ``ia`` and ``ib`` hold the piece of each operand under each of ``x0``.
+    Each operand is retargeted at its own degree, and a column it lacks
+    counts as ``0.0``: a line adds to a cubic as ``ca + sign * 0.0``, which is
+    what retargeting its zero columns would give, up to the sign of a zero.
+    """
+    ra = a._retarget(x0, ia, a.degree())
+    rb = b._retarget(x0, ib, b.degree())
+    c = np.zeros((len(x0), 4))
+    for j in range(max(len(ra), len(rb))):
+        c[:, j] = (ra[j] if j < len(ra) else 0.0) + sign * (rb[j] if j < len(rb) else 0.0)
+    return c
 
 
 @dataclass(frozen=True)
@@ -149,14 +167,14 @@ class PiecewisePoly:
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
-    def _retarget(self, xs: np.ndarray, i: np.ndarray, deg: int = 3):
-        """Coefficient columns re-expressed on a finer breakpoint grid ``xs``.
+    def _retarget(self, x0: np.ndarray, i: np.ndarray, deg: int):
+        """Coefficient columns re-expressed on pieces of a finer grid starting at ``x0``.
 
-        ``i`` holds the piece of ``self`` under each of ``xs[:-1]``.  With
+        ``i`` holds the piece of ``self`` under each of ``x0``.  With
         ``deg <= 1`` (pieces known to be lines) only the ``c0`` and ``c1``
         columns are built; otherwise all four.
         """
-        d = xs[:-1] - self.x[i]
+        d = x0 - self.x[i]
         if deg <= 1:
             c1 = self.c[i, 1]
             return c1 * d + self.c[i, 0], c1
@@ -169,11 +187,7 @@ class PiecewisePoly:
     def _binary(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
         """``self + sign * other`` on the union of both breakpoint ranges."""
         xs, ia, ib = _merge(self.x, other.x)
-        deg = max(self.degree(), other.degree())
-        c = np.zeros((len(xs) - 1, 4))
-        for j, (ca, cb) in enumerate(zip(self._retarget(xs, ia, deg), other._retarget(xs, ib, deg))):
-            c[:, j] = ca + sign * cb
-        return PiecewisePoly(xs, c)
+        return PiecewisePoly(xs, _sum_coefficients(self, other, sign, xs[:-1], ia, ib))
 
     def __add__(self, other):
         if isinstance(other, PiecewisePoly):
@@ -401,20 +415,36 @@ def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
     <= 1) have none of the last kind, so only their two ends are evaluated.
     """
     sl, ulo, uhi = _window(pp, lo, hi)
-    cc = pp.c[sl]
-    if pp.degree() <= 1:
+    return _piece_extrema(pp.x[sl], pp.c[sl], ulo, uhi, pp.degree() <= 1)
+
+
+def _piece_extrema(x0, cc, ulo, uhi, linear: bool) -> Extrema:
+    """Extrema over pieces starting at ``x0`` with local coefficients ``cc``,
+    each taken over its local offsets ``[ulo, uhi]``.
+
+    Candidates are ranked piece by piece, so a tie goes to the first piece,
+    and any subset of pieces in order ranks its candidates as the whole set
+    does.  ``linear`` says every piece has degree <= 1.
+    """
+    # Horner in place (the operations and order of ((c3*u + c2)*u + c1)*u + c0,
+    # without temporaries) and only the two winners' locations: these arrays
+    # set the memory peak of a convex fit's final certificate
+    if linear:
         us = np.column_stack([ulo, uhi])
-        vals = cc[:, 1, None] * us + cc[:, 0, None]
+        vals = cc[:, 1, None] * us
     else:
         # a piece without an interior root repeats its left end
         us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
-        vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
-    flat_v = vals.ravel()
-    flat_t = (pp.x[sl][:, None] + us).ravel()
-    kmin = int(np.argmin(flat_v))
-    kmax = int(np.argmax(flat_v))
-    return Extrema(float(flat_v[kmin]), float(flat_t[kmin]),
-                   float(flat_v[kmax]), float(flat_t[kmax]))
+        vals = cc[:, 3, None] * us
+        vals += cc[:, 2, None]
+        vals *= us
+        vals += cc[:, 1, None]
+        vals *= us
+    vals += cc[:, 0, None]
+    kmin, kmax = int(np.argmin(vals)), int(np.argmax(vals))
+    (imin, jmin), (imax, jmax) = divmod(kmin, us.shape[1]), divmod(kmax, us.shape[1])
+    return Extrema(float(vals[imin, jmin]), float(x0[imin] + us[imin, jmin]),
+                   float(vals[imax, jmax]), float(x0[imax] + us[imax, jmax]))
 
 
 def _bisect_many(func, a, b):

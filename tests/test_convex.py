@@ -1,5 +1,6 @@
 """Convex-density LSE: Gram forms, certificates, oracle equivalence."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import cholesky
 from scipy.optimize import nnls
 
+from shapedist import convexlse
 from shapedist.convexlse import (
     ConvexLse,
     FitError,
@@ -18,7 +20,9 @@ from shapedist.convexlse import (
     marshall_A,
     marshall_Aprime,
 )
-from shapedist.empirical import EmpiricalData, integrated_ecdf, sample, seed_for
+from shapedist.curves import curve_sub, extrema
+from shapedist.empirical import (EmpiricalData, integrated_ecdf, integrated_ecdf_curve, sample,
+                                 seed_for)
 from shapedist.models import make_model
 
 
@@ -171,8 +175,15 @@ def test_marshall_integrated_level_needs_factor_two():
 
 
 def test_fit_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fit_lse(EmpiricalData(np.array([1.0])), tol=0.0)
+    one = EmpiricalData(np.array([1.0]))
+    # nan passed a plain ``tol <= 0`` check and ran to the iteration cap;
+    # inf stopped on a misleading "degenerate sample"
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fit_lse(one, tol=tol)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            fit_lse(one, max_iter=max_iter)
     with pytest.raises(FitError):
         fit_lse(EmpiricalData(np.array([0.0, 0.0, 0.0])))
 
@@ -186,3 +197,101 @@ def test_convexlse_evaluators_sorted_construction():
     assert math.isclose(lse.mass, 0.5 * (0.2 * 1.0 + 0.1 * 4.0), rel_tol=1e-15)
     assert lse.density(5.0) == 0.0
     assert math.isclose(lse.cdf(5.0), lse.mass, rel_tol=1e-15)
+
+
+# sha256 of the float.hex of kinks, weights, objective trace and min_gap, and
+# the iteration count, recorded before the candidate scan was streamed and the
+# certificate screened: both must keep every bit of the support-reduction path.
+FROZEN_FITS = {
+    ("truncated-exponential", 64, 0): "7301da58c7daaa0d37be8aa286c76d0f72f483b9d45aa828beed2dbf1dd29a83",
+    ("truncated-exponential", 64, 1): "a206c93618e975f35223fa73f79f98e711776ccb5873485c35995475f9408f8c",
+    ("truncated-exponential", 64, 2): "ba9b95d3594a91ea8d567131ad7dd78b9c1518e77129841c1262adf9406dd333",
+    ("truncated-exponential", 512, 0): "f134a80057284724af983730996b28023a24e5ac01ad5292f57c95c843cce005",
+    ("truncated-exponential", 512, 1): "2e1f09a913c2a5ee4a7a6db14650a556583135fb727f9c3d022b84dcecbc9a65",
+    ("truncated-exponential", 512, 2): "d698a128bd4245839fbeed220a3e7ef394253dc27259bf3e3998b866f33caa3f",
+    ("truncated-exponential", 4096, 0): "6f2888511770e5dc090fb1d9326e46a80c416c8829a24ac274730c00052bfc77",
+    ("truncated-exponential", 4096, 1): "c3f5f57d94bd63ebdc0fe63d361178b7ed1db40482a01427c6be306c830949c4",
+    ("truncated-exponential", 4096, 2): "fd0ccdd9b65af089f52b2a7bb5d4468acab4ce6e917df9a07730b67c985b63f1",
+    ("beta-like", 64, 0): "35d87d6d84048016381b013a4ce86e55400ec7b783f11a7e5c9a9322cd2c9235",
+    ("beta-like", 64, 1): "89a3b05d34c04facf5f4bc5dc2b3da1768bd6c78ff340854b5a7556de0a96ebb",
+    ("beta-like", 64, 2): "c4724bb8a801db182f6a0d00dd1dfef9d4ee5d394f4dce676667e67d5c27a8d6",
+    ("beta-like", 512, 0): "ae4f00ec2a48d15bf1b34b3ba4f2f4af03440af89f0e6ce669a4ae122d44489c",
+    ("beta-like", 512, 1): "205ac65a6f0cde081114924b239f29e5bc89a6dc81b7709234c0ddea76853399",
+    ("beta-like", 512, 2): "4c7a98df7a19a6a5674a9faf82b1afbb109f3325e1f995fed090df0e51719ab3",
+    ("beta-like", 4096, 0): "8f5f0e032d10bc17c1a04283adfa7c740397e841325c7b96085f78ee63e0a940",
+    ("beta-like", 4096, 1): "2346900235709c330e5391fd3f528e8c092c30497d1e894c1d1ea56e0db0fe8c",
+    ("beta-like", 4096, 2): "667008debd694fe8cec5fd6ad1c289385a6e0f7deaa7e97fbf1ca6126eec517f",
+    ("shifted-power", 64, 0): "3b72c8934be6228bfc206159d05a1786a9a65ed41a57d8d6dc595925c968a5d7",
+    ("shifted-power", 64, 1): "135f2fbbe7413bebc2d6bffc5f1d831889696731eb704ae74e17e7ddfd885cfa",
+    ("shifted-power", 64, 2): "6bb0f54f7a52f8249bae12f628ce3c071b01d1e96cc998d18d693b30dd92c528",
+    ("shifted-power", 512, 0): "b7635bacceed1faecfc607066a82d93af826755d422ef9a528162b295c43c42d",
+    ("shifted-power", 512, 1): "8b07ea49188a76be64690d281df9b7912e1f79bb81168a060d945954dfbbb2b4",
+    ("shifted-power", 512, 2): "26e9ad9f2212f59c3e07977f0cdd4682e03341d6b7eeda47ec9f204dfb3323cf",
+    ("shifted-power", 4096, 0): "934be541eeba42ab0a7c852aab5f717e0d0db955df39c4b02760564b34bbd972",
+    ("shifted-power", 4096, 1): "d56d2e5e01f8837a66c71828a1a965003368b19dae2b8ac06808f6be5cbe7923",
+    ("shifted-power", 4096, 2): "a5237232300bb78e1fe220d86caa9c14026ea3839439c2935f52fffbb7360d58",
+    ("lattice", 400, 0): "b3523586c3c9ea2b019484cc2bd08aabe86a5202683ad4b0745b6d5c47ebcfd5",
+}
+FROZEN_MODELS = {"truncated-exponential": (1.0,), "beta-like": (2.0,), "shifted-power": (3.0, 1.0)}
+
+
+def _frozen_sample(name, n, rep):
+    if name == "lattice":  # sixteenths: 62 distinct values, heavy ties
+        d = sample(make_model("truncated-exponential", (1.0,)), n, seed_for(2024, n, rep))
+        return EmpiricalData(np.ceil(d.x * 16.0) / 16.0)
+    return sample(make_model(name, FROZEN_MODELS[name]), n, seed_for(2024, n, rep))
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_FITS))
+def test_fit_path_is_frozen(case):
+    fit, info = fit_lse(_frozen_sample(*case), full_output=True)
+    fields = [fit.kinks, fit.weights, info["objective_trace"], [info["min_gap"]]]
+    text = "|".join(",".join(float.hex(float(v)) for v in f) for f in fields)
+    text += f"|{info['iterations']}"
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_FITS[case]
+
+
+@pytest.mark.parametrize("case", [("truncated-exponential", 300, 0), ("beta-like", 300, 1),
+                                  ("shifted-power", 300, 2), ("lattice", 300, 0)])
+def test_certificate_screen_is_sound(case, monkeypatch):
+    # Record the support after every pass of a fit, then screen each state:
+    # an interval the screen clears must have an exact gap minimum above the
+    # certificate, and a violation it reports must be the full engine's
+    # minimum, value and location, bit for bit.
+    d = _frozen_sample(*case)
+    states = []
+    solve = convexlse._solve_nonnegative
+
+    def recording(*args):
+        out = solve(*args)
+        states.append(out[:2])
+        return out
+
+    monkeypatch.setattr(convexlse, "_solve_nonnegative", recording)
+    fit_lse(d)
+    monkeypatch.undo()
+
+    xn = float(d.x[-1])
+    gap_tol = 1e-9 * xn**3
+    clear_at = -gap_tol + max(gap_tol, 1e-12 * xn)
+    cands, at_data = convexlse._candidate_grid(d)
+    vcand = np.asarray(integrated_ecdf(d, cands), dtype=float)
+    violations = cleared = 0
+    for thetas, w in states[:: max(1, len(states) // 6)] + states[-1:]:
+        fit = ConvexLse(thetas, w)
+        horizon = max(3.0 * xn, 1.3 * float(fit.kinks[-1]))
+        yn = integrated_ecdf_curve(d, upto=1.01 * horizon)
+        H = fit.integrated_cdf_curve(1.01 * horizon)
+        gap = curve_sub(H, yn)
+        keep = convexlse._uncleared_pieces(np.asarray(fit.integrated_cdf(cands)) - vcand,
+                                           at_data, yn, clear_at)
+        assert keep[0] and keep[-1]
+        for p in np.flatnonzero(~keep):
+            assert extrema(gap, yn.x[p], yn.x[p + 1]).min_val >= -gap_tol
+            cleared += 1
+        got = convexlse._gap_extrema_on(H, yn, keep, horizon)
+        if got.min_val < -gap_tol:
+            want = extrema(gap, 0.0, horizon)
+            assert (got.min_val.hex(), got.min_at.hex()) == (want.min_val.hex(), want.min_at.hex())
+            violations += 1
+    assert cleared and violations
