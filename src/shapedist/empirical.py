@@ -54,7 +54,10 @@ class EmpiricalData:
     seed: int | None = None
 
     def __post_init__(self):
-        x = np.sort(np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("sample must be one-dimensional")
+        x = np.sort(x)
         if len(x) == 0:
             raise ValueError("empty sample")
         # NaN sorts last and -inf first, so the two ends decide.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .curves import SmoothCurve
 
@@ -48,6 +48,13 @@ class AnalyticModel:
     tau_mass : CDF value at ``tau``.
     f, fprime, fsecond : density and its derivatives, vectorized.
     F : CDF; Finv : its inverse on [0, 1); Fint : ``t -> integral_0^t F``.
+
+    Every catalog family keeps two monotonicity contracts on the support.
+    ``f'`` and ``f''`` are monotone, which the extrema cascade of
+    :mod:`shapedist.curves` relies on.  And ``f``, ``-f'``, ``f''``,
+    ``|f''|``, ``-f'/f^2`` and ``f''/f^3`` are monotone, so their inf and sup
+    over an interval are end values: :func:`constants` and the curvature
+    bounds take them there.  A new family must keep both.
     """
 
     name: str
@@ -94,30 +101,16 @@ class ModelConstants:
     R: float
 
 
-def _extreme(fn, lo: float, hi: float, kind: str, ngrid: int = 2049) -> float:
-    """Grid scan plus bounded local refinement for inf/sup of a ratio."""
-    t = np.linspace(lo, hi, ngrid)
+def _extreme(fn, lo: float, hi: float, kind: str) -> float:
+    """Inf or sup of ``fn`` on ``[lo, hi]``, taken at the two ends.
+
+    Every function passed here is monotone on its interval (see
+    ``AnalyticModel``), so its extremes are end values.  A NaN end (0/0
+    where the density vanishes) is skipped.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.asarray(fn(t), dtype=float)
-    if kind == "sup":
-        if np.any(np.isposinf(v)):
-            return float("inf")
-        i = int(np.nanargmax(v))
-        obj = lambda s: -float(fn(s))
-    else:
-        if np.any(np.isneginf(v)):
-            return float("-inf")
-        i = int(np.nanargmin(v))
-        obj = lambda s: float(fn(s))
-    a = t[max(i - 1, 0)]
-    b = t[min(i + 1, ngrid - 1)]
-    best = float(v[i])
-    if b > a:
-        res = minimize_scalar(obj, bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, hi)})
-        refined = -res.fun if kind == "sup" else res.fun
-        best = max(best, refined) if kind == "sup" else min(best, refined)
-    return best
+        v = np.asarray(fn(np.array([lo, hi])), dtype=float)
+    return float(np.nanmax(v) if kind == "sup" else np.nanmin(v))
 
 
 def constants(model: AnalyticModel) -> ModelConstants:
@@ -125,8 +118,10 @@ def constants(model: AnalyticModel) -> ModelConstants:
 
     Monotone-side constants use the full support (truncated at the
     ``1 - 1e-12`` quantile when the support is infinite); convex-side
-    constants use ``[0, tau]``.  Values may be infinite when the model
-    genuinely violates the corresponding regularity condition.
+    constants use ``[0, tau]``.  Each inf and sup is the better of the two
+    interval ends, exact for the monotone ratios that ``AnalyticModel``
+    guarantees.  Values may be infinite when the model genuinely violates
+    the corresponding regularity condition.
     """
     f, fp, fpp = model.f, model.fprime, model.fsecond
     hi_mono = model.support_end
@@ -176,8 +171,10 @@ def _build_truncated_exponential(params):
         rate, b = float(params[0]), float(params[1])
     else:
         raise ValueError("truncated-exponential takes params (rate,) or (rate, b)")
-    if rate <= 0 or b <= 0:
-        raise ValueError("rate and truncation point must be positive")
+    if not 0.0 < rate < np.inf:
+        raise ValueError("rate must be positive and finite")
+    if not b > 0.0:
+        raise ValueError("truncation point must be positive (inf for none)")
     Z = 1.0 - np.exp(-rate * b) if np.isfinite(b) else 1.0
 
     def f(x):
@@ -206,10 +203,10 @@ def _build_shifted_power(params):
     if len(params) != 2:
         raise ValueError("shifted-power takes params (p, theta)")
     p, theta = float(params[0]), float(params[1])
-    if p < 2:
-        raise ValueError("shifted-power needs p >= 2 for a strictly convex density")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 2.0 <= p < np.inf:
+        raise ValueError("shifted-power needs a finite p >= 2 for a strictly convex density")
+    if not 0.0 < theta < np.inf:
+        raise ValueError("theta must be positive and finite")
     c = (p + 1.0) / theta ** (p + 1.0)
 
     def rem(x):
@@ -237,8 +234,8 @@ def _build_beta_like(params):
         b = float(params[0])
     else:
         raise ValueError("beta-like takes params () or (b,)")
-    if b <= 1:
-        raise ValueError("beta-like needs b > 1 so the density is decreasing on [0, 1]")
+    if not 1.0 < b < np.inf:
+        raise ValueError("beta-like needs a finite b > 1 so the density is decreasing on [0, 1]")
     c = 6.0 / (3.0 * b - 1.0)
 
     def f(x):
@@ -267,8 +264,8 @@ def _build_uniform(params):
         w = float(params[0])
     else:
         raise ValueError("uniform takes params () or (width,)")
-    if w <= 0:
-        raise ValueError("width must be positive")
+    if not 0.0 < w < np.inf:
+        raise ValueError("width must be positive and finite")
     f = lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / w)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     F = lambda x: np.asarray(x, dtype=float) / w

@@ -116,7 +116,12 @@ def lcm(data: EmpiricalData) -> PiecewiseLinear:
     (PAVA) fit of the corner-to-corner slopes, weighted by their widths, under
     a nonincreasing constraint: the pooled means are the Grenander slopes.
     The exact cross-product pass of :func:`concave_majorant_points` then runs
-    on those few candidates only, so hull slopes are strictly decreasing.
+    on those few candidates only.  PAVA pools strict violators only, so two
+    adjacent blocks can share a mean, and their common vertex survives when
+    its cross product rounds below zero.  Hull slopes are therefore
+    nonincreasing, not always strictly decreasing: the lattice sample with
+    counts ``[8, 12, 11, 11, 8, 10, 11, 8, 7, 13, 18, 13]`` on ``0..11``
+    (n = 130) keeps ``x = 3``, with slope exactly ``11/130`` on both sides.
     """
     xs, ys = data.corners
     if xs[0] > 0.0:

@@ -86,6 +86,7 @@ def test_config_error_exit_two(capsys):
         RATE_ARGS + ["--model", "nope"],
         RATE_ARGS + ["--tau-q", "1.5"],
         RATE_ARGS + ["--params", "-1"],
+        RATE_ARGS + ["--params", "inf"],
         # the events c0 sweep: non-empty, every value positive and finite
         EVENTS_ARGS + ["--c0-sweep=-1,1"],
         EVENTS_ARGS + ["--c0-sweep="],
@@ -95,6 +96,12 @@ def test_config_error_exit_two(capsys):
     for args in bad:
         assert cli.main(args) == 2, args
         assert capsys.readouterr().err.startswith("config error"), args
+
+
+def test_non_finite_params_are_a_config_error(capsys):
+    # refused by the catalog before the model is built, with its own message
+    assert cli.main(RATE_ARGS + ["--params", "nan"]) == 2
+    assert capsys.readouterr().err == "config error: rate must be positive and finite\n"
 
 
 def test_load_config_file(tmp_path):

@@ -159,5 +159,8 @@ def test_empirical_data_validates():
     for bad in ([1.0, np.nan, 2.0], [np.nan], [1.0, np.inf], [-np.inf, 1.0], [-1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             EmpiricalData(np.array(bad))
+    for bad in (np.float64(1.0), np.ones((2, 3)), np.ones((4, 1)), np.ones((1, 0))):
+        with pytest.raises(ValueError, match="sample must be one-dimensional"):
+            EmpiricalData(bad)
     d = EmpiricalData(np.array([3.0, 1.0, 2.0]))
     np.testing.assert_array_equal(d.x, [1.0, 2.0, 3.0])

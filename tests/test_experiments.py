@@ -251,6 +251,22 @@ def test_lemma_suite_report(tmp_path):
         "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9")
 
 
+@pytest.mark.parametrize("model,params,digest", [
+    ("shifted-power", (3.0, 1.0),
+     "80ee0c81508207262464b148c16d74eb6f0cb9482da4de16b044586087391b74"),
+    ("truncated-exponential", (2.0, 3.0),
+     "e6da84052436af7abc77832e89fdb4bb7afd33fb7a4623988916d62aadba0b23"),
+])
+def test_lemma_suite_bytes_frozen_beyond_one_model(tmp_path, model, params, digest):
+    # the shape constants and curvature bounds of a power law and of a
+    # truncated exponential, not only of Exp(1), must keep every bit
+    out = tmp_path / "lemmas.json"
+    cfg = ExperimentConfig(model=model, params=params, target="convex",
+                           n_grid=(128,), replicates=200, base_seed=1, out=str(out))
+    assert run_lemma_suite(cfg)["pass"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_lemma_suite_deterministic():
     cfg = ExperimentConfig(model="truncated-exponential", params=(1.0,), target="convex",
                            n_grid=(128,), replicates=50, base_seed=1)

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+import shapedist.bounds as bounds
+import shapedist.models as models
+import shapedist.spline as spline
 from shapedist.models import (
     CATALOG,
     _bisect_inverse,
+    _extreme,
     constants,
     knot_mesh_convex,
     knot_mesh_monotone,
@@ -226,6 +231,34 @@ def test_catalog_rejects_bad_input():
     assert set(CATALOG) == {"truncated-exponential", "shifted-power", "beta-like", "uniform"}
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("truncated-exponential", (NAN,), "rate must be positive and finite"),
+    ("truncated-exponential", (INF,), "rate must be positive and finite"),
+    ("truncated-exponential", (1.0, NAN), "truncation point must be positive"),
+    ("truncated-exponential", (1.0, -INF), "truncation point must be positive"),
+    ("shifted-power", (NAN, 1.0), "finite p >= 2"),
+    ("shifted-power", (INF, 1.0), "finite p >= 2"),
+    ("shifted-power", (2.0, NAN), "theta must be positive and finite"),
+    ("shifted-power", (2.0, INF), "theta must be positive and finite"),
+    ("beta-like", (NAN,), "finite b > 1"),
+    ("beta-like", (INF,), "finite b > 1"),
+    ("uniform", (NAN,), "width must be positive and finite"),
+    ("uniform", (INF,), "width must be positive and finite"),
+])
+def test_catalog_rejects_non_finite_params(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        make_model(name, params)
+
+
+def test_truncated_exponential_allows_no_cutoff():
+    # b = inf is the documented spelling of the untruncated exponential
+    m = make_model("truncated-exponential", (1.0, INF))
+    assert m.support_end == INF and m.tau == make_model("truncated-exponential", (1.0,)).tau
+
+
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_scalar_and_array_evaluation_agree_bitwise(name, params):
     # a numpy scalar and an array may take different power routines
@@ -235,3 +268,111 @@ def test_scalar_and_array_evaluation_agree_bitwise(name, params):
                   (m.Fint, grid), (m.Finv, np.linspace(0.0, 1.0, 201, endpoint=False))]:
         scalars = np.array([fn(float(s)) for s in t])
         np.testing.assert_array_equal(scalars, fn(t))
+
+
+# The grid-scan-plus-Brent search that the endpoint rule of ``_extreme``
+# replaced, kept verbatim as the reference that the rule must match bit for bit.
+def _grid_extreme(fn, lo: float, hi: float, kind: str, ngrid: int = 2049) -> float:
+    """Grid scan plus bounded local refinement for inf/sup of a ratio."""
+    t = np.linspace(lo, hi, ngrid)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.asarray(fn(t), dtype=float)
+    if kind == "sup":
+        if np.any(np.isposinf(v)):
+            return float("inf")
+        i = int(np.nanargmax(v))
+        obj = lambda s: -float(fn(s))
+    else:
+        if np.any(np.isneginf(v)):
+            return float("-inf")
+        i = int(np.nanargmin(v))
+        obj = lambda s: float(fn(s))
+    a = t[max(i - 1, 0)]
+    b = t[min(i + 1, ngrid - 1)]
+    best = float(v[i])
+    if b > a:
+        res = minimize_scalar(obj, bounds=(a, b), method="bounded",
+                              options={"xatol": 1e-13 * max(1.0, hi)})
+        refined = -res.fun if kind == "sup" else res.fun
+        best = max(best, refined) if kind == "sup" else min(best, refined)
+    return best
+
+
+EXTREME_MODELS = [
+    ("truncated-exponential", (1.0,)),
+    ("truncated-exponential", (0.3,)),
+    ("truncated-exponential", (1.0, 1.0)),
+    ("truncated-exponential", (2.0, 3.0)),
+    ("truncated-exponential", (5.0, 0.2)),
+    ("shifted-power", (2.0, 1.0)),
+    ("shifted-power", (3.0, 1.0)),
+    ("shifted-power", (3.0, 1.5)),
+    ("shifted-power", (4.5, 0.5)),
+    ("beta-like", (1.5,)),
+    ("beta-like", (2.0,)),
+    ("beta-like", (4.0,)),
+    ("uniform", (2.0,)),
+]
+
+
+def _fixed_extreme_calls(model):
+    """Every ``(fn, lo, hi, kind)`` that ``constants`` and the bounds pass to ``_extreme``.
+
+    ``trapezoid_remainder_bounds`` and ``slope_difference_bound`` pass
+    ``f''`` on subintervals of ``[0, tau]``; the rest are recorded here.
+    """
+    calls = []
+
+    def spy(fn, lo, hi, kind):
+        calls.append((fn, lo, hi, kind))
+        return _extreme(fn, lo, hi, kind)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (models, bounds, spline):
+            mp.setattr(module, "_extreme", spy)
+        constants(model)
+        bounds.interp_gap_report(model, (2,))
+        spline.smooth_interp_error_bounds(model, knot_mesh_convex(model, 2))
+    return calls
+
+
+@pytest.mark.parametrize("tau_quantile", [0.5, 0.75, 0.9])
+@pytest.mark.parametrize("name,params", EXTREME_MODELS)
+def test_endpoint_extreme_matches_grid_search_bitwise(name, params, tau_quantile):
+    m = make_model(name, params, tau_quantile)
+    calls = _fixed_extreme_calls(m)
+    assert len(calls) == 9
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        s, t = np.sort(rng.random(2)) * m.tau
+        calls += [(m.fsecond, float(s), float(t), "inf"), (m.fsecond, float(s), float(t), "sup")]
+    for fn, lo, hi, kind in calls:
+        got, want = _extreme(fn, lo, hi, kind), _grid_extreme(fn, lo, hi, kind)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lo, hi, kind, got, want)
+
+
+def _is_monotone(v) -> bool:
+    v = v[~np.isnan(v)]
+    return bool(np.all(v[1:] >= v[:-1]) or np.all(v[1:] <= v[:-1]))
+
+
+MONOTONE_SWEEP = (
+    [("truncated-exponential", (r,)) for r in (0.1, 1.0, 10.0)]
+    + [("truncated-exponential", (r, b)) for r in (0.1, 1.0, 10.0) for b in (0.05, 1.0, 20.0)]
+    + [("shifted-power", (p, th)) for p in (2.0, 2.5, 3.0, 7.0) for th in (0.1, 1.0, 8.0)]
+    + [("beta-like", (b,)) for b in (1.01, 1.5, 2.0, 10.0, 1e3)]
+    + [("uniform", (w,)) for w in (0.5, 1.0, 3.0)]
+)
+
+
+@pytest.mark.parametrize("name,params", MONOTONE_SWEEP)
+def test_every_extreme_target_is_monotone_on_its_interval(name, params):
+    # _extreme reads only the two ends, which is exact for monotone targets:
+    # f, -f', f'', |f''|, -f'/f^2 and f''/f^3 on [0, tau] or the full support
+    for q in (0.5, 0.75, 0.9):
+        m = make_model(name, params, q)
+        calls = _fixed_extreme_calls(m) + [(m.fsecond, 0.0, m.tau, "inf")]
+        for fn, lo, hi, _ in calls:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                v = np.asarray(fn(np.linspace(lo, hi, 4097)), dtype=float)
+            assert _is_monotone(v), (q, lo, hi, fn)
