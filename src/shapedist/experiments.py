@@ -99,6 +99,8 @@ def _validate(config: ExperimentConfig, min_sizes: int = 1) -> AnalyticModel:
         raise ConfigError("workers must be >= 1")
     if config.k_override < 0 or config.k_override == 1:
         raise ConfigError("k_override must be 0 (off) or >= 2")
+    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ConfigError(f"no directory to write {config.out!r} into")
     try:
         return make_model(config.model, config.params, config.tau_quantile)
     except ValueError as err:
@@ -201,17 +203,26 @@ def _row(result: dict, i: int) -> dict:
     return dict(result, k=result["k"][i], event_An=result["event_An"][i])
 
 
-def _run_replicates(config: ExperimentConfig, distances: bool, sizes) -> list:
-    """Results of ``_replicate`` for every ``(n, ks)`` pair in ``sizes`` and
-    every replicate, in that order, on ``config.workers`` processes (one pool)."""
-    tasks = [(config.target, distances, config.model, tuple(config.params), config.tau_quantile,
-              n, rep, seed_for(config.base_seed, n, rep), ks)
-             for n, ks in sizes for rep in range(config.replicates)]
+def _tasks(config: ExperimentConfig, distances: bool, sizes) -> list:
+    """``_replicate`` tasks for each ``(n, ks)`` in ``sizes`` and each replicate, in that order."""
+    return [(config.target, distances, config.model, tuple(config.params), config.tau_quantile,
+             n, rep, seed_for(config.base_seed, n, rep), ks)
+            for n, ks in sizes for rep in range(config.replicates)]
+
+
+def _run_replicates(config: ExperimentConfig, worker, tasks) -> list:
+    """``worker`` of every task, in task order, on ``config.workers`` processes (one pool)."""
     if config.workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (config.workers * 8))
         with Pool(processes=config.workers) as pool:
-            return pool.map(_replicate, tasks, chunksize=chunk)
-    return [_replicate(t) for t in tasks]
+            return pool.map(worker, tasks, chunksize=chunk)
+    # Filled in place: a list grown by appending is reallocated among the
+    # draws' freed arrays; in the lemma suite that made glibc trim and regrow
+    # its heap on every replicate in most runs.
+    results = [None] * len(tasks)
+    for i, task in enumerate(tasks):
+        results[i] = worker(task)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +323,8 @@ def _run_rate(config: ExperimentConfig) -> RateResult:
     model = _validate(config, min_sizes=3)
     beta, m = _k_rule_constants(model, target, f"{target} rate run")
     ks = {n: config.k_override or k_rule(n, beta, m, config.c0) for n in config.n_grid}
-    got = _run_replicates(config, True, [(n, (k,)) for n, k in ks.items()])
-    rows = [_row(r, 0) for r in got]
+    tasks = _tasks(config, True, [(n, (k,)) for n, k in ks.items()])
+    rows = [_row(r, 0) for r in _run_replicates(config, _replicate, tasks)]
     summary = _per_n_summary(config, rows, ks)
     fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
     fit_h = None if target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
@@ -367,7 +378,7 @@ def run_event_frequency(config: ExperimentConfig) -> list:
     ks = {(c0, n): config.k_override or k_rule(n, beta, m, c0)
           for c0 in sweep for n in config.n_grid}
     per_n = {n: tuple(sorted({ks[c0, n] for c0 in sweep})) for n in config.n_grid}
-    results = _run_replicates(config, False, per_n.items())
+    results = _run_replicates(config, _replicate, _tasks(config, False, per_n.items()))
     reps = config.replicates
     by_n = {n: results[i * reps:(i + 1) * reps] for i, n in enumerate(config.n_grid)}
     rows, summary = [], []
@@ -452,47 +463,46 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
     return checks
 
 
+_MC_SIZES = (15000, 30000)  # sample sizes of the trapezoid-defect draws
+_MC_CELL_MASSES = ((40000, 0.01), (100000, 0.005))  # (n, p) of the binomial draws
+
+
+def _lemma_replicate(task):
+    """Lemma-suite replicate ``rep``: cell-2 defects ``(T, R)`` on the k = 3 mesh and
+    cell fractions, each draw keyed by ``seed_for(base_seed, n, rep)``; ``n``: largest size."""
+    name, params, tau_q, base_seed, rep = task
+    model, (mesh,) = _model_and_meshes(name, params, tau_q, "convex", (3,))
+    # Each sample is dropped before the next is drawn: kept alive through the
+    # larger draw, it made glibc trim and regrow its heap on every replicate.
+    defects = [[d[1] for d in _sample_defects(sample(model, n, seed_for(base_seed, n, rep)), mesh)]
+               for n in _MC_SIZES]
+    fracs = [np.random.Generator(np.random.Philox(key=seed_for(base_seed, n, rep)))
+             .binomial(n, pm) / n for n, pm in _MC_CELL_MASSES]
+    return {"n": _MC_SIZES[-1], "defects": defects, "cell_frac": fracs}
+
+
 def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
     """Monte Carlo dominance checks for the three probabilistic bounds."""
-    reps = config.replicates
-    k = 3
-    j = 2
-    mesh = knot_mesh_convex(model, k)
+    mesh = knot_mesh_convex(model, 3)
     p = mesh.p
-    fstar = mesh.mass * p / float(mesh.deltas[j - 1])
-    t_det, r_det = _population_defects(model, mesh)
-
-    sizes = (15000, 30000)
-    abs_rr = {}
-    abs_w = {}
-    for n in sizes:
-        rr = np.empty(reps)
-        ww = np.empty(reps)
-        for rep in range(reps):
-            data = sample(model, n, seed_for(config.base_seed, n, rep))
-            T, R = _sample_defects(data, mesh)
-            rr[rep] = abs(R[j - 1] - r_det[j - 1])
-            ww[rep] = abs((T[j - 1] - t_det[j - 1]) - (R[j - 1] - r_det[j - 1]))
-        abs_rr[n] = rr
-        abs_w[n] = ww
-
+    fstar = mesh.mass * p / float(mesh.deltas[1])
+    t_det, r_det = (d[1] for d in _population_defects(model, mesh))
+    got = _run_replicates(config, _lemma_replicate, [
+        (config.model, tuple(config.params), config.tau_quantile, config.base_seed, rep)
+        for rep in range(config.replicates)])
+    T, R = (dict(zip(_MC_SIZES, a)) for a in np.array([g["defects"] for g in got]).T)
+    fracs = dict(zip(_MC_CELL_MASSES, np.array([g["cell_frac"] for g in got]).T))
     checks = []
     for n, delta in ((15000, 0.056), (15000, 0.075), (30000, 0.056)):
-        freq = float(np.mean(abs_rr[n] > delta * p ** 3))
+        freq = float(np.mean(np.abs(R[n] - r_det) > delta * p ** 3))
         bound = float(bernstein_cell_bound(n, delta, p, fstar))
         checks.append(_check(f"mc-raw-defect[n={n},delta={delta}]", freq, bound))
     for n, delta in ((15000, 1.0), (30000, 1.0), (30000, 1.3)):
-        freq = float(np.mean(abs_w[n] > delta * p ** 3))
+        freq = float(np.mean(np.abs((T[n] - t_det) - (R[n] - r_det)) > delta * p ** 3))
         bound = float(bernstein_residual_bound(n, delta, p, fstar))
         checks.append(_check(f"mc-residual[n={n},delta={delta}]", freq, bound))
-
     for n, pm, delta in ((40000, 0.01, 0.1), (40000, 0.01, 0.15), (100000, 0.005, 0.15)):
-        hits = 0
-        for rep in range(reps):
-            g = np.random.Generator(np.random.Philox(key=seed_for(config.base_seed, n, rep)))
-            frac = g.binomial(n, pm) / n
-            hits += int(abs(frac - pm) >= delta * pm)
-        freq = hits / reps
+        freq = float(np.mean(np.abs(fracs[n, pm] - pm) >= delta * pm))
         for slack in (0.0, -0.1):
             bound = float(binomial_cell_bound(n, pm, delta, slack))
             checks.append(_check(

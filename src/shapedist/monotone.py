@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .curves import PiecewisePoly, _check, extrema, sup_norm
+from .curves import PiecewisePoly, _check, _check_breakpoints, extrema, sup_norm
 from .empirical import EmpiricalData, ecdf, ecdf_curve
 from .models import AnalyticModel, KnotMesh
 
@@ -45,8 +45,7 @@ class PiecewiseLinear:
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise ValueError("need matching 1-d vertex arrays with >= 2 points")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("vertex abscissae must be strictly increasing")
+        _check_breakpoints(x, "vertex abscissae")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -54,6 +54,16 @@ def test_lemmas_exit_zero_and_csv(capsys):
     assert all(",True," in line for line in lines[1:])
 
 
+def test_lemmas_stdout_independent_of_workers(capsys):
+    args = ["lemmas", "--model", "truncated-exponential", "--params", "1.0",
+            "--reps", "50", "--seed", "1"]
+    outs = []
+    for workers in ("1", "2"):
+        assert cli.main(args + ["--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_lemmas_exit_one_on_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_lemma_suite", lambda cfg: {
         "checks": [{"name": "x", "pass": False, "lhs": 1.0, "rhs": 0.0, "margin": -1.0}],
@@ -92,6 +102,10 @@ def test_config_error_exit_two(capsys):
         EVENTS_ARGS + ["--c0-sweep="],
         EVENTS_ARGS + ["--c0-sweep=0,1"],
         EVENTS_ARGS + ["--c0-sweep=1,nan"],
+        # an output path whose directory is missing, refused before any replicate runs
+        RATE_ARGS + ["--out", "/nonexistent/rate.csv"],
+        ["lemmas", "--model", "truncated-exponential", "--params", "1.0",
+         "--out", "/nonexistent/lemmas.json"],
     ]
     for args in bad:
         assert cli.main(args) == 2, args

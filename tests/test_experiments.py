@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from multiprocessing import Pool
 
 import numpy as np
 import pytest
@@ -230,6 +231,9 @@ def test_config_validation():
         run_event_frequency(small_convex_config(target="nonsense"))
 
 
+LEMMA_SHA256 = "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9"
+
+
 def test_lemma_suite_report(tmp_path):
     out = tmp_path / "lemmas.json"
     cfg = ExperimentConfig(model="truncated-exponential", params=(1.0,), target="convex",
@@ -247,8 +251,25 @@ def test_lemma_suite_report(tmp_path):
     assert on_disk["pass"] is True
     assert [c["name"] for c in on_disk["checks"]] == names
     # frozen bytes: how the check rows are built must not move a bit of the report
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEMMA_SHA256
+
+
+def test_lemma_suite_spreads_replicates_without_moving_a_bit(tmp_path, monkeypatch):
+    # the Monte Carlo replicates go through the one replicate runner: at
+    # workers=2 it opens a pool, and the report keeps every bit of workers=1
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return Pool(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "Pool", counting_pool)
+    out = tmp_path / "lemmas.json"
+    cfg = ExperimentConfig(model="truncated-exponential", params=(1.0,), target="convex",
+                           n_grid=(128,), replicates=200, base_seed=1, out=str(out), workers=2)
+    assert run_lemma_suite(cfg)["pass"]
+    assert pools == [{"processes": 2}]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEMMA_SHA256
 
 
 @pytest.mark.parametrize("model,params,digest", [

@@ -126,6 +126,13 @@ def test_lcm_rejects_bad_samples():
         PiecewiseLinear(np.array([0.0, np.nan, 1.0]), np.zeros(3))
 
 
+def test_piecewise_linear_refuses_non_finite_abscissae():
+    # refused where the vertices enter, not later by as_curve()
+    for x in ([0.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="vertex abscissae must be finite"):
+            PiecewiseLinear(np.array(x), np.zeros(len(x)))
+
+
 def test_lcm_dominates_and_touches():
     d = sample(make_model("truncated-exponential", (1.0,)), 100, seed=21)
     h = lcm(d)
