@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -46,24 +47,41 @@ def seed_for(base_seed: int, n: int, replicate: int) -> int:
     return (base_seed ^ h) & _M64
 
 
+def _sorted_checked(x: np.ndarray) -> np.ndarray:
+    """Check a candidate sample, sorting it in place; return it."""
+    if x.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    x.sort()
+    if len(x) == 0:
+        raise ValueError("empty sample")
+    # NaN sorts last and -inf first, so the two ends decide.
+    if not (x[0] >= 0.0 and np.isfinite(x[-1])):
+        raise ValueError("sample values must be finite and nonnegative")
+    return x
+
+
 @dataclass(frozen=True)
 class EmpiricalData:
-    """A sorted i.i.d. sample with cached prefix sums."""
+    """A sorted i.i.d. sample with cached prefix sums.
+
+    ``EmpiricalData(x)`` sorts a copy of ``x``, so the caller's array is
+    never reordered.  :func:`sample` instead sorts the array its model's
+    ``Finv`` returned, in place, and wraps it without a copy.
+    """
 
     x: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("sample must be one-dimensional")
-        x = np.sort(x)
-        if len(x) == 0:
-            raise ValueError("empty sample")
-        # NaN sorts last and -inf first, so the two ends decide.
-        if not (x[0] >= 0.0 and np.isfinite(x[-1])):
-            raise ValueError("sample values must be finite and nonnegative")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", _sorted_checked(np.array(self.x, dtype=float)))
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, seed: int) -> "EmpiricalData":
+        """Sort ``x``, a fresh float array no one else holds, in place and wrap it."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "x", _sorted_checked(x))
+        object.__setattr__(data, "seed", seed)
+        return data
 
     @property
     def n(self) -> int:
@@ -71,7 +89,10 @@ class EmpiricalData:
 
     @cached_property
     def _prefix(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.x)])
+        out = np.empty(self.n + 1)
+        out[0] = 0.0
+        np.cumsum(self.x, out=out[1:])
+        return out
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,12 +108,17 @@ class EmpiricalData:
 
 
 def sample(model: AnalyticModel, n: int, seed: int) -> EmpiricalData:
-    """Draw ``n`` points from ``model`` by inverse-CDF over Philox uniforms."""
+    """Draw ``n`` points from ``model`` by inverse-CDF over Philox uniforms.
+
+    The array ``model.Finv`` returns is sorted in place and kept as the
+    sample's ``x``; no other copy of the draw is made.
+    """
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ValueError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("sample size must be >= 1")
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _M64))
-    u = gen.random(n)
-    return EmpiricalData(np.asarray(model.Finv(u), dtype=float), seed=int(seed))
+    return EmpiricalData._adopt(np.asarray(model.Finv(gen.random(n)), dtype=float), int(seed))
 
 
 def ecdf(data: EmpiricalData, t):

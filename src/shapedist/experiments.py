@@ -89,6 +89,16 @@ def _validate(config: ExperimentConfig, min_sizes: int = 1) -> AnalyticModel:
     if len(config.n_grid) < min_sizes:
         raise ConfigError(f"need at least {min_sizes} sample sizes, got {len(config.n_grid)}")
     sizes = list(config.n_grid)
+    ints = [("n_grid", n) for n in sizes]
+    ints += [(name, getattr(config, name))
+             for name in ("replicates", "workers", "base_seed", "k_override")]
+    for name, v in ints:
+        # Python ints only: a numpy integer overflows in seed_for's 64-bit hash
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+    # seed_for keys the generator with 64 bits: a larger seed would alias a smaller one
+    if not 0 <= config.base_seed < 2**64:
+        raise ConfigError("base_seed must lie in [0, 2**64)")
     if any(n < 2 for n in sizes) or sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ConfigError("n_grid must be strictly increasing sizes >= 2")
     if config.replicates < 1:

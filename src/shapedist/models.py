@@ -48,6 +48,8 @@ class AnalyticModel:
     tau_mass : CDF value at ``tau``.
     f, fprime, fsecond : density and its derivatives, vectorized.
     F : CDF; Finv : its inverse on [0, 1); Fint : ``t -> integral_0^t F``.
+        ``Finv`` leaves its input alone and returns a new array, which
+        :func:`shapedist.empirical.sample` sorts in place.
 
     Every catalog family keeps two monotonicity contracts on the support.
     ``f'`` and ``f''`` are monotone, which the extrema cascade of
@@ -190,7 +192,13 @@ def _build_truncated_exponential(params):
         return (1.0 - np.exp(-rate * np.asarray(x, dtype=float))) / Z
 
     def Finv(u):
-        return -np.log1p(-Z * np.asarray(u, dtype=float)) / rate
+        # One copy of u, then in place: -log1p(-Z u) / rate, sign moved
+        # into the divisor, which rounds to the same bits.
+        x = np.array(u, dtype=float)
+        x *= -Z
+        np.log1p(x, out=x)
+        x /= -rate
+        return x if x.ndim else float(x)
 
     def Fint(t):
         t = np.asarray(t, dtype=float)
@@ -218,7 +226,15 @@ def _build_shifted_power(params):
     fprime = lambda x: -c * p * np.power(rem(x), p - 1.0)
     fsecond = lambda x: c * p * (p - 1.0) * np.power(rem(x), p - 2.0)
     F = lambda x: 1.0 - np.power(rem(x) / theta, p + 1.0)
-    Finv = lambda u: theta * (1.0 - np.power(1.0 - np.asarray(u, dtype=float), 1.0 / (p + 1.0)))
+
+    def Finv(u):
+        # theta * (1 - (1 - u)^(1/(p+1))) on one copy of u
+        x = np.array(u, dtype=float)
+        np.subtract(1.0, x, out=x)
+        np.power(x, 1.0 / (p + 1.0), out=x)
+        np.subtract(1.0, x, out=x)
+        x *= theta
+        return x if x.ndim else float(x)
 
     def Fint(t):
         t = np.asarray(t, dtype=float)

@@ -29,7 +29,7 @@ from .curves import (
     extrema,
     modulus,
 )
-from .empirical import EmpiricalData, ecdf, integrated_ecdf
+from .empirical import EmpiricalData
 from .models import AnalyticModel, KnotMesh, _extreme
 
 __all__ = [
@@ -136,15 +136,30 @@ def hermite_spline(knots, values, slopes) -> CubicSplineInterpolant:
     return CubicSplineInterpolant(knots, values, slopes)
 
 
+def _ecdf_at_knots(data: EmpiricalData, knots: np.ndarray):
+    """``F_n`` and ``Y_n`` at increasing knots, summing only the sample below the last.
+
+    One ``searchsorted`` gives the counts ``i_j = #(X <= a_j)``.  ``cumsum``
+    adds in order, so the sums over the first ``i_j`` points are entries of
+    ``np.cumsum(x[:i[-1]])``, to the bit the ones ``integrated_ecdf`` reads
+    off the full prefix sums.
+    """
+    i = np.searchsorted(data.x, knots, side="right")
+    sums = np.zeros(len(knots))
+    below = i > 0
+    sums[below] = np.cumsum(data.x[:i[-1]])[i[below] - 1]
+    return i / data.n, (knots * i - sums) / data.n
+
+
 def interp_integrated_ecdf(data: EmpiricalData, mesh: KnotMesh) -> CubicSplineInterpolant:
     """Complete spline of the running ECDF integral on the mesh.
 
     End slopes are the one-sided ECDF values at the mesh ends, matching the
-    derivative of the interpolated curve.
+    derivative of the interpolated curve.  Counts and sums are taken at the
+    knots only: the sample above the last knot is never summed.
     """
-    a = mesh.knots
-    vals = np.asarray(integrated_ecdf(data, a), dtype=float)
-    return complete_spline(a, vals, float(ecdf(data, a[0])), float(ecdf(data, a[-1])))
+    fv, yv = _ecdf_at_knots(data, mesh.knots)
+    return complete_spline(mesh.knots, yv, fv[0], fv[-1])
 
 
 def interp_integrated_cdf(model: AnalyticModel, mesh: KnotMesh) -> CubicSplineInterpolant:
@@ -186,10 +201,8 @@ def hermite_second_derivative_slopes(data: EmpiricalData, mesh: KnotMesh) -> np.
     Uses the closed form ``(12 / h^3) ((F_n(a_{j-1}) + F_n(a_j)) h / 2 - dY_n)``
     directly from exact ECDF evaluations.
     """
-    a = mesh.knots
     h = mesh.deltas
-    fv = np.asarray(ecdf(data, a), dtype=float)
-    yv = np.asarray(integrated_ecdf(data, a), dtype=float)
+    fv, yv = _ecdf_at_knots(data, mesh.knots)
     return 12.0 / h**3 * _defect(fv, np.diff(yv), h)
 
 

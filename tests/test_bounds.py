@@ -1,12 +1,15 @@
 """Per-cell defect statistics and tail-bound arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from shapedist.bounds import (
+    _sample_defects,
     EVENT_BOUND_RECIP_K,
     bernstein_cell_bound,
     bernstein_residual_bound,
@@ -24,10 +27,19 @@ from shapedist.bounds import (
     trapezoid_remainder_bounds,
 )
 from shapedist.curves import curve_sub
-from shapedist.empirical import integrated_ecdf_curve, sample, seed_for
+from shapedist.empirical import (
+    EmpiricalData,
+    ecdf,
+    integrated_ecdf,
+    integrated_ecdf_curve,
+    sample,
+    seed_for,
+)
 from shapedist.models import knot_mesh_convex, make_model
 from shapedist.monotone import broken_line_error_report
 from shapedist.spline import (
+    _defect,
+    complete_spline,
     hermite_second_derivative_slopes,
     interp_error_report,
     interp_integrated_cdf,
@@ -83,6 +95,71 @@ def test_quantities_against_independent_routes():
     np.testing.assert_allclose(q.Btilde, 12.0 * q.R / w**3, rtol=1e-13)
     np.testing.assert_allclose(q.B - q.Btilde, 12.0 * (q.W + q.b) / w**3, atol=1e-10)
     np.testing.assert_allclose(q.Btilde, hermite_second_derivative_slopes(d, mesh), atol=1e-12)
+
+
+KNOT_MODEL = make_model("truncated-exponential", (1.0,))
+TAU = KNOT_MODEL.tau
+KNOTS3 = knot_mesh_convex(KNOT_MODEL, 3).knots.tolist()
+
+
+def prefix_route(data, mesh):
+    """The spline and defects ``(T, R)`` read off the full prefix sums: the
+    reference that the knot-only sums must match bit for bit."""
+    a = mesh.knots
+    vals = np.asarray(integrated_ecdf(data, a), dtype=float)
+    spline = complete_spline(a, vals, float(ecdf(data, a[0])), float(ecdf(data, a[-1])))
+    dy = np.diff(spline.values)
+    return spline, _defect(spline.slopes, dy, mesh.deltas), _defect(ecdf(data, a), dy, mesh.deltas)
+
+
+@st.composite
+def knot_samples(draw):
+    k = draw(st.integers(1, 5))
+    knots = knot_mesh_convex(KNOT_MODEL, k).knots.tolist()
+    tau = knots[-1]
+    point = st.one_of(st.sampled_from(knots),
+                      st.floats(0.0, 2.0 * tau, allow_nan=False, allow_infinity=False),
+                      st.floats(tau, 4.0 * tau, exclude_min=True))
+    return k, draw(st.lists(point, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(knot_samples())
+@example((3, KNOTS3 + KNOTS3[1:3] + [0.1, 2.0]))  # ties exactly on knots
+@example((3, [KNOTS3[1] * 1.5, KNOTS3[2], TAU, 3.0]))  # nothing below the first interior knot
+@example((3, [TAU * 1.01, 2.0 * TAU, 5.0]))  # everything above tau: nothing is summed
+@example((2, [0.3]))  # n = 1
+@example((1, [TAU]))
+def test_knot_only_sums_match_the_full_prefix_bitwise(case):
+    k, x = case
+    data = EmpiricalData(np.array(x))
+    mesh = knot_mesh_convex(KNOT_MODEL, k)
+    spline, T, R = prefix_route(data, mesh)
+    got = interp_integrated_ecdf(data, mesh)
+    assert got.values.tobytes() == spline.values.tobytes()
+    assert got.slopes.tobytes() == spline.slopes.tobytes()
+    T2, R2 = _sample_defects(data, mesh)
+    assert T2.tobytes() == T.tobytes() and R2.tobytes() == R.tobytes()
+
+
+def test_one_draw_allocates_only_what_it_keeps():
+    # sample: the uniforms and the one Finv copy that becomes x; the defects:
+    # the prefix sums up to the last knot (about 3/4 of the sample).
+    n = 30000
+    mesh = knot_mesh_convex(KNOT_MODEL, 3)
+    sample(KNOT_MODEL, 10, seed=1)
+    tracemalloc.start()
+    try:
+        data = sample(KNOT_MODEL, n, seed_for(1, n, 0))
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _sample_defects(data, mesh)
+        defects_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sample_peak <= 2.05 * 8 * n
+    assert defects_peak <= 1.05 * 8 * n
 
 
 def test_population_defect_sign_and_uniform_case():

@@ -106,6 +106,9 @@ def test_config_error_exit_two(capsys):
         RATE_ARGS + ["--out", "/nonexistent/rate.csv"],
         ["lemmas", "--model", "truncated-exponential", "--params", "1.0",
          "--out", "/nonexistent/lemmas.json"],
+        # a base seed that seed_for's 64 bits cannot hold
+        RATE_ARGS + ["--seed", "-1"],
+        RATE_ARGS + ["--seed", str(2**64)],
     ]
     for args in bad:
         assert cli.main(args) == 2, args

@@ -19,6 +19,7 @@ from shapedist.empirical import (
     sup_norm,
 )
 from shapedist.models import make_model
+from test_models import SAMPLING_MODELS, old_finv
 
 
 def test_ecdf_evaluation_semantics():
@@ -117,6 +118,17 @@ def test_sampling_is_deterministic():
     assert a.seed == 123
 
 
+@pytest.mark.parametrize("name,params", SAMPLING_MODELS)
+@pytest.mark.parametrize("n", [1, 2, 1000, 30000])
+def test_sample_is_the_sorted_old_inverse_bit_for_bit(name, params, n):
+    m = make_model(name, params)
+    seed = seed_for(7, n, 3)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    d = sample(m, n, seed)
+    assert d.x.tobytes() == np.sort(old_finv(name, params)(u)).tobytes()
+    assert d.seed == seed and d.x.flags.writeable
+
+
 def test_seed_for_spreads():
     seen = {seed_for(b, n, r) for b in (1, 2) for n in (10, 11, 1000) for r in range(50)}
     assert len(seen) == 2 * 3 * 50
@@ -162,5 +174,13 @@ def test_empirical_data_validates():
     for bad in (np.float64(1.0), np.ones((2, 3)), np.ones((4, 1)), np.ones((1, 0))):
         with pytest.raises(ValueError, match="sample must be one-dimensional"):
             EmpiricalData(bad)
-    d = EmpiricalData(np.array([3.0, 1.0, 2.0]))
+    for bad in (2.5, 4.0, "8", True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            sample(make_model("uniform", ()), bad, seed=1)
+    assert sample(make_model("uniform", ()), np.int64(3), seed=1).n == 3
+    # the public constructor sorts a copy: the caller's array keeps its order
+    x = np.array([3.0, 1.0, 2.0])
+    d = EmpiricalData(x)
     np.testing.assert_array_equal(d.x, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(x, [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(EmpiricalData([2, 1]).x, [1.0, 2.0])

@@ -231,6 +231,34 @@ def test_config_validation():
         run_event_frequency(small_convex_config(target="nonsense"))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(n_grid=(64.5, 128, 256)),
+    dict(n_grid=(64, 128.0, 256)),
+    dict(n_grid=(True, 128, 256)),
+    dict(replicates=2.5),
+    dict(replicates=True),
+    dict(workers=1.5),
+    dict(base_seed=1.5),
+    dict(base_seed=np.float64(1.0)),
+    dict(k_override=2.0),
+    dict(n_grid=(np.int64(64), 128, 256)),  # overflowed in seed_for
+])
+def test_integer_fields_are_refused_where_they_enter(bad):
+    # each of these used to die mid-run with a raw TypeError
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_monotone_rate(small_monotone_config(**bad))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_lemma_suite(small_convex_config(**bad))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_base_seed_outside_64_bits_is_refused(seed):
+    # seed_for keeps 64 bits, so 2**70 would silently run as seed 2**70 mod 2**64
+    with pytest.raises(ConfigError, match="base_seed must lie in"):
+        run_convex_rate(small_convex_config(base_seed=seed))
+    experiments._validate(small_convex_config(base_seed=2**64 - 1))  # the top seed is allowed
+
+
 LEMMA_SHA256 = "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9"
 
 

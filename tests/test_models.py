@@ -270,6 +270,51 @@ def test_scalar_and_array_evaluation_agree_bitwise(name, params):
         np.testing.assert_array_equal(scalars, fn(t))
 
 
+# The inverse CDFs as they were before they were rewritten to work in place on
+# one copy of u, kept verbatim as the reference they must match bit for bit.
+def old_finv(name: str, params: tuple):
+    if name == "truncated-exponential":
+        rate = float(params[0])
+        b = float(params[1]) if len(params) == 2 else INF
+        Z = 1.0 - np.exp(-rate * b) if np.isfinite(b) else 1.0
+        return lambda u: -np.log1p(-Z * np.asarray(u, dtype=float)) / rate
+    if name == "shifted-power":
+        p, theta = float(params[0]), float(params[1])
+        return lambda u: theta * (1.0 - np.power(1.0 - np.asarray(u, dtype=float), 1.0 / (p + 1.0)))
+    if name == "beta-like":
+        F = make_model(name, params).F
+        return lambda u: _bisect_inverse(F, 0.0, 1.0, u)
+    w = float(params[0]) if params else 1.0
+    return lambda u: np.asarray(u, dtype=float) * w
+
+
+# one per family, and the exponential both with and without a cutoff
+SAMPLING_MODELS = [
+    ("truncated-exponential", (1.0,)),
+    ("truncated-exponential", (2.0, 3.0)),
+    ("shifted-power", (3.0, 1.5)),
+    ("beta-like", (2.0,)),
+    ("uniform", (2.0,)),
+]
+
+
+@pytest.mark.parametrize("name,params", SAMPLING_MODELS)
+def test_inverse_cdf_keeps_its_bits_and_its_input(name, params):
+    old = old_finv(name, params)
+    for tau_quantile in (0.5, 0.75, 0.9):
+        m = make_model(name, params, tau_quantile)
+        assert m.tau == float(old(tau_quantile))
+    u = np.random.Generator(np.random.Philox(key=17)).random(1000)
+    u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+    kept = u.copy()
+    np.testing.assert_array_equal(m.Finv(u), old(u))
+    np.testing.assert_array_equal(u, kept)
+    for s in u[:50]:
+        got = m.Finv(float(s))
+        assert isinstance(got, float)
+        assert got == float(old(float(s)))
+
+
 # The grid-scan-plus-Brent search that the endpoint rule of ``_extreme``
 # replaced, kept verbatim as the reference that the rule must match bit for bit.
 def _grid_extreme(fn, lo: float, hi: float, kind: str, ngrid: int = 2049) -> float:
