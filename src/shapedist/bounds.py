@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .curves import _check
-from .empirical import EmpiricalData
+from .empirical import EmpiricalData, ecdf
 from .models import (
     AnalyticModel,
     KnotMesh,
@@ -33,7 +33,7 @@ from .models import (
     knot_mesh_convex,
     mean_value_knot,
 )
-from .spline import _defect, _ecdf_at_knots, complete_spline, interp_integrated_cdf
+from .spline import _defect, interp_integrated_cdf, interp_integrated_ecdf
 
 __all__ = [
     "LemmaQuantities",
@@ -95,10 +95,10 @@ def _cell_defect(model: AnalyticModel, s: float, t: float) -> float:
 
 def _sample_defects(data: EmpiricalData, mesh: KnotMesh):
     """Spline and raw defects ``(T, R)`` of the integrated ECDF on the mesh."""
-    fv, yv = _ecdf_at_knots(data, mesh.knots)
-    spline = complete_spline(mesh.knots, yv, fv[0], fv[-1])
-    dy, h = np.diff(yv), mesh.deltas
-    return _defect(spline.slopes, dy, h), _defect(fv, dy, h)
+    spline = interp_integrated_ecdf(data, mesh)
+    dy = np.diff(spline.values)
+    return (_defect(spline.slopes, dy, mesh.deltas),
+            _defect(ecdf(data, mesh.knots), dy, mesh.deltas))
 
 
 def _population_defects(model: AnalyticModel, mesh: KnotMesh):

@@ -43,8 +43,9 @@ def _splitmix64(z: int) -> int:
 
 def seed_for(base_seed: int, n: int, replicate: int) -> int:
     """Derive the per-replicate generator key: ``base_seed xor hash(n, replicate)``."""
-    h = _splitmix64(_splitmix64(n) ^ (replicate + 0x94D049BB133111EB))
-    return (base_seed ^ h) & _M64
+    # Python ints throughout: a numpy integer would overflow the 64-bit mixing
+    h = _splitmix64(_splitmix64(int(n)) ^ (int(replicate) + 0x94D049BB133111EB))
+    return (int(base_seed) ^ h) & _M64
 
 
 def _sorted_checked(x: np.ndarray) -> np.ndarray:
@@ -93,6 +94,20 @@ class EmpiricalData:
         out[0] = 0.0
         np.cumsum(self.x, out=out[1:])
         return out
+
+    def at_knots(self, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``F_n`` and ``Y_n`` at increasing knots, summing only the sample below the last.
+
+        One ``searchsorted`` gives the counts ``i_j = #(X <= a_j)``.  ``cumsum``
+        adds in order, so the sums over the first ``i_j`` points are entries of
+        ``np.cumsum(x[:i[-1]])``, to the bit the ones :func:`integrated_ecdf`
+        reads off :attr:`_prefix`.
+        """
+        i = np.searchsorted(self.x, knots, side="right")
+        sums = np.zeros(len(knots))
+        below = i > 0
+        sums[below] = np.cumsum(self.x[:i[-1]])[i[below] - 1]
+        return i / self.n, (knots * i - sums) / self.n
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
+from numbers import Integral
 
 import numpy as np
 
@@ -93,8 +94,7 @@ def _validate(config: ExperimentConfig, min_sizes: int = 1) -> AnalyticModel:
     ints += [(name, getattr(config, name))
              for name in ("replicates", "workers", "base_seed", "k_override")]
     for name, v in ints:
-        # Python ints only: a numpy integer overflows in seed_for's 64-bit hash
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not isinstance(v, Integral) or isinstance(v, bool):
             raise ConfigError(f"{name} must be an integer, got {v!r}")
     # seed_for keys the generator with 64 bits: a larger seed would alias a smaller one
     if not 0 <= config.base_seed < 2**64:

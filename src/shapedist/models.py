@@ -226,15 +226,7 @@ def _build_shifted_power(params):
     fprime = lambda x: -c * p * np.power(rem(x), p - 1.0)
     fsecond = lambda x: c * p * (p - 1.0) * np.power(rem(x), p - 2.0)
     F = lambda x: 1.0 - np.power(rem(x) / theta, p + 1.0)
-
-    def Finv(u):
-        # theta * (1 - (1 - u)^(1/(p+1))) on one copy of u
-        x = np.array(u, dtype=float)
-        np.subtract(1.0, x, out=x)
-        np.power(x, 1.0 / (p + 1.0), out=x)
-        np.subtract(1.0, x, out=x)
-        x *= theta
-        return x if x.ndim else float(x)
+    Finv = lambda u: theta * (1.0 - np.power(1.0 - np.asarray(u, dtype=float), 1.0 / (p + 1.0)))
 
     def Fint(t):
         t = np.asarray(t, dtype=float)

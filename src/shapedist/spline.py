@@ -136,21 +136,6 @@ def hermite_spline(knots, values, slopes) -> CubicSplineInterpolant:
     return CubicSplineInterpolant(knots, values, slopes)
 
 
-def _ecdf_at_knots(data: EmpiricalData, knots: np.ndarray):
-    """``F_n`` and ``Y_n`` at increasing knots, summing only the sample below the last.
-
-    One ``searchsorted`` gives the counts ``i_j = #(X <= a_j)``.  ``cumsum``
-    adds in order, so the sums over the first ``i_j`` points are entries of
-    ``np.cumsum(x[:i[-1]])``, to the bit the ones ``integrated_ecdf`` reads
-    off the full prefix sums.
-    """
-    i = np.searchsorted(data.x, knots, side="right")
-    sums = np.zeros(len(knots))
-    below = i > 0
-    sums[below] = np.cumsum(data.x[:i[-1]])[i[below] - 1]
-    return i / data.n, (knots * i - sums) / data.n
-
-
 def interp_integrated_ecdf(data: EmpiricalData, mesh: KnotMesh) -> CubicSplineInterpolant:
     """Complete spline of the running ECDF integral on the mesh.
 
@@ -158,7 +143,7 @@ def interp_integrated_ecdf(data: EmpiricalData, mesh: KnotMesh) -> CubicSplineIn
     derivative of the interpolated curve.  Counts and sums are taken at the
     knots only: the sample above the last knot is never summed.
     """
-    fv, yv = _ecdf_at_knots(data, mesh.knots)
+    fv, yv = data.at_knots(mesh.knots)
     return complete_spline(mesh.knots, yv, fv[0], fv[-1])
 
 
@@ -202,7 +187,7 @@ def hermite_second_derivative_slopes(data: EmpiricalData, mesh: KnotMesh) -> np.
     directly from exact ECDF evaluations.
     """
     h = mesh.deltas
-    fv, yv = _ecdf_at_knots(data, mesh.knots)
+    fv, yv = data.at_knots(mesh.knots)
     return 12.0 / h**3 * _defect(fv, np.diff(yv), h)
 
 

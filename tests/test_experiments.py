@@ -241,7 +241,6 @@ def test_config_validation():
     dict(base_seed=1.5),
     dict(base_seed=np.float64(1.0)),
     dict(k_override=2.0),
-    dict(n_grid=(np.int64(64), 128, 256)),  # overflowed in seed_for
 ])
 def test_integer_fields_are_refused_where_they_enter(bad):
     # each of these used to die mid-run with a raw TypeError
@@ -249,6 +248,18 @@ def test_integer_fields_are_refused_where_they_enter(bad):
         run_monotone_rate(small_monotone_config(**bad))
     with pytest.raises(ConfigError, match="must be an integer"):
         run_lemma_suite(small_convex_config(**bad))
+
+
+def test_numpy_integer_fields_run_as_python_ints(tmp_path):
+    # numpy integers are integers: seed_for mixes them as Python ints, so
+    # the rows and the CSV bytes match a config of plain ints
+    out = [tmp_path / "py.csv", tmp_path / "np.csv"]
+    plain = small_monotone_config(out=str(out[0]))
+    numpy = small_monotone_config(
+        n_grid=tuple(np.int64(n) for n in plain.n_grid), replicates=np.int64(3),
+        base_seed=np.uint64(5), workers=np.int32(1), k_override=np.int64(0), out=str(out[1]))
+    assert run_monotone_rate(numpy).rows == run_monotone_rate(plain).rows
+    assert out[1].read_bytes() == out[0].read_bytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
