@@ -9,7 +9,9 @@ computed once with interpolated slopes (complete cubic spline) and once
 with the raw slopes of G itself.  The four resulting statistics -- spline
 and raw, empirical and population -- drive every convexity-event bound:
 the second-derivative slopes of the interpolants are exactly these
-defects rescaled by 12 / width^3.
+defects rescaled by 12 / width^3.  The population raw defects of any cells
+come from one helper, ``_raw_defects``, which the Taylor bracket, the
+slope-difference bound and the cell variance share.
 
 The module also evaluates the closed-form Bernstein/binomial tail bounds
 for the statistics, the Taylor bracket for the population defect, and the
@@ -87,10 +89,16 @@ class LemmaQuantities:
     fstar: np.ndarray
 
 
-def _cell_defect(model: AnalyticModel, s: float, t: float) -> float:
-    """Population raw defect ``(F(s) + F(t))/2 * (t - s) - integral_s^t F`` of one cell."""
-    return 0.5 * (float(model.F(t)) + float(model.F(s))) * (t - s) \
-        - (float(model.Fint(t)) - float(model.Fint(s)))
+def _raw_defects(model: AnalyticModel, knots: np.ndarray) -> np.ndarray:
+    """Population raw defects ``(F(s) + F(t))/2 * (t - s) - integral_s^t F``
+    of the cells between consecutive ``knots``."""
+    knots = np.asarray(knots, dtype=float)
+    return _defect(model.F(knots), np.diff(model.Fint(knots)), np.diff(knots))
+
+
+def _fstars(model: AnalyticModel, mesh: KnotMesh) -> np.ndarray:
+    """Density at the mean-value knot of each cell: the ``f*`` of the tail bounds."""
+    return np.array([float(model.f(mean_value_knot(model, mesh, j))) for j in range(1, mesh.k + 1)])
 
 
 def _sample_defects(data: EmpiricalData, mesh: KnotMesh):
@@ -104,9 +112,8 @@ def _sample_defects(data: EmpiricalData, mesh: KnotMesh):
 def _population_defects(model: AnalyticModel, mesh: KnotMesh):
     """Spline and raw defects ``(t, r)`` of the integrated CDF on the mesh."""
     spline = interp_integrated_cdf(model, mesh)
-    dy = np.diff(spline.values)
-    return (_defect(spline.slopes, dy, mesh.deltas),
-            _defect(np.asarray(model.F(mesh.knots), dtype=float), dy, mesh.deltas))
+    return (_defect(spline.slopes, np.diff(spline.values), mesh.deltas),
+            _raw_defects(model, mesh.knots))
 
 
 def compute_quantities(data: EmpiricalData, model: AnalyticModel,
@@ -122,14 +129,12 @@ def compute_quantities(data: EmpiricalData, model: AnalyticModel,
     if not np.allclose(T - r, (R - r) + W + b, rtol=0.0, atol=1e-12 * scale):
         raise AssertionError("defect decomposition failed to close")
 
-    fstar = np.array([float(model.f(mean_value_knot(model, mesh, j)))
-                      for j in range(1, mesh.k + 1)])
     return LemmaQuantities(
         T=T, R=R, t=t, r=r, W=W, b=b,
         B=12.0 * T / widths ** 3,
         Btilde=12.0 * R / widths ** 3,
         delta=widths.copy(),
-        fstar=fstar,
+        fstar=_fstars(model, mesh),
     )
 
 
@@ -146,7 +151,7 @@ def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
     """
     if not 0.0 <= s < t:
         raise ValueError("need 0 <= s < t")
-    value = _cell_defect(model, s, t)
+    value = float(_raw_defects(model, [s, t])[0])
     cube = float(model.fprime(s)) * (t - s) ** 3 / 12.0
     quart = (t - s) ** 4 / 24.0
     lo = cube + _extreme(model.fsecond, s, t, "inf") * quart
@@ -172,8 +177,7 @@ def slope_difference_bound(model: AnalyticModel, mesh: KnotMesh, j: int):
         raise ValueError("need 1 <= j <= k-1")
     a = mesh.knots
     d = mesh.deltas
-    rj = _cell_defect(model, a[j - 1], a[j])
-    rj1 = _cell_defect(model, a[j], a[j + 1])
+    rj, rj1 = _raw_defects(model, a[j - 1:j + 2])
     lhs = rj / d[j - 1] ** 3 - rj1 / d[j] ** 3
 
     diff_quot = (float(model.fprime(a[j])) - float(model.fprime(a[j - 1]))) / d[j - 1]
@@ -289,7 +293,7 @@ def cell_variance(model: AnalyticModel, s: float, t: float) -> float:
     is integrated numerically.
     """
     mid = 0.5 * (s + t)
-    mean = _cell_defect(model, s, t)
+    mean = float(_raw_defects(model, [s, t])[0])
     second, _ = quad(lambda x: (x - mid) ** 2 * float(model.f(x)), s, t,
                      epsabs=1e-14, epsrel=1e-12, limit=200)
     return second - mean ** 2
@@ -302,13 +306,10 @@ def cell_variance_bound(p: float, f_star: float) -> float:
 
 def cell_variance_report(model: AnalyticModel, mesh: KnotMesh) -> list[dict]:
     """Check ``cell_variance <= cell_variance_bound`` on every cell."""
-    rows = []
     a = mesh.knots
-    for j in range(1, mesh.k + 1):
-        lhs = cell_variance(model, float(a[j - 1]), float(a[j]))
-        fstar = float(model.f(mean_value_knot(model, mesh, j)))
-        rows.append(_check(f"cell-variance-vs-bound[{j}]", lhs, cell_variance_bound(mesh.p, fstar)))
-    return rows
+    return [_check(f"cell-variance-vs-bound[{j}]", cell_variance(model, float(a[j - 1]), float(a[j])),
+                   cell_variance_bound(mesh.p, float(fstar)))
+            for j, fstar in enumerate(_fstars(model, mesh), 1)]
 
 
 def interp_gap_report(model: AnalyticModel, k_list) -> dict:

@@ -311,22 +311,17 @@ def as_curve(obj) -> CurveSum:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a curve")
 
 
+def _minus(a, b):
+    """``a - b`` for two optional curve parts, ``None`` standing for zero."""
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
 def curve_sub(g, h) -> CurveSum:
     g = as_curve(g)
     h = as_curve(h)
-    if g.poly is not None and h.poly is not None:
-        poly = g.poly - h.poly
-    elif h.poly is not None:
-        poly = -h.poly
-    else:
-        poly = g.poly
-    if g.smooth is not None and h.smooth is not None:
-        smooth = g.smooth - h.smooth
-    elif h.smooth is not None:
-        smooth = -h.smooth
-    else:
-        smooth = g.smooth
-    return CurveSum(poly, smooth, g.const - h.const)
+    return CurveSum(_minus(g.poly, h.poly), _minus(g.smooth, h.smooth), g.const - h.const)
 
 
 @dataclass(frozen=True)
@@ -406,25 +401,16 @@ def _flat(lo: float, hi: float) -> PiecewisePoly:
     return PiecewisePoly(np.array([lo, hi]), np.zeros((1, 4)))
 
 
-def _poly_extrema(pp: PiecewisePoly, lo: float, hi: float) -> Extrema:
-    """Exact extrema of a piecewise polynomial over [lo, hi].
-
-    One-sided limits at breakpoints count: each piece contributes its closed
-    left endpoint, its (open) right endpoint value, and interior stationary
-    points, which together cover the closure of the range.  Lines (degree
-    <= 1) have none of the last kind, so only their two ends are evaluated.
-    """
-    sl, ulo, uhi = _window(pp, lo, hi)
-    return _piece_extrema(pp.x[sl], pp.c[sl], ulo, uhi, pp.degree() <= 1)
-
-
 def _piece_extrema(x0, cc, ulo, uhi, linear: bool) -> Extrema:
     """Extrema over pieces starting at ``x0`` with local coefficients ``cc``,
     each taken over its local offsets ``[ulo, uhi]``.
 
-    Candidates are ranked piece by piece, so a tie goes to the first piece,
-    and any subset of pieces in order ranks its candidates as the whole set
-    does.  ``linear`` says every piece has degree <= 1.
+    One-sided limits at breakpoints count: each piece contributes its closed
+    left end, its (open) right end value and its interior stationary points
+    (lines, ``linear``, have none), which together cover the closure of the
+    range.  Candidates are ranked piece by piece, so a tie goes to the first
+    piece, and any subset of pieces in order ranks its candidates as the
+    whole set does.
     """
     # Horner in place (the operations and order of ((c3*u + c2)*u + c1)*u + c0,
     # without temporaries) and only the two winners' locations: these arrays
@@ -546,7 +532,8 @@ def extrema(g, lo: float, hi: float) -> Extrema:
         return Extrema(cs.const, lo, cs.const, lo)
     poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.smooth is None:
-        e = _poly_extrema(poly, lo, hi)
+        sl, ulo, uhi = _window(poly, lo, hi)
+        e = _piece_extrema(poly.x[sl], poly.c[sl], ulo, uhi, poly.degree() <= 1)
     else:
         e = _hybrid_extrema(poly, cs.smooth, lo, hi)
     return Extrema(e.min_val + cs.const, e.min_at, e.max_val + cs.const, e.max_at)
@@ -572,44 +559,29 @@ def _check(name: str, lhs: float, rhs: float, ok=None) -> dict:
     return dict(zip(_CHECK_COLUMNS, (name, ok, float(lhs), float(rhs), float(rhs - lhs))))
 
 
-class _RangeTable:
-    """Sparse table for O(1) range min/max queries, vectorized."""
+def _range_extrema(vals: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Min and max of ``vals`` over each inclusive index window ``[i, j]``.
 
-    def __init__(self, vals: np.ndarray):
-        n = len(vals)
-        levels = max(1, n.bit_length())
-        mins = [np.asarray(vals, dtype=float)]
-        maxs = [np.asarray(vals, dtype=float)]
-        for L in range(1, levels):
-            half = 1 << (L - 1)
-            prev_min, prev_max = mins[-1], maxs[-1]
-            if len(prev_min) <= half:
-                break
-            mins.append(np.minimum(prev_min[:-half], prev_min[half:]))
-            maxs.append(np.maximum(prev_max[:-half], prev_max[half:]))
-        self._mins = mins
-        self._maxs = maxs
-
-    def query(self, i, j):
-        """Range min and max over inclusive index ranges [i, j]; empty -> inf/-inf."""
-        i = np.asarray(i, dtype=int)
-        j = np.asarray(j, dtype=int)
-        out_min = np.full(i.shape, np.inf)
-        out_max = np.full(i.shape, -np.inf)
-        ok = j >= i
-        if not np.any(ok):
-            return out_min, out_max
-        length = np.where(ok, j - i + 1, 1)
-        k = np.frexp(length.astype(float))[1] - 1  # floor(log2(length))
-        k = np.clip(k, 0, len(self._mins) - 1)
-        for kk in np.unique(k[ok]):
-            sel = ok & (k == kk)
-            tab_min, tab_max = self._mins[kk], self._maxs[kk]
-            a = i[sel]
-            b = j[sel] - (1 << int(kk)) + 1
-            out_min[sel] = np.minimum(tab_min[a], tab_min[b])
-            out_max[sel] = np.maximum(tab_max[a], tab_max[b])
-        return out_min, out_max
+    A sparse table: row ``L`` holds the extrema of the ``2**L`` values from
+    each index on (entries that would run past the end are never read), so a
+    window of length ``>= 2**L`` is covered by two overlapping row-``L``
+    entries, and all windows are answered with one fancy-indexed query.  An
+    empty window (``j < i``) gives ``inf`` and ``-inf``.
+    """
+    m = len(vals)
+    mins = np.empty((max(1, m.bit_length()), m))
+    maxs = np.empty_like(mins)
+    mins[0] = maxs[0] = vals
+    for L in range(1, len(mins)):
+        half = 1 << (L - 1)
+        np.minimum(mins[L - 1, :-half], mins[L - 1, half:], out=mins[L, :-half])
+        np.maximum(maxs[L - 1, :-half], maxs[L - 1, half:], out=maxs[L, :-half])
+    ok = j >= i
+    L = np.frexp(np.where(ok, j - i + 1, 1).astype(float))[1] - 1  # floor(log2(length))
+    a = np.where(ok, i, 0)
+    b = np.where(ok, j + 1 - np.left_shift(1, L), 0)
+    return (np.where(ok, np.minimum(mins[L, a], mins[L, b]), np.inf),
+            np.where(ok, np.maximum(maxs[L, a], maxs[L, b]), -np.inf))
 
 
 def _shifted(cs: CurveSum, width: float) -> CurveSum:
@@ -651,10 +623,8 @@ def modulus(g, width: float, interval) -> float:
 
     # events: breakpoints, interval ends, and stationary points inside pieces
     # (NaN marks a piece without one and drops out with the range filter)
-    ev = [np.array([lo, hi])]
     poly = cs.poly if cs.poly is not None else _flat(lo, hi)
-    if cs.poly is not None:
-        ev.append(poly.x[(poly.x > lo) & (poly.x < hi)])
+    ev = [np.array([lo, hi]), poly.x[(poly.x > lo) & (poly.x < hi)]]
     sl, ulo, uhi = _window(poly, lo, hi)
     x0 = poly.x[sl]
     deg = poly.degree()
@@ -673,23 +643,19 @@ def modulus(g, width: float, interval) -> float:
     lvals = np.asarray(cs.left_limit(pts), dtype=float)
     lvals[0] = rvals[0]  # left limit at lo is outside the interval
 
-    rtab = _RangeTable(rvals)
-    ltab = _RangeTable(lvals)
-
     wlo = np.maximum(lo, pts - width)
     whi = np.minimum(hi, pts + width)
-    # right values count for event points in [wlo, whi]
-    r_i = np.searchsorted(pts, wlo, side="left")
-    r_j = np.searchsorted(pts, whi, side="right") - 1
-    # left limits count for event points in (wlo, whi]
-    l_i = np.searchsorted(pts, wlo, side="right")
-    l_j = r_j
-    rmin, rmax = rtab.query(r_i, r_j)
-    lmin, lmax = ltab.query(l_i, l_j)
+    # One table over left limits and right values interleaved (entry 2p the
+    # left limit at pts[p], 2p + 1 the value there): a window takes the left
+    # limits at events in (wlo, whi] and the values at events in [wlo, whi],
+    # which is one run of entries.
+    first = np.searchsorted(pts, wlo, side="left") + np.searchsorted(pts, wlo, side="right")
+    last = 2 * np.searchsorted(pts, whi, side="right") - 1
+    vmin, vmax = _range_extrema(np.column_stack([lvals, rvals]).ravel(), first, last)
     edge_lo = np.asarray(cs(wlo), dtype=float)
     edge_hi = np.asarray(cs(whi), dtype=float)
-    wmin = np.minimum(np.minimum(rmin, lmin), np.minimum(edge_lo, edge_hi))
-    wmax = np.maximum(np.maximum(rmax, lmax), np.maximum(edge_lo, edge_hi))
+    wmin = np.minimum(vmin, np.minimum(edge_lo, edge_hi))
+    wmax = np.maximum(vmax, np.maximum(edge_lo, edge_hi))
     here_hi = np.maximum(rvals, lvals)
     here_lo = np.minimum(rvals, lvals)
     best = float(np.max(np.maximum(here_hi - wmin, wmax - here_lo)))

@@ -2,9 +2,11 @@
 
 Sampling uses a counter-based generator (Philox) keyed by a 64-bit seed so
 replicates are reproducible bit-for-bit regardless of execution order or
-worker count.  The ECDF and its integral are exposed both as O(log n) point
-evaluators (via sorted prefix sums) and as exact piecewise-polynomial curves
-for the norm machinery in :mod:`shapedist.curves`.
+worker count; ``_generator`` is the one place such a generator is built, for
+the samples here and the other seeded draws of the experiments.  The ECDF
+and its integral are exposed both as O(log n) point evaluators (via sorted
+prefix sums) and as exact piecewise-polynomial curves for the norm machinery
+in :mod:`shapedist.curves`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ def seed_for(base_seed: int, n: int, replicate: int) -> int:
     # Python ints throughout: a numpy integer would overflow the 64-bit mixing
     h = _splitmix64(_splitmix64(int(n)) ^ (int(replicate) + 0x94D049BB133111EB))
     return (int(base_seed) ^ h) & _M64
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by the low 64 bits of ``seed``."""
+    return np.random.Generator(np.random.Philox(key=int(seed) & _M64))
 
 
 def _sorted_checked(x: np.ndarray) -> np.ndarray:
@@ -132,8 +139,8 @@ def sample(model: AnalyticModel, n: int, seed: int) -> EmpiricalData:
         raise ValueError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _M64))
-    return EmpiricalData._adopt(np.asarray(model.Finv(gen.random(n)), dtype=float), int(seed))
+    x = model.Finv(_generator(seed).random(n))
+    return EmpiricalData._adopt(np.asarray(x, dtype=float), int(seed))
 
 
 def ecdf(data: EmpiricalData, t):

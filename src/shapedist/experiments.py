@@ -34,7 +34,7 @@ from .bounds import (
 )
 from .convexlse import FitError, fit_lse
 from .curves import _check, sup_norm
-from .empirical import ecdf_curve, integrated_ecdf_curve, sample, seed_for
+from .empirical import _generator, ecdf_curve, integrated_ecdf_curve, sample, seed_for
 from .models import AnalyticModel, constants, knot_mesh_convex, knot_mesh_monotone, make_model
 from .monotone import broken_line_error_report, concavity_event, kw_tail_bound, lcm
 from .spline import convexity_event, smooth_interp_error_bounds
@@ -226,13 +226,7 @@ def _run_replicates(config: ExperimentConfig, worker, tasks) -> list:
         chunk = max(1, len(tasks) // (config.workers * 8))
         with Pool(processes=config.workers) as pool:
             return pool.map(worker, tasks, chunksize=chunk)
-    # Filled in place: a list grown by appending is reallocated among the
-    # draws' freed arrays; in the lemma suite that made glibc trim and regrow
-    # its heap on every replicate in most runs.
-    results = [None] * len(tasks)
-    for i, task in enumerate(tasks):
-        results[i] = worker(task)
-    return results
+    return [worker(task) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
                              row["max_abs_gap"], row["bound"]))
     checks.append(_check("interp-gap-decay", gap["final_over_first"], 0.25))
 
-    rng = np.random.Generator(np.random.Philox(key=seed_for(config.base_seed, 0, 0)))
+    rng = _generator(seed_for(config.base_seed, 0, 0))
     worst = math.inf
     ok = True
     for _ in range(1000):
@@ -486,8 +480,8 @@ def _lemma_replicate(task):
     # larger draw, it made glibc trim and regrow its heap on every replicate.
     defects = [[d[1] for d in _sample_defects(sample(model, n, seed_for(base_seed, n, rep)), mesh)]
                for n in _MC_SIZES]
-    fracs = [np.random.Generator(np.random.Philox(key=seed_for(base_seed, n, rep)))
-             .binomial(n, pm) / n for n, pm in _MC_CELL_MASSES]
+    fracs = [_generator(seed_for(base_seed, n, rep)).binomial(n, pm) / n
+             for n, pm in _MC_CELL_MASSES]
     return {"n": _MC_SIZES[-1], "defects": defects, "cell_frac": fracs}
 
 

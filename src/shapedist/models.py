@@ -77,9 +77,6 @@ class AnalyticModel:
     def Fint_curve(self) -> SmoothCurve:
         return SmoothCurve(self.Fint, self.F, self.f, self.fprime)
 
-    def f_curve(self) -> SmoothCurve:
-        return SmoothCurve(self.f, self.fprime, self.fsecond)
-
 
 @dataclass(frozen=True)
 class ModelConstants:

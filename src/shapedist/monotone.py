@@ -15,9 +15,9 @@ import math
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .curves import PiecewisePoly, _check, _check_breakpoints, extrema, sup_norm
+from .curves import PiecewisePoly, _check, _check_breakpoints, sup_norm
 from .empirical import EmpiricalData, ecdf, ecdf_curve
-from .models import AnalyticModel, KnotMesh
+from .models import AnalyticModel, KnotMesh, _extreme
 
 __all__ = [
     "PiecewiseLinear",
@@ -156,13 +156,12 @@ def broken_line_error_report(model: AnalyticModel, mesh: KnotMesh) -> dict:
 
     Verifies ``sup |F - I2 F| <= (1/8) |a|^2 sup |F''|`` over the mesh span,
     with both sides computed exactly (the sup via breakpoint analysis, the
-    derivative bound via the model's closed forms).
+    sup of ``|f'|`` at the interval ends, where the model contract puts it).
     """
     knots = mesh.knots
-    interp = broken_line(model.F, knots)
-    lhs = sup_norm(interp.as_curve(), model.F_curve(), (knots[0], knots[-1]))
-    dsup = extrema(model.f_curve().derivative(), float(knots[0]), float(knots[-1]))
-    sup_fp = max(abs(dsup.min_val), abs(dsup.max_val))
+    lo, hi = float(knots[0]), float(knots[-1])
+    lhs = sup_norm(broken_line(model.F, knots).as_curve(), model.F_curve(), (lo, hi))
+    sup_fp = _extreme(lambda t: np.abs(model.fprime(t)), lo, hi, "sup")
     return _check("chord-error-vs-curvature", lhs, mesh.mesh**2 * sup_fp / 8.0)
 
 

@@ -160,24 +160,17 @@ def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> n
 
 
 def second_derivative_slopes(spline: CubicSplineInterpolant) -> np.ndarray:
-    """Per-cell slopes of the spline's second derivative.
+    """Per-cell slopes of the spline's second derivative: six times the
+    leading cubic coefficient, ``6 (s_{j-1} + s_j - 2 dy / h) / h^2``.
 
-    Computed from the cubic coefficients (six times the leading coefficient)
-    and cross-checked against the equivalent knot-slope bracket form
-    ``(12 / h^3) ((s_{j-1} + s_j) h / 2 - dy)``.  Both routes read the same
-    knot slopes, so the check guards the arithmetic of the two forms only: it
-    cannot see a wrong slope solve, which shows as jumps of the second
-    derivative at the interior knots instead.
+    The knot-slope bracket form ``(12 / h^3) ((s_{j-1} + s_j) h / 2 - dy)``
+    is the same quantity, but on fine meshes the two forms cancel
+    differently and part by about ``k^2 * 1e-16`` of their scale, so only
+    this one is computed.
     """
     h = np.diff(spline.knots)
     dy = np.diff(spline.values)
-    s0, s1 = spline.slopes[:-1], spline.slopes[1:]
-    from_coeffs = 6.0 * (s0 + s1 - 2.0 * dy / h) / h**2
-    bracket = 12.0 / h**3 * _defect(spline.slopes, dy, h)
-    scale = np.max(np.abs(bracket)) + 1.0
-    if np.any(np.abs(from_coeffs - bracket) > 1e-9 * scale):
-        raise AssertionError("second-derivative slope routes disagree")
-    return from_coeffs
+    return 6.0 * (spline.slopes[:-1] + spline.slopes[1:] - 2.0 * dy / h) / h**2
 
 
 def hermite_second_derivative_slopes(data: EmpiricalData, mesh: KnotMesh) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from shapedist.bounds import (
+    _raw_defects,
     _sample_defects,
     EVENT_BOUND_RECIP_K,
     bernstein_cell_bound,
@@ -173,6 +174,29 @@ def test_population_defect_sign_and_uniform_case():
     qu = compute_quantities(sample(mu, 50, seed_for(82, 50, 0)), mu, knot_mesh_convex(mu, 4))
     assert np.max(np.abs(qu.r)) == 0.0
     np.testing.assert_allclose(qu.b, qu.t, atol=1e-15)
+
+
+def scalar_raw_defect(model, s, t):
+    """The one-cell raw defect as the package once computed it, scalar by scalar."""
+    return 0.5 * (float(model.F(t)) + float(model.F(s))) * (t - s) \
+        - (float(model.Fint(t)) - float(model.Fint(s)))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("truncated-exponential", (1.0,)), ("truncated-exponential", (2.0, 3.0)),
+    ("shifted-power", (3.0, 1.0)), ("shifted-power", (2.0, 1.0)),
+    ("beta-like", (2.0,)), ("beta-like", (1.5,)), ("uniform", ()),
+])
+def test_raw_defects_match_the_scalar_formula_bitwise(name, params):
+    m = make_model(name, params)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        s, t = (float(v) for v in np.sort(rng.uniform(0.0, m.tau, 2)))
+        assert _raw_defects(m, [s, t])[0] == scalar_raw_defect(m, s, t)
+    for k in (3, 10, 50):
+        a = knot_mesh_convex(m, k).knots
+        want = [scalar_raw_defect(m, float(a[j - 1]), float(a[j])) for j in range(1, k + 1)]
+        assert _raw_defects(m, a).tobytes() == np.array(want).tobytes()
 
 
 def test_taylor_bracket_thousand_intervals():

@@ -14,6 +14,7 @@ from shapedist.curves import (
     _bisect_many,
     _hybrid_stationary,
     _poly_stationary,
+    _range_extrema,
     _shifted,
     as_curve,
     curve_sub,
@@ -427,3 +428,29 @@ def test_sup_norm_of_lcm_and_ecdf_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 22 * 8 * n, peak / (8 * n)
+
+
+def brute_range(vals, i, j):
+    """Window extrema one slice at a time; empty windows give inf and -inf."""
+    lo = [vals[a:b + 1].min() if b >= a else np.inf for a, b in zip(i, j)]
+    hi = [vals[a:b + 1].max() if b >= a else -np.inf for a, b in zip(i, j)]
+    return np.array(lo), np.array(hi)
+
+
+@pytest.mark.parametrize("m", list(range(1, 71)) + [127, 128, 129, 1000])
+def test_range_extrema_matches_brute_force_on_every_window_length(m):
+    rng = np.random.default_rng(m)
+    # ties on a coarse lattice, and distinct floats
+    for vals in (rng.integers(-3, 4, m).astype(float), rng.normal(size=m)):
+        if m <= 129:  # every window
+            i, j = np.triu_indices(m)
+        else:  # every length, at a random start
+            length = np.arange(1, m + 1)
+            i = rng.integers(0, m - length + 1)
+            j = i + length - 1
+        # empty windows: inside, before the start and past the end
+        i = np.concatenate([i, [0, m, m // 2 + 1, m]])
+        j = np.concatenate([j, [-1, m - 1, m // 2, 0]])
+        got_lo, got_hi = _range_extrema(vals, i, j)
+        want_lo, want_hi = brute_range(vals, i, j)
+        assert np.array_equal(got_lo, want_lo) and np.array_equal(got_hi, want_hi)

@@ -140,6 +140,21 @@ def test_second_derivative_slopes_match_curve_route():
     np.testing.assert_allclose(B, (right - left) / (h - 2e-12), rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("name,params,k", [
+    ("beta-like", (2.0,), 1000),
+    ("shifted-power", (3.0, 1.0), 1500),
+    ("truncated-exponential", (1.0,), 2000),
+])
+def test_second_derivative_slopes_on_fine_population_meshes(name, params, k):
+    # On fine meshes the knot-slope bracket form cancels differently from the
+    # coefficient form, by about k^2 * 1e-16 of the scale (1.0e-9 to 1.7e-9
+    # here): the slopes must still come out, equal to the coefficient route.
+    m = make_model(name, params)
+    sp = interp_integrated_cdf(m, knot_mesh_convex(m, k))
+    np.testing.assert_allclose(second_derivative_slopes(sp), 6.0 * sp.as_curve().c[:, 3],
+                               rtol=1e-14, atol=0.0)
+
+
 def test_hermite_slopes_closed_form_example():
     # data {1, 3} on knots {0, 2, 4}: ecdf steps make both bracket terms
     # vanish, so the slope estimates are exactly zero.
