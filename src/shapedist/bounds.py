@@ -69,9 +69,7 @@ class LemmaQuantities:
     * ``b = t - r`` : deterministic interpolation gap;
     * ``B = 12 T / delta^3`` : slope of the 2nd derivative of the spline
       interpolant of the integrated ECDF on each cell; ``Btilde`` the same
-      with raw slopes (the Hermite version);
-    * ``delta`` : cell widths; ``fstar`` : density at the in-cell point
-      where density * width equals the cell mass.
+      with raw slopes (the Hermite version).
 
     The identity ``T - r = (R - r) + W + b`` holds by construction and is
     asserted to 1e-12 relative accuracy.
@@ -85,8 +83,6 @@ class LemmaQuantities:
     b: np.ndarray
     B: np.ndarray
     Btilde: np.ndarray
-    delta: np.ndarray
-    fstar: np.ndarray
 
 
 def _raw_defects(model: AnalyticModel, knots: np.ndarray) -> np.ndarray:
@@ -94,11 +90,6 @@ def _raw_defects(model: AnalyticModel, knots: np.ndarray) -> np.ndarray:
     of the cells between consecutive ``knots``."""
     knots = np.asarray(knots, dtype=float)
     return _defect(model.F(knots), np.diff(model.Fint(knots)), np.diff(knots))
-
-
-def _fstars(model: AnalyticModel, mesh: KnotMesh) -> np.ndarray:
-    """Density at the mean-value knot of each cell: the ``f*`` of the tail bounds."""
-    return np.array([float(model.f(mean_value_knot(model, mesh, j))) for j in range(1, mesh.k + 1)])
 
 
 def _sample_defects(data: EmpiricalData, mesh: KnotMesh):
@@ -133,8 +124,6 @@ def compute_quantities(data: EmpiricalData, model: AnalyticModel,
         T=T, R=R, t=t, r=r, W=W, b=b,
         B=12.0 * T / widths ** 3,
         Btilde=12.0 * R / widths ** 3,
-        delta=widths.copy(),
-        fstar=_fstars(model, mesh),
     )
 
 
@@ -305,11 +294,12 @@ def cell_variance_bound(p: float, f_star: float) -> float:
 
 
 def cell_variance_report(model: AnalyticModel, mesh: KnotMesh) -> list[dict]:
-    """Check ``cell_variance <= cell_variance_bound`` on every cell."""
+    """Check ``cell_variance <= cell_variance_bound`` on every cell, with f* the
+    density at the cell's mean-value knot."""
     a = mesh.knots
     return [_check(f"cell-variance-vs-bound[{j}]", cell_variance(model, float(a[j - 1]), float(a[j])),
-                   cell_variance_bound(mesh.p, float(fstar)))
-            for j, fstar in enumerate(_fstars(model, mesh), 1)]
+                   cell_variance_bound(mesh.p, float(model.f(mean_value_knot(model, mesh, j)))))
+            for j in range(1, mesh.k + 1)]
 
 
 def interp_gap_report(model: AnalyticModel, k_list) -> dict:

@@ -111,60 +111,46 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _print_csv(columns, rows) -> None:
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(_fmt(row[c]) for c in columns))
+# Each subcommand returns (exit code, JSON document, CSV columns, CSV rows);
+# ``main`` prints the document or the rows in the chosen format.
+
+def _rate(config: ExperimentConfig):
+    result = (run_monotone_rate if config.target == "monotone" else run_convex_rate)(config)
+    fits = {"sup_F_diff": result.fit_F, "sup_H_diff": result.fit_H}
+    doc = {name: {"slope": f.slope, "intercept": f.intercept, "stderr": f.stderr}
+           for name, f in fits.items() if f is not None}
+    return 0, doc, ("distance", "slope", "stderr", "intercept"), \
+        [dict(fit, distance=name) for name, fit in doc.items()]
 
 
-def _cmd_rate(args) -> int:
-    config = build_config(args)
-    result = run_monotone_rate(config) if args.case == "monotone" else run_convex_rate(config)
-    fits = {"sup_F_diff": result.fit_F}
-    if result.fit_H is not None:
-        fits["sup_H_diff"] = result.fit_H
-    if args.fmt == "json":
-        print(json.dumps({name: {"slope": f.slope, "intercept": f.intercept,
-                                 "stderr": f.stderr} for name, f in fits.items()},
-                         indent=2))
-    else:
-        _print_csv(("distance", "slope", "stderr", "intercept"),
-                   [{"distance": name, "slope": f.slope, "stderr": f.stderr,
-                     "intercept": f.intercept} for name, f in fits.items()])
-    return 0
-
-
-def _cmd_events(args) -> int:
-    config = build_config(args)
+def _events(config: ExperimentConfig):
     summary = run_event_frequency(config)
-    if args.fmt == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        _print_csv(_EVENT_SUMMARY_COLUMNS, summary)
-    return 0
+    return 0, summary, _EVENT_SUMMARY_COLUMNS, summary
 
 
-def _cmd_lemmas(args) -> int:
-    config = build_config(args)
+def _lemmas(config: ExperimentConfig):
     report = run_lemma_suite(config)
-    if args.fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _print_csv(_CHECK_COLUMNS, report["checks"])
-    return 0 if report["pass"] else 1
+    return 0 if report["pass"] else 1, report, _CHECK_COLUMNS, report["checks"]
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"rate": _cmd_rate, "events": _cmd_events, "lemmas": _cmd_lemmas}
+    handlers = {"rate": _rate, "events": _events, "lemmas": _lemmas}
     try:
-        return handlers[args.command](args)
+        code, doc, columns, rows = handlers[args.command](build_config(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except FitError as err:
         print(f"fit failure: {err}", file=sys.stderr)
         return 1
+    if args.fmt == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_fmt(row[c]) for c in columns))
+    return code
 
 
 if __name__ == "__main__":

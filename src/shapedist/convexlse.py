@@ -161,10 +161,10 @@ class ConvexLse:
         return PiecewisePoly(bx, c)
 
     def cdf_curve(self, upto: float) -> PiecewisePoly:
-        return self.density_curve(upto).antiderivative(0.0)
+        return self.density_curve(upto).antiderivative()
 
     def integrated_cdf_curve(self, upto: float) -> PiecewisePoly:
-        return self.cdf_curve(upto).antiderivative(0.0)
+        return self.cdf_curve(upto).antiderivative()
 
 
 def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):

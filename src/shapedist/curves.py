@@ -153,8 +153,8 @@ class PiecewisePoly:
         dc = np.column_stack([c[:, 1], 2.0 * c[:, 2], 3.0 * c[:, 3], np.zeros(len(c))])
         return PiecewisePoly(self.x, dc)
 
-    def antiderivative(self, y0: float = 0.0) -> "PiecewisePoly":
-        """Continuous antiderivative with value ``y0`` at the left endpoint.
+    def antiderivative(self) -> "PiecewisePoly":
+        """Continuous antiderivative, zero at the left endpoint.
 
         Only defined for pieces of degree <= 2 (the result must stay cubic).
         """
@@ -163,7 +163,7 @@ class PiecewisePoly:
         h = np.diff(self.x)
         c = self.c
         ints = ((c[:, 2] / 3.0 * h + c[:, 1] / 2.0) * h + c[:, 0]) * h
-        starts = y0 + np.concatenate([[0.0], np.cumsum(ints)[:-1]])
+        starts = np.concatenate([[0.0], np.cumsum(ints)[:-1]])
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
@@ -210,13 +210,6 @@ class PiecewisePoly:
     def __neg__(self):
         return PiecewisePoly(self.x, -self.c)
 
-    def __mul__(self, a):
-        if np.isscalar(a):
-            return PiecewisePoly(self.x, self.c * a)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
 
 class SmoothCurve:
     """A smooth function with a chain of derivatives.
@@ -244,22 +237,10 @@ class SmoothCurve:
             raise ValueError("derivative chain exhausted")
         return SmoothCurve(*self.funcs[1:])
 
-    def _combine(self, other: "SmoothCurve", sign: float) -> "SmoothCurve":
-        k = min(len(self.funcs), len(other.funcs))
-        funcs = tuple(
-            (lambda t, fa=self.funcs[j], fb=other.funcs[j], s=sign: fa(t) + s * fb(t))
-            for j in range(k)
-        )
-        return SmoothCurve(*funcs)
-
-    def __add__(self, other):
-        if isinstance(other, SmoothCurve):
-            return self._combine(other, 1.0)
-        return NotImplemented
-
     def __sub__(self, other):
         if isinstance(other, SmoothCurve):
-            return self._combine(other, -1.0)
+            return SmoothCurve(*((lambda t, fa=fa, fb=fb: fa(t) - fb(t))
+                                 for fa, fb in zip(self.funcs, other.funcs)))
         return NotImplemented
 
     def __neg__(self):
@@ -645,20 +626,27 @@ def modulus(g, width: float, interval) -> float:
 
     wlo = np.maximum(lo, pts - width)
     whi = np.minimum(hi, pts + width)
+    clipped = pts + width > hi
     # One table over left limits and right values interleaved (entry 2p the
-    # left limit at pts[p], 2p + 1 the value there): a window takes the left
-    # limits at events in (wlo, whi] and the values at events in [wlo, whi],
-    # which is one run of entries.
+    # left limit at pts[p], 2p + 1 the value there).  The value at an event
+    # pairs with the left limits at events in (wlo, whi] and the values at
+    # events in [wlo, whi], which is one run of entries.  Its left limit
+    # pairs with the same run less the value at whi = p + width, which lies
+    # more than width away, and with the left limit at whi for an edge;
+    # clipped at hi, the window keeps the value there.
     first = np.searchsorted(pts, wlo, side="left") + np.searchsorted(pts, wlo, side="right")
-    last = 2 * np.searchsorted(pts, whi, side="right") - 1
-    vmin, vmax = _range_extrema(np.column_stack([lvals, rvals]).ravel(), first, last)
-    edge_lo = np.asarray(cs(wlo), dtype=float)
-    edge_hi = np.asarray(cs(whi), dtype=float)
+    upto = np.searchsorted(pts, whi, side="right")
+    last_r = 2 * upto - 1
+    last_l = np.where(clipped, last_r, np.searchsorted(pts, whi, side="left") + upto - 1)
+    vmin, vmax = _range_extrema(np.column_stack([lvals, rvals]).ravel(),
+                                np.concatenate([first, first]), np.concatenate([last_r, last_l]))
+    edge_lo = np.tile(np.asarray(cs(wlo), dtype=float), 2)
+    edge_r = np.asarray(cs(whi), dtype=float)
+    edge_hi = np.concatenate([edge_r, np.where(clipped, edge_r, cs.left_limit(whi))])
     wmin = np.minimum(vmin, np.minimum(edge_lo, edge_hi))
     wmax = np.maximum(vmax, np.maximum(edge_lo, edge_hi))
-    here_hi = np.maximum(rvals, lvals)
-    here_lo = np.minimum(rvals, lvals)
-    best = float(np.max(np.maximum(here_hi - wmin, wmax - here_lo)))
+    here = np.concatenate([rvals, lvals])
+    best = float(np.max(np.maximum(here - wmin, wmax - here)))
 
     best = max(best, extrema(curve_sub(_shifted(cs, width), cs), lo, hi - width).sup_abs)
     return max(best, 0.0)

@@ -190,4 +190,4 @@ def ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
 
 def integrated_ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
     """The running ECDF integral as an exact piecewise-linear curve."""
-    return ecdf_curve(data, upto).antiderivative(0.0)
+    return ecdf_curve(data, upto).antiderivative()

@@ -5,7 +5,9 @@ a counter-based generator keyed by ``seed_for(base_seed, n, r)``, results
 are merged in task order regardless of worker count, and CSV floats are
 written with ``repr`` so identical configs give identical bytes.  Rate rows
 come in (n, replicate) order.  Event rows come in (c0, n, replicate) order,
-from one draw per (n, replicate) shared by every c0 of the sweep.
+from one draw per (n, replicate) shared by every c0 of the sweep.  Both
+come from one sweep (``_sweep``): one task per (n, replicate), all in one
+pool, with the rate drivers sweeping the single value ``config.c0``.
 """
 
 import functools
@@ -132,7 +134,6 @@ class RateFit:
     slope: float
     intercept: float
     stderr: float
-    pairs: tuple
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,7 @@ def _ols(x, y) -> RateFit:
     dof = len(x) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else float("nan")
-    return RateFit(slope=float(coef[0]), intercept=float(coef[1]),
-                   stderr=stderr, pairs=tuple(zip(x.tolist(), y.tolist())))
+    return RateFit(slope=float(coef[0]), intercept=float(coef[1]), stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +171,22 @@ def _model_and_meshes(name: str, params: tuple, tau_q: float, target: str, ks: t
 
 
 def _replicate(task):
-    """One seeded replicate: the shape event on the mesh of each cell count
-    in ``ks``, and optionally the sup-norm distances of the target's
-    estimator from the ECDF side.
+    """One seeded replicate ``(config, distances, n, rep, ks)``: the shape
+    event on the mesh of each cell count in ``ks``, and optionally the
+    sup-norm distances of the target's estimator from the ECDF side.
 
     Monotone: ``sup |Fhat_n - Fn|`` over the sample range.  Convex:
     ``sup |Ftilde_n - Fn|`` and ``sup |Htilde_n - Yn|`` over [0, tau].
     Returns a row whose ``k`` is ``ks`` and whose ``event_An`` holds one
-    event per entry of ``ks``; ``_row`` picks one of them.
+    event per entry of ``ks``; ``_sweep`` picks one of them.
     """
-    target, distances, name, params, tau_q, n, rep, seed, ks = task
-    model, meshes = _model_and_meshes(name, params, tau_q, target, ks)
+    config, distances, n, rep, ks = task
+    seed = seed_for(config.base_seed, n, rep)
+    model, meshes = _model_and_meshes(config.model, tuple(config.params),
+                                      config.tau_quantile, config.target, ks)
     data = sample(model, n, seed)
     sup_f = sup_h = None
-    if target == "monotone":
+    if config.target == "monotone":
         if distances:
             sup_f = float(sup_norm(lcm(data).as_curve(), ecdf_curve(data),
                                    (0.0, float(data.x[-1]))))
@@ -202,22 +204,10 @@ def _replicate(task):
                                    integrated_ecdf_curve(data, upto=cap), (0.0, tau)))
         event = convexity_event
     return {
-        "model": name, "n": n, "k": ks, "replicate": rep,
+        "model": config.model, "n": n, "k": ks, "replicate": rep,
         "sup_F_diff": sup_f, "sup_H_diff": sup_h,
         "event_An": tuple(int(event(data, mesh)) for mesh in meshes), "seed": seed,
     }
-
-
-def _row(result: dict, i: int) -> dict:
-    """The replicate row of ``_replicate`` result ``result`` at its ``i``-th cell count."""
-    return dict(result, k=result["k"][i], event_An=result["event_An"][i])
-
-
-def _tasks(config: ExperimentConfig, distances: bool, sizes) -> list:
-    """``_replicate`` tasks for each ``(n, ks)`` in ``sizes`` and each replicate, in that order."""
-    return [(config.target, distances, config.model, tuple(config.params), config.tau_quantile,
-             n, rep, seed_for(config.base_seed, n, rep), ks)
-            for n, ks in sizes for rep in range(config.replicates)]
 
 
 def _run_replicates(config: ExperimentConfig, worker, tasks) -> list:
@@ -274,32 +264,29 @@ def _meta(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # drivers
 
-def _per_n_summary(config: ExperimentConfig, rows, ks: dict) -> list:
-    out = []
-    for n in config.n_grid:
-        sub = [r for r in rows if r["n"] == n]
-        mean_f = float(np.mean([r["sup_F_diff"] for r in sub]))
-        have_h = sub[0]["sup_H_diff"] is not None
-        mean_h = float(np.mean([r["sup_H_diff"] for r in sub])) if have_h else None
-        out.append({
-            "model": config.model, "n": n, "k": ks[n],
-            "mean_sup_F_diff": mean_f,
-            "mean_sup_H_diff": mean_h,
-            "root_n_mean_sup_F_diff": math.sqrt(n) * mean_f,
-            "root_n_mean_sup_H_diff": math.sqrt(n) * mean_h if have_h else None,
-            "event_freq": float(np.mean([r["event_An"] for r in sub])),
-        })
-    return out
+def _per_n_summary(config: ExperimentConfig, n: int, rows) -> dict:
+    mean_f = float(np.mean([r["sup_F_diff"] for r in rows]))
+    have_h = rows[0]["sup_H_diff"] is not None
+    mean_h = float(np.mean([r["sup_H_diff"] for r in rows])) if have_h else None
+    return {
+        "model": config.model, "n": n, "k": rows[0]["k"],
+        "mean_sup_F_diff": mean_f,
+        "mean_sup_H_diff": mean_h,
+        "root_n_mean_sup_F_diff": math.sqrt(n) * mean_f,
+        "root_n_mean_sup_H_diff": math.sqrt(n) * mean_h if have_h else None,
+        "event_freq": float(np.mean([r["event_An"] for r in rows])),
+    }
 
 
 _SUMMARY_COLUMNS = ("model", "n", "k", "mean_sup_F_diff", "mean_sup_H_diff",
                     "root_n_mean_sup_F_diff", "root_n_mean_sup_H_diff", "event_freq")
 
 
-def _emit(config: ExperimentConfig, kind: str, rows, summary_columns, summary) -> None:
-    """Write the replicate rows to ``config.out`` and the summary next to it, if set."""
+def _emit(config: ExperimentConfig, kind: str, groups, summary_columns, summary) -> None:
+    """Write the rows of ``groups`` to ``config.out`` and the summary next to it, if set."""
     if not config.out:
         return
+    rows = [row for _, _, got in groups for row in got]
     _write_csv(config.out, f"shapedist-{kind}-v1", _meta(config), REPLICATE_COLUMNS, rows)
     _write_csv(_summary_path(config.out), f"shapedist-{kind}-summary-v1",
                _meta(config), summary_columns, summary)
@@ -322,18 +309,45 @@ def _k_rule_constants(model: AnalyticModel, target: str, what: str):
     return beta, m
 
 
+def _sweep(config: ExperimentConfig, what: str, c0s, distances: bool, min_sizes: int = 1):
+    """Run the replicates of ``config`` for every c0 in ``c0s``: ``(beta, groups)``.
+
+    The cell count at ``(c0, n)`` is ``config.k_override``, which replaces
+    the sweep by the one point c0 = 0.0, or else the k-rule at ``c0``.
+    Replicate ``r`` at size ``n`` is one task, drawn once, whose shape event
+    is evaluated on the mesh of every distinct cell count at ``n``; every
+    task runs in one pool.  ``groups`` lists ``(c0, n, rows)`` in ``(c0, n)``
+    order, each row carrying the cell count and event of its ``(c0, n)``.
+    """
+    model = _validate(config, min_sizes)
+    beta, m = _k_rule_constants(model, config.target, f"{config.target} {what} run")
+    if config.k_override:
+        c0s = (0.0,)
+    elif not (c0s and all(0 < c0 < math.inf for c0 in c0s)):
+        raise ConfigError("c0_sweep must be a non-empty list of positive, finite values")
+    ks = {(c0, n): config.k_override or k_rule(n, beta, m, c0)
+          for c0 in c0s for n in config.n_grid}
+    per_n = {n: tuple(sorted({ks[c0, n] for c0 in c0s})) for n in config.n_grid}
+    reps = config.replicates
+    results = _run_replicates(config, _replicate, [(config, distances, n, rep, per_n[n])
+                                                   for n in config.n_grid for rep in range(reps)])
+    groups = []
+    for c0 in c0s:
+        for i, n in enumerate(config.n_grid):
+            j = per_n[n].index(ks[c0, n])
+            groups.append((c0, n, [dict(r, k=r["k"][j], event_An=r["event_An"][j])
+                                   for r in results[i * reps:(i + 1) * reps]]))
+    return beta, groups
+
+
 def _run_rate(config: ExperimentConfig) -> RateResult:
-    target = config.target
-    model = _validate(config, min_sizes=3)
-    beta, m = _k_rule_constants(model, target, f"{target} rate run")
-    ks = {n: config.k_override or k_rule(n, beta, m, config.c0) for n in config.n_grid}
-    tasks = _tasks(config, True, [(n, (k,)) for n, k in ks.items()])
-    rows = [_row(r, 0) for r in _run_replicates(config, _replicate, tasks)]
-    summary = _per_n_summary(config, rows, ks)
+    _, groups = _sweep(config, "rate", (config.c0,), True, min_sizes=3)
+    summary = [_per_n_summary(config, n, rows) for _, n, rows in groups]
     fit_f = _ols(*_log_xy(config, summary, "mean_sup_F_diff"))
-    fit_h = None if target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
-    _emit(config, "rate", rows, _SUMMARY_COLUMNS, summary)
-    return RateResult(fit_F=fit_f, fit_H=fit_h, rows=rows, summary=summary)
+    fit_h = None if config.target == "monotone" else _ols(*_log_xy(config, summary, "mean_sup_H_diff"))
+    _emit(config, "rate", groups, _SUMMARY_COLUMNS, summary)
+    return RateResult(fit_F=fit_f, fit_H=fit_h, rows=[r for _, _, got in groups for r in got],
+                      summary=summary)
 
 
 def run_monotone_rate(config: ExperimentConfig) -> RateResult:
@@ -366,43 +380,21 @@ def run_event_frequency(config: ExperimentConfig) -> list:
     the rule-chosen mesh.  Each summary row carries the analytic bound on
     the failure probability and whether that bound is vacuous (>= 1).
 
-    Replicate ``r`` at size ``n`` is drawn once and its event evaluated on
-    the mesh of every distinct ``k`` the sweep gives at ``n``; all
-    replicates run in one pool.  Rows and summary rows come in
-    ``(c0, n, replicate)`` order, so every c0 sees the same samples.
+    Replicate ``r`` at size ``n`` is drawn once, and every c0 sees the same
+    samples.  Rows and summary rows come in ``(c0, n, replicate)`` order.
     """
-    model = _validate(config)
-    beta, m = _k_rule_constants(model, config.target, f"{config.target} event run")
-    if config.k_override:
-        sweep = (None,)
-    elif config.c0_sweep and all(0 < c0 < math.inf for c0 in config.c0_sweep):
-        sweep = tuple(config.c0_sweep)
-    else:
-        raise ConfigError("c0_sweep must be a non-empty list of positive, finite values")
-    ks = {(c0, n): config.k_override or k_rule(n, beta, m, c0)
-          for c0 in sweep for n in config.n_grid}
-    per_n = {n: tuple(sorted({ks[c0, n] for c0 in sweep})) for n in config.n_grid}
-    results = _run_replicates(config, _replicate, _tasks(config, False, per_n.items()))
-    reps = config.replicates
-    by_n = {n: results[i * reps:(i + 1) * reps] for i, n in enumerate(config.n_grid)}
-    rows, summary = [], []
-    for c0 in sweep:
-        for n in config.n_grid:
-            k = ks[c0, n]
-            got = [_row(r, per_n[n].index(k)) for r in by_n[n]]
-            rows.extend(got)
-            freq = float(np.mean([r["event_An"] for r in got]))
-            if config.target == "monotone":
-                bound = float(kw_tail_bound(n, k, beta))
-            else:
-                bound = float(convexity_event_bound(n, k, beta))
-            summary.append({
-                "model": config.model, "target": config.target,
-                "c0": float(c0) if c0 is not None else 0.0,
-                "n": n, "k": k, "freq": freq, "bound": bound,
-                "vacuous": int(bound >= 1.0),
-            })
-    _emit(config, "events", rows, _EVENT_SUMMARY_COLUMNS, summary)
+    beta, groups = _sweep(config, "event", config.c0_sweep, False)
+    tail_bound = kw_tail_bound if config.target == "monotone" else convexity_event_bound
+    summary = []
+    for c0, n, rows in groups:
+        k = rows[0]["k"]
+        bound = float(tail_bound(n, k, beta))
+        summary.append({
+            "model": config.model, "target": config.target, "c0": float(c0),
+            "n": n, "k": k, "freq": float(np.mean([r["event_An"] for r in rows])),
+            "bound": bound, "vacuous": int(bound >= 1.0),
+        })
+    _emit(config, "events", groups, _EVENT_SUMMARY_COLUMNS, summary)
     return summary
 
 
@@ -472,15 +464,17 @@ _MC_CELL_MASSES = ((40000, 0.01), (100000, 0.005))  # (n, p) of the binomial dra
 
 
 def _lemma_replicate(task):
-    """Lemma-suite replicate ``rep``: cell-2 defects ``(T, R)`` on the k = 3 mesh and
-    cell fractions, each draw keyed by ``seed_for(base_seed, n, rep)``; ``n``: largest size."""
-    name, params, tau_q, base_seed, rep = task
-    model, (mesh,) = _model_and_meshes(name, params, tau_q, "convex", (3,))
+    """Lemma-suite replicate ``(config, rep)``: cell-2 defects ``(T, R)`` on the k = 3
+    mesh and cell fractions, each draw keyed by ``seed_for(config.base_seed, n, rep)``;
+    ``n``: largest size."""
+    config, rep = task
+    model, (mesh,) = _model_and_meshes(config.model, tuple(config.params), config.tau_quantile,
+                                       "convex", (3,))
     # Each sample is dropped before the next is drawn: kept alive through the
     # larger draw, it made glibc trim and regrow its heap on every replicate.
-    defects = [[d[1] for d in _sample_defects(sample(model, n, seed_for(base_seed, n, rep)), mesh)]
+    defects = [[d[1] for d in _sample_defects(sample(model, n, seed_for(config.base_seed, n, rep)), mesh)]
                for n in _MC_SIZES]
-    fracs = [_generator(seed_for(base_seed, n, rep)).binomial(n, pm) / n
+    fracs = [_generator(seed_for(config.base_seed, n, rep)).binomial(n, pm) / n
              for n, pm in _MC_CELL_MASSES]
     return {"n": _MC_SIZES[-1], "defects": defects, "cell_frac": fracs}
 
@@ -491,9 +485,8 @@ def _suite_monte_carlo(model, config: ExperimentConfig) -> list:
     p = mesh.p
     fstar = mesh.mass * p / float(mesh.deltas[1])
     t_det, r_det = (d[1] for d in _population_defects(model, mesh))
-    got = _run_replicates(config, _lemma_replicate, [
-        (config.model, tuple(config.params), config.tau_quantile, config.base_seed, rep)
-        for rep in range(config.replicates)])
+    got = _run_replicates(config, _lemma_replicate,
+                          [(config, rep) for rep in range(config.replicates)])
     T, R = (dict(zip(_MC_SIZES, a)) for a in np.array([g["defects"] for g in got]).T)
     fracs = dict(zip(_MC_CELL_MASSES, np.array([g["cell_frac"] for g in got]).T))
     checks = []

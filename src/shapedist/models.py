@@ -141,17 +141,17 @@ def constants(model: AnalyticModel) -> ModelConstants:
     return ModelConstants(beta1, gamma1, beta2, gamma1_tilde, gamma2, R)
 
 
-def _bisect_inverse(F, lo: float, hi: float, u, iters: int = 80):
+def _bisect_inverse(F, lo: float, hi: float, u):
     """Vectorized bisection solve of F(x) = u on [lo, hi] for increasing F.
 
-    Runs ``iters`` steps, or stops early after the first step that moves no
+    Runs 80 steps, or stops early after the first step that moves no
     bracket end: the next step depends only on ``(a, b)``, so every later
     step would repeat it and the result is the same to the bit.
     """
     u = np.asarray(u, dtype=float)
     a = np.full(u.shape, lo)
     b = np.full(u.shape, hi)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (a + b)
         less = F(mid) < u
         a_next = np.where(less, mid, a)

@@ -1,6 +1,7 @@
 """Command line surface: flags, config files, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -119,6 +120,38 @@ def test_non_finite_params_are_a_config_error(capsys):
     # refused by the catalog before the model is built, with its own message
     assert cli.main(RATE_ARGS + ["--params", "nan"]) == 2
     assert capsys.readouterr().err == "config error: rate must be positive and finite\n"
+
+
+# sha256 of stdout, exit code and stderr of each command in CSV and JSON,
+# frozen so that how the subcommands print cannot move a byte
+STDOUT_SHA256 = [
+    (RATE_ARGS, 0, "f41365939afd7567ace5f953687d30831402ff02ecbed999c30df24d3d85e4b4",
+     "289ada017e21d206e92ffbd20f6b5b5296a27b40b00506213d6e50e77d248890", ""),
+    (["rate", "--case", "monotone", "--model", "truncated-exponential", "--params", "1.0,1.0",
+      "--n-grid", "64,128,256", "--reps", "3", "--seed", "5"], 0,
+     "89354511333c31bcef991b60621564dbb5b916ebe92262ce1f0ae239b410c47d",
+     "02cbd03a2f172d6537a10fe71e0f8e7fddb5aed17371ea54370c31375f3597b7", ""),
+    (["events", "--case", "monotone", "--model", "truncated-exponential", "--params", "1.0,1.0",
+      "--n-grid", "64,128", "--reps", "3", "--seed", "5", "--c0-sweep", "1,2"], 0,
+     "78558fd64ecfdd521a14eaca87ff173844013540207dbc75ae4a97d2064332f6",
+     "4dc7f4d900657f0dd1afad0ee3caf5e805fc513670eacb4cdb483c9b869bb668", ""),
+    # 20 replicates are too few for every Monte Carlo check: exit code 1
+    (["lemmas", "--model", "truncated-exponential", "--params", "1.0", "--reps", "20",
+      "--seed", "1"], 1,
+     "269b8d4f836ab700039e25a692a3d3fb39f83161578e7c665ea71a492b3d1d6f",
+     "2d8720afeb1face0399268bcf539ffdbc1013d1d51a29fe3f67e67da511d67f2", ""),
+    (RATE_ARGS + ["--c0", "0"], 2, hashlib.sha256(b"").hexdigest(), hashlib.sha256(b"").hexdigest(),
+     "config error: c0 must be positive and finite\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, csv_sha, json_sha, err", STDOUT_SHA256)
+def test_stdout_bytes_frozen(capsys, args, code, csv_sha, json_sha, err):
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        assert cli.main(args + ["--format", fmt]) == code
+        got = capsys.readouterr()
+        assert hashlib.sha256(got.out.encode()).hexdigest() == sha, fmt
+        assert got.err == err
 
 
 def test_load_config_file(tmp_path):

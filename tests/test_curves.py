@@ -22,7 +22,7 @@ from shapedist.curves import (
     modulus,
     sup_norm,
 )
-from shapedist.empirical import EmpiricalData, ecdf_curve, sample, seed_for
+from shapedist.empirical import EmpiricalData, ecdf_curve, integrated_ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
 from shapedist.monotone import lcm, marshall_check
 from shapedist.spline import complete_spline, interp_integrated_ecdf
@@ -270,6 +270,50 @@ def test_modulus_past_the_breakpoints_counts_true_increments(x, c, interval):
     assert brute <= exact + TOL
 
 
+def test_modulus_does_not_pair_a_left_limit_with_the_value_width_away():
+    # 0 on [0, 1), 5 on [1, 2), 10 on [2, 3]: the left limit 0 at 1 and the
+    # value 10 at 2 are more than 1 apart, so no admissible pair differs by 10
+    g = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
+                      np.array([[0.0, 0, 0, 0], [5.0, 0, 0, 0], [10.0, 0, 0, 0]]))
+    assert [modulus(g, w, (0.0, 3.0)) for w in (0.999, 1.0, 1.001)] == [5.0, 5.0, 10.0]
+
+
+def lattice_modulus(g, width, lo, hi):
+    """Modulus of a step curve with jumps on the 1/4 grid, by brute force.
+
+    Candidates are the 1/8-grid points of [lo, hi] and the points 1e-9 to
+    their left (the left limits), and a pair is admissible when it is at
+    most ``width`` apart, decided in exact lattice arithmetic.
+    """
+    k = np.arange(round(8 * lo), round(8 * hi) + 1)
+    eighths = np.concatenate([k, k[1:]])
+    left = np.concatenate([np.zeros(len(k)), np.ones(len(k) - 1)])  # 1: 1e-9 to the left
+    vals = g(eighths / 8.0 - 1e-9 * left)
+    d = eighths[None, :] - eighths[:, None]
+    e = left[None, :] - left[:, None]
+    w = round(8 * width)
+    # |d/8 - e*1e-9| <= width, with d and 8*width integers
+    ok = ((d < w) | ((d == w) & (e >= 0))) & ((d > -w) | ((d == -w) & (e <= 0)))
+    return float(np.max(np.abs(vals[None, :] - vals[:, None])[ok]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_modulus_of_lattice_step_curves_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    wrong = []
+    for _ in range(12):
+        x = np.arange(rng.integers(-4, 2), rng.integers(6, 14) + 1) / 4.0
+        c = np.zeros((len(x) - 1, 4))
+        c[:, 0] = rng.integers(0, 10, len(c))
+        g = PiecewisePoly(x, c)
+        lo, hi = np.sort(rng.choice(np.arange(-8, 120), 2, replace=False)) / 8.0
+        for width in np.arange(1, min(round(4 * (hi - lo)), 12) + 2) / 4.0:
+            got, want = modulus(g, width, (lo, hi)), lattice_modulus(g, width, lo, hi)
+            if got != want:
+                wrong.append((lo, hi, width, got, want))
+    assert not wrong
+
+
 def test_sum_past_one_operands_breakpoints_continues_that_operand():
     # t on [0, 1] minus a step from 0 to 5 at 1.5: each operand continues its
     # own end piece, so |a - b| peaks at 3.5 (left limit at 1.5) on [0, 2]
@@ -428,6 +472,21 @@ def test_sup_norm_of_lcm_and_ecdf_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 22 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("name, params", [("truncated-exponential", (1.0,)),
+                                          ("beta-like", (2.0,)), ("shifted-power", (3.0, 1.0))])
+def test_sup_norm_of_model_and_sample_curves_is_symmetric_bitwise(name, params):
+    # the smooth-minus-poly order negates the poly part, a route the drivers
+    # never take; both orders must give the same bits
+    model = make_model(name, params)
+    for n in (10, 200):
+        data = sample(model, n, seed_for(4, n, 0))
+        for interval in ((0.0, model.tau), (0.1 * model.tau, float(data.x[-1]))):
+            for smooth, poly in ((model.F_curve(), ecdf_curve(data)),
+                                 (model.Fint_curve(), integrated_ecdf_curve(data))):
+                assert float.hex(sup_norm(smooth, poly, interval)) == \
+                    float.hex(sup_norm(poly, smooth, interval))
 
 
 def brute_range(vals, i, j):

@@ -97,6 +97,21 @@ def test_convex_rate_has_both_fits():
     assert np.isfinite(res.fit_F.slope) and np.isfinite(res.fit_H.slope)
 
 
+# sha256 of the replicate and summary CSVs of each case below, frozen so that
+# paths the benchmark workloads never run (monotone events with the KW tail
+# bound, convex events at two c0 values) keep their bytes
+RATE_CASES_SHA256 = [
+    ("5c4a25f069deb5fbf8028aa40332f21e906e7758b5dc0967bdbb45f399e6c1d0",
+     "b4af11c232a6201dc7ab6f9029ec92e05f8c9bb8bb4e23c602cc5ca36f0f2c72"),
+    ("b601ba0c01f5912b767aa3170755e9cf54a34d02c7a0a57a691526522113131c",
+     "b8dca2b079004558c889bee78a7d7babdf4cbe6d76b04a9a5b1108aef79520f6"),
+    ("d60457905966549bc5db64b0954ced454517c44803456e26666280da795321f3",
+     "27e959def9327c53a142cd46e4012ebbb99f9b1be947d2f6fcdc748660e590ba"),
+    ("a09572bcdeed83ce6c7158f70afb41734b0f0554eef4978cf91dfbb99eea7a56",
+     "36cbff81aa96f0fee060f6c64d1806301bcc3f4ccb82a514a390f316daf8c7b9"),
+]
+
+
 def test_rate_csv_identical_across_runs_and_workers(tmp_path):
     # both rate drivers, and the events driver for both targets: the same
     # bytes from two runs at workers=1 and one at workers=2
@@ -113,6 +128,7 @@ def test_rate_csv_identical_across_runs_and_workers(tmp_path):
             driver(replace(config, out=str(out), workers=workers))
             blobs.append((out.read_bytes(), (out.parent / (out.stem + ".summary.csv")).read_bytes()))
         assert blobs[0] == blobs[1] == blobs[2], (driver.__name__, config.target)
+        assert tuple(hashlib.sha256(b).hexdigest() for b in blobs[0]) == RATE_CASES_SHA256[i], i
         head = blobs[0][0].decode().splitlines()
         assert head[0] == f"# shapedist-{schema}-v1"
         assert head[1].startswith("# model=truncated-exponential ")
@@ -196,6 +212,11 @@ def test_event_frequency_with_k_override(tmp_path):
     assert lines[0] == "# shapedist-events-v1"
     assert (tmp_path / "events.summary.csv").read_text().splitlines()[0] \
         == "# shapedist-events-summary-v1"
+    # frozen bytes of a run whose single sweep point is written as c0 = 0.0
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("events.csv", "events.summary.csv")] == [
+        "8f8c35b809c2ccc4df8d54c241b91aebbf0dae6dc83f4e46e72028a8714e065d",
+        "b87da1070d9c693afd9ad29035e7c5c54950c172f88cb9386486de507d4c0a9b"]
 
 
 def test_event_frequency_sweeps_c0():
@@ -206,6 +227,16 @@ def test_event_frequency_sweeps_c0():
     beta2 = constants(make_model(cfg.model, cfg.params)).beta2
     assert summary[0]["k"] == k_rule(128, beta2, 2, 1.0)
     assert summary[1]["k"] == k_rule(128, beta2, 2, 4.0)
+
+
+def test_replicate_workers_report_their_sample_size():
+    # perfbench/tracing.py reads row["n"] from the result of every *_replicate
+    # worker it wraps, to bin replicate times by sample size
+    config = small_convex_config()
+    row = experiments._replicate((config, True, 64, 1, (2, 3)))
+    assert row["n"] == 64 and row["k"] == (2, 3) and len(row["event_An"]) == 2
+    assert row["seed"] == seed_for(config.base_seed, 64, 1)
+    assert experiments._lemma_replicate((config, 0))["n"] == max(experiments._MC_SIZES)
 
 
 def test_config_validation():
