@@ -146,20 +146,31 @@ def _bisect_inverse(F, lo: float, hi: float, u):
 
     Runs 80 steps, or stops early after the first step that moves no
     bracket end: the next step depends only on ``(a, b)``, so every later
-    step would repeat it and the result is the same to the bit.
+    step would repeat it and the result is the same to the bit.  NaN maps
+    to NaN.
+
+    The bracket ends are kept as int64 bit patterns, and each step selects
+    with masks: where ``take`` is all ones, ``a ^ ((a ^ mid) & take)`` is
+    ``mid`` and ``mid ^ ((mid ^ b) & take)`` is ``b``; where it is zero they
+    are ``a`` and ``mid``.  That copies the same bits as
+    ``np.where(less, mid, a)`` and ``np.where(less, b, mid)``, but without a
+    branch per point.  On a random draw ``F(mid) < u`` is a fresh coin flip
+    at every point and step, so a branching select mispredicts about half
+    the time and costs more than ``F`` itself.
     """
     u = np.asarray(u, dtype=float)
-    a = np.full(u.shape, lo)
-    b = np.full(u.shape, hi)
+    a = np.full(u.shape, lo).view(np.int64)
+    b = np.full(u.shape, hi).view(np.int64)
     for _ in range(80):
-        mid = 0.5 * (a + b)
-        less = F(mid) < u
-        a_next = np.where(less, mid, a)
-        b_next = np.where(less, b, mid)
-        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+        mid = (0.5 * (a.view(float) + b.view(float))).view(np.int64)
+        take = np.negative(F(mid.view(float)) < u, dtype=np.int64)
+        a_next = a ^ ((a ^ mid) & take)
+        b_next = mid ^ ((mid ^ b) & take)
+        if (np.array_equal(a_next.view(float), a.view(float))
+                and np.array_equal(b_next.view(float), b.view(float))):
             break
         a, b = a_next, b_next
-    out = 0.5 * (a + b)
+    out = np.where(np.isnan(u), u, 0.5 * (a.view(float) + b.view(float)))
     return out if out.ndim else float(out)
 
 

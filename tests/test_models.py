@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize_scalar
 
 import shapedist.bounds as bounds
 import shapedist.models as models
 import shapedist.spline as spline
+from shapedist.empirical import _generator, seed_for
 from shapedist.models import (
     CATALOG,
     _bisect_inverse,
@@ -283,7 +286,7 @@ def old_finv(name: str, params: tuple):
         return lambda u: theta * (1.0 - np.power(1.0 - np.asarray(u, dtype=float), 1.0 / (p + 1.0)))
     if name == "beta-like":
         F = make_model(name, params).F
-        return lambda u: _bisect_inverse(F, 0.0, 1.0, u)
+        return lambda u: _bisect_80(F, u)
     w = float(params[0]) if params else 1.0
     return lambda u: np.asarray(u, dtype=float) * w
 
@@ -313,6 +316,100 @@ def test_inverse_cdf_keeps_its_bits_and_its_input(name, params):
         got = m.Finv(float(s))
         assert isinstance(got, float)
         assert got == float(old(float(s)))
+
+
+def _where_bisect(F, lo, hi, u):
+    """The bisection with ``np.where`` selects and the early stop, as it was
+    before its selects became bit masks, kept verbatim as the reference."""
+    u = np.asarray(u, dtype=float)
+    a = np.full(u.shape, lo)
+    b = np.full(u.shape, hi)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        less = F(mid) < u
+        a_next = np.where(less, mid, a)
+        b_next = np.where(less, b, mid)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
+    out = 0.5 * (a + b)
+    return out if out.ndim else float(out)
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+
+
+EDGES = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, 1.5, -0.5, INF, -INF]
+
+
+@pytest.mark.parametrize("b", [1.0001, 1.5, 2.0, 5.0, 100.0])
+def test_bisect_inverse_matches_the_where_loop_bit_for_bit(b):
+    F = make_model("beta-like", (b,)).F
+    for key in (1, 7, 2024):
+        for n in (1, 2, 3, 64, 1000, 8192, 30000):
+            u = _generator(seed_for(key, n, 0)).random(n)
+            _same_bits(_bisect_inverse(F, 0.0, 1.0, u), _where_bisect(F, 0.0, 1.0, u))
+    edges = np.array(EDGES)
+    _same_bits(_bisect_inverse(F, 0.0, 1.0, edges), _where_bisect(F, 0.0, 1.0, edges))
+    # 0-d arrays and floats take the scalar path; 2-d arrays keep their shape
+    for s in EDGES:
+        _same_bits(_bisect_inverse(F, 0.0, 1.0, s), _where_bisect(F, 0.0, 1.0, s))
+        _same_bits(_bisect_inverse(F, 0.0, 1.0, np.array(s)), _where_bisect(F, 0.0, 1.0, np.array(s)))
+    grid = np.concatenate([edges, _generator(5).random(91)]).reshape(10, 10)
+    _same_bits(_bisect_inverse(F, 0.0, 1.0, grid), _where_bisect(F, 0.0, 1.0, grid))
+    _same_bits(_bisect_inverse(F, 0.0, 1.0, grid.T), _where_bisect(F, 0.0, 1.0, grid.T))
+
+
+def test_bisect_inverse_matches_the_where_loop_on_any_interval():
+    # a generic bracket and an F that is not monotone on it
+    F = lambda x: np.sin(3.0 * np.asarray(x, dtype=float))
+    u = np.concatenate([2.4 * _generator(3).random(4000) - 1.2, EDGES])
+    _same_bits(_bisect_inverse(F, -1.0, 3.0, u), _where_bisect(F, -1.0, 3.0, u))
+    grid = u[:4000].reshape(40, 100)
+    _same_bits(_bisect_inverse(F, -1.0, 3.0, grid), _where_bisect(F, -1.0, 3.0, grid))
+    for s in EDGES + [0.3, -0.99]:
+        _same_bits(_bisect_inverse(F, -1.0, 3.0, s), _where_bisect(F, -1.0, 3.0, s))
+
+
+_BETA_F = make_model("beta-like", (2.0,)).F
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    u=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=20),
+             elements=st.floats(allow_nan=False, allow_subnormal=True)),
+    ends=st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(allow_nan=False, allow_infinity=False)).filter(lambda e: e[0] != e[1]),
+)
+@example(u=np.array([-INF, 0.0, 1e-320, 1.0, INF]), ends=(5e-324, 1.5e-323))  # subnormal mids
+@example(u=np.array([-INF, 0.0, 1.0, INF]), ends=(1e308, 1.7e308))  # a + b overflows
+def test_bisect_inverse_keeps_the_where_bits_on_any_input(u, ends):
+    # the cubic F is not monotone off [0, 1]; huge ends overflow mid to inf
+    lo, hi = sorted(ends)
+    with np.errstate(all="ignore"):
+        got, want = _bisect_inverse(_BETA_F, lo, hi, u), _where_bisect(_BETA_F, lo, hi, u)
+    _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name,params", SAMPLING_MODELS)
+def test_inverse_cdf_maps_nan_to_nan(name, params):
+    m = make_model(name, params)
+    assert math.isnan(m.Finv(NAN))
+    assert math.isnan(m.Finv(np.array(NAN)))
+    u = _generator(9).random(500)
+    want = m.Finv(u)
+    holes = [0, 7, 250, 499]
+    u[holes] = NAN
+    got = m.Finv(u)
+    assert np.isnan(got[holes]).all()
+    keep = np.ones(u.shape, dtype=bool)
+    keep[holes] = False
+    assert got[keep].tobytes() == want[keep].tobytes()
+    grid = m.Finv(np.full((3, 2), NAN))
+    assert grid.shape == (3, 2) and np.isnan(grid).all()
 
 
 # The grid-scan-plus-Brent search that the endpoint rule of ``_extreme``
