@@ -6,12 +6,14 @@ integrated CDF), each cell carries a "trapezoid defect"
     (average of the end slopes) * (cell width) - (increment of G),
 
 computed once with interpolated slopes (complete cubic spline) and once
-with the raw slopes of G itself.  The four resulting statistics -- spline
-and raw, empirical and population -- drive every convexity-event bound:
-the second-derivative slopes of the interpolants are exactly these
-defects rescaled by 12 / width^3.  The population raw defects of any cells
-come from one helper, ``_raw_defects``, which the Taylor bracket, the
-slope-difference bound and the cell variance share.
+with the raw slopes of G itself, all by the one helper ``_defect``.  The
+four resulting statistics -- spline and raw, empirical and population --
+drive every convexity-event bound: the spline defect rescaled by
+12 / width^3 is, in exact arithmetic, the slope of the interpolant's second
+derivative, which the convexity event computes by its one route,
+:func:`shapedist.spline.second_derivative_slopes`.  The population raw
+defects of any cells come from ``_raw_defects``, which the Taylor bracket,
+the slope-difference bound and the cell variance share.
 
 The module also evaluates the closed-form Bernstein/binomial tail bounds
 for the statistics, the Taylor bracket for the population defect, and the
@@ -35,7 +37,7 @@ from .models import (
     knot_mesh_convex,
     mean_value_knot,
 )
-from .spline import _defect, interp_integrated_cdf, interp_integrated_ecdf
+from .spline import interp_integrated_cdf, interp_integrated_ecdf
 
 __all__ = [
     "LemmaQuantities",
@@ -44,11 +46,9 @@ __all__ = [
     "slope_difference_bound",
     "mesh_ratio_check",
     "bernstein_cell_bound",
-    "bernstein_slope_gap_bound",
     "bernstein_residual_bound",
     "convexity_event_bound",
     "binomial_cell_bound",
-    "delta_schedule",
     "cell_variance",
     "cell_variance_bound",
     "cell_variance_report",
@@ -66,13 +66,13 @@ class LemmaQuantities:
     * ``T`` / ``t`` : defect with complete-spline slopes at the cell ends;
     * ``R`` / ``r`` : defect with the raw slopes (ECDF / CDF values);
     * ``W = (T - t) - (R - r)`` : spline-vs-raw residual, random;
-    * ``b = t - r`` : deterministic interpolation gap;
-    * ``B = 12 T / delta^3`` : slope of the 2nd derivative of the spline
-      interpolant of the integrated ECDF on each cell; ``Btilde`` the same
-      with raw slopes (the Hermite version).
+    * ``b = t - r`` : deterministic interpolation gap.
 
-    The identity ``T - r = (R - r) + W + b`` holds by construction and is
-    asserted to 1e-12 relative accuracy.
+    ``12 T / delta^3`` is the slope of the second derivative of the spline
+    interpolant on each cell; the convexity event computes those slopes once,
+    by :func:`shapedist.spline.second_derivative_slopes`, so they are not
+    stored here.  The identity ``T - r = (R - r) + W + b`` holds by
+    construction and is asserted to 1e-12 relative accuracy.
     """
 
     T: np.ndarray
@@ -81,8 +81,11 @@ class LemmaQuantities:
     r: np.ndarray
     W: np.ndarray
     b: np.ndarray
-    B: np.ndarray
-    Btilde: np.ndarray
+
+
+def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Per-cell trapezoid defect: mean of the end slopes times width, minus increment."""
+    return 0.5 * (slopes[:-1] + slopes[1:]) * widths - increments
 
 
 def _raw_defects(model: AnalyticModel, knots: np.ndarray) -> np.ndarray:
@@ -110,7 +113,6 @@ def _population_defects(model: AnalyticModel, mesh: KnotMesh):
 def compute_quantities(data: EmpiricalData, model: AnalyticModel,
                        mesh: KnotMesh) -> LemmaQuantities:
     """Evaluate all per-cell statistics for one sample on one mesh."""
-    widths = mesh.deltas
     T, R = _sample_defects(data, mesh)
     t, r = _population_defects(model, mesh)
     W = (T - t) - (R - r)
@@ -120,11 +122,7 @@ def compute_quantities(data: EmpiricalData, model: AnalyticModel,
     if not np.allclose(T - r, (R - r) + W + b, rtol=0.0, atol=1e-12 * scale):
         raise AssertionError("defect decomposition failed to close")
 
-    return LemmaQuantities(
-        T=T, R=R, t=t, r=r, W=W, b=b,
-        B=12.0 * T / widths ** 3,
-        Btilde=12.0 * R / widths ** 3,
-    )
+    return LemmaQuantities(T=T, R=R, t=t, r=r, W=W, b=b)
 
 
 def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
@@ -220,26 +218,14 @@ def bernstein_cell_bound(n: int, delta: float, p: float, f_star: float) -> float
     return 2.0 * np.exp(-expo)
 
 
-def _spline_exponent(n: int, delta: float, p: float, f_star: float) -> float:
-    """Exponent shared by the two spline-side Bernstein bounds."""
-    return (n * delta ** 2 * f_star ** 2 * p ** 3 / 100.0) \
-        / (1.0 + p * delta * f_star / 30.0)
-
-
-def bernstein_slope_gap_bound(n: int, delta: float, p: float, f_star: float) -> float:
-    """Tail bound for the spline defect against the population raw defect:
-    prob(|T - r| > 3 delta p^3) is at most
-
-        6 exp(-(n delta^2 f*^2 p^3 / 100) / (1 + p delta f* / 30)).
-    """
-    return 6.0 * np.exp(-_spline_exponent(n, delta, p, f_star))
-
-
 def bernstein_residual_bound(n: int, delta: float, p: float, f_star: float) -> float:
     """Tail bound for the spline-vs-raw residual W: prob(|W| > delta p^3)
-    is at most ``4 exp(...)`` with the same exponent as the slope-gap bound.
+    is at most
+
+        4 exp(-(n delta^2 f*^2 p^3 / 100) / (1 + p delta f* / 30)).
     """
-    return 4.0 * np.exp(-_spline_exponent(n, delta, p, f_star))
+    return 4.0 * np.exp(-((n * delta ** 2 * f_star ** 2 * p ** 3 / 100.0)
+                          / (1.0 + p * delta * f_star / 30.0)))
 
 
 #: reciprocal of the absolute constant in the convexity-event bound,
@@ -267,12 +253,6 @@ def binomial_cell_bound(n: int, p: float, delta: float, slack: float = 0.0) -> f
     pick an explicit value; 0 is the plain bound).
     """
     return 2.0 * np.exp(-0.5 * n * p * delta ** 2 * (1.0 + slack))
-
-
-def delta_schedule(beta2: float, p: float, f_star: float) -> float:
-    """Per-cell threshold rate ``beta2 * p / (1152 f*)`` used by the
-    convexity-event analysis (1152 = 8 * 144)."""
-    return beta2 * p / (1152.0 * f_star)
 
 
 def cell_variance(model: AnalyticModel, s: float, t: float) -> float:
@@ -308,18 +288,22 @@ def interp_gap_report(model: AnalyticModel, k_list) -> dict:
     For each cell count ``k`` the report records ``max_j |t_j - r_j|``, the
     rescaled ``max_j |t_j - r_j| / delta_j^4``, and the curvature bound
     ``mesh^4 * sup|f''| / 24``; the rescaled column should decay as the
-    mesh refines.
+    mesh refines.  That decay check reads ``k_list`` in refinement order, so
+    an empty or not strictly increasing ``k_list`` raises ``ValueError``.
     """
+    ks = [int(k) for k in k_list]
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"k_list must be nonempty and strictly increasing, got {ks!r}")
     sup_curv = _extreme(lambda x: np.abs(model.fsecond(x)), 0.0, model.tau, "sup")
     rows = []
-    for k in k_list:
-        mesh = knot_mesh_convex(model, int(k))
+    for k in ks:
+        mesh = knot_mesh_convex(model, k)
         t, r = _population_defects(model, mesh)
         gap = t - r
         max_abs = float(np.max(np.abs(gap)))
         bound = mesh.mesh ** 4 * sup_curv / 24.0
         rows.append({
-            "k": int(k),
+            "k": k,
             "max_abs_gap": max_abs,
             "max_rescaled_gap": float(np.max(np.abs(gap) / mesh.deltas ** 4)),
             "bound": bound,
@@ -327,7 +311,7 @@ def interp_gap_report(model: AnalyticModel, k_list) -> dict:
         })
     ratios = [row["max_rescaled_gap"] for row in rows]
     decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(ratios, ratios[1:]))
-    final_over_first = ratios[-1] / ratios[0] if ratios and ratios[0] > 0 else 0.0
+    final_over_first = ratios[-1] / ratios[0] if ratios[0] > 0 else 0.0
     return {
         "rows": rows,
         "rescaled_decreasing": decreasing,

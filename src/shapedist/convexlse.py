@@ -68,7 +68,10 @@ def gram_matrix(thetas) -> np.ndarray:
 
 
 def lse_objective(data: EmpiricalData, thetas, weights) -> float:
-    """``Q = 1/2 c' G c - c' v`` with ``v_i`` the ECDF integral at ``theta_i``."""
+    """``Q = 1/2 c' G c - c' v`` with ``v_i`` the ECDF integral at ``theta_i``.
+
+    Kept as the tests' independent oracle for the objective the fit minimizes.
+    """
     c = np.asarray(weights, dtype=float)
     G = gram_matrix(thetas)
     v = np.asarray(integrated_ecdf(data, np.asarray(thetas, dtype=float)), dtype=float)
@@ -376,6 +379,7 @@ class CharacterizationReport:
 
 
 def characterization_report(lse: ConvexLse, data: EmpiricalData) -> CharacterizationReport:
+    """The fit's exact characterization certificate; kept for acceptance gate #4."""
     xn = float(data.x[-1])
     hi = max(3.0 * xn, 1.3 * float(lse.kinks[-1]))
     yn_curve = integrated_ecdf_curve(data, upto=1.01 * hi)
@@ -396,7 +400,8 @@ def marshall_A(lse: ConvexLse, data: EmpiricalData, h, interval) -> tuple[float,
     """Distances for the CDF stability inequality against ``h`` with convex slope.
 
     Returns ``(sup |LSE CDF - h|, 2 sup |F_n - h|)`` over ``interval``; for
-    ``h`` with convex derivative the first never exceeds the second.
+    ``h`` with convex derivative the first never exceeds the second.  Kept
+    for acceptance gate #3.
     """
     hi = float(interval[1])
     lhs = sup_norm(lse.cdf_curve(hi), h, interval)
@@ -412,7 +417,8 @@ def marshall_Aprime(lse: ConvexLse, data: EmpiricalData, g, interval) -> tuple[f
     with convex second derivative the first never exceeds twice the second.
     Factor one does not hold: the fitted integrated CDF touches ``Y_n`` only
     at kinks of the fit, so the fit is strictly farther whenever ``Y_n``
-    attains its sup distance on the positive side away from a kink.
+    attains its sup distance on the positive side away from a kink.  Kept
+    for acceptance gate #3.
     """
     hi = float(interval[1])
     lhs = sup_norm(lse.integrated_cdf_curve(hi * 1.01), g, interval)

@@ -40,6 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "PiecewisePoly",
+    "SmoothCurve",
+    "curve_sub",
+    "extrema",
+    "sup_norm",
+    "modulus",
+]
+
 _BISECT_ITERS = 90
 
 

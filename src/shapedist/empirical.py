@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .curves import PiecewisePoly, modulus, sup_norm  # noqa: F401  (re-exported)
+from .curves import PiecewisePoly
 from .models import AnalyticModel
 
 __all__ = [
@@ -25,12 +25,9 @@ __all__ = [
     "sample",
     "seed_for",
     "ecdf",
-    "ecdf_left",
     "integrated_ecdf",
     "ecdf_curve",
     "integrated_ecdf_curve",
-    "sup_norm",
-    "modulus",
 ]
 
 _M64 = (1 << 64) - 1
@@ -147,13 +144,6 @@ def ecdf(data: EmpiricalData, t):
     """Right-continuous empirical CDF: ``#(X_i <= t) / n``."""
     t = np.asarray(t, dtype=float)
     out = np.searchsorted(data.x, t, side="right") / data.n
-    return out if out.ndim else float(out)
-
-
-def ecdf_left(data: EmpiricalData, t):
-    """Left limit of the empirical CDF: ``#(X_i < t) / n``."""
-    t = np.asarray(t, dtype=float)
-    out = np.searchsorted(data.x, t, side="left") / data.n
     return out if out.ndim else float(out)
 
 

@@ -384,6 +384,7 @@ def mean_value_knot(model: AnalyticModel, mesh: KnotMesh, j: int) -> float:
 
     Exists by the mean value theorem since each cell has CDF increment
     ``mass / k``; located by root bracketing on the decreasing density.
+    Kept as the f* of :func:`shapedist.bounds.cell_variance_report`.
     """
     if not 1 <= j <= mesh.k:
         raise ValueError("cell index out of range")

@@ -10,6 +10,7 @@ concavity event of its slopes, and the exponential tail bound for that event.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "broken_line_error_report",
     "concavity_event",
     "kw_tail_bound",
-    "kw_tail_bound_proof_variant",
     "marshall_check",
 ]
 
@@ -57,7 +57,10 @@ class PiecewiseLinear:
         return np.diff(self.y) / np.diff(self.x)
 
     def left_slope(self, t):
-        """Slope of the segment ending at (or containing) ``t``."""
+        """Slope of the segment ending at (or containing) ``t``.
+
+        Kept as the evaluator of :func:`grenander_density`.
+        """
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.x, t, side="left") - 1, 0, len(self.x) - 2)
         out = self.slopes[i]
@@ -78,31 +81,55 @@ class PiecewiseLinear:
         return PiecewisePoly(np.concatenate([[x[0] - pad[0]], x, [x[-1] + pad[1]]]), c)
 
 
+#: Shewchuk's orient2d error bound coefficient, ``(3 + 16 eps) eps``.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+#: absolute slack for products that underflow, where the relative bound fails.
+_UNDERFLOW = 2.0**-1070
+
+
+def _on_or_below_chord(x: list, y: list, i0: int, i1: int, i2: int) -> bool:
+    """Whether point ``i1`` lies on or below the chord from ``i0`` to ``i2``.
+
+    That is the sign test ``(x1 - x0)(y2 - y0) - (x2 - x0)(y1 - y0) >= 0``,
+    decided exactly for the points as given: by the float products when
+    their difference lies farther from zero than Shewchuk's orient2d error
+    bound, and by :class:`fractions.Fraction` arithmetic otherwise.
+    """
+    left = (x[i1] - x[i0]) * (y[i2] - y[i0])
+    right = (x[i2] - x[i0]) * (y[i1] - y[i0])
+    cross = left - right
+    if abs(cross) > _ORIENT_ERR * (abs(left) + abs(right)) + _UNDERFLOW:
+        return cross > 0.0
+    fx0, fy0 = Fraction(x[i0]), Fraction(y[i0])
+    return ((Fraction(x[i1]) - fx0) * (Fraction(y[i2]) - fy0)
+            >= (Fraction(x[i2]) - fx0) * (Fraction(y[i1]) - fy0))
+
+
+def _upper_hull(x: list, y: list) -> list:
+    """Indices of the upper concave hull of the points ``(x_i, y_i)``, x
+    increasing, exact for the points as given."""
+    hull: list[int] = []
+    for i in range(len(x)):
+        while len(hull) >= 2 and _on_or_below_chord(x, y, hull[-2], hull[-1], i):
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
 def concave_majorant_points(x, y) -> PiecewiseLinear:
     """Upper concave hull of the points ``(x_i, y_i)`` as a piecewise line.
 
-    A vertex is dropped when the cross product with its neighbours is
-    ``>= 0``, so collinear vertices go whenever that product comes out
-    nonnegative.  On exactly collinear points it can round below zero, and
-    then the vertex survives: the ECDF corners of the sample
-    ``[8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11]`` give vertices at
-    ``x = [0, 4, 9, 11]`` whose three slopes are all ``1/12``.  Slopes are
-    therefore nonincreasing, not always strictly decreasing.  :func:`lcm`
-    avoids this by pooling the slopes with PAVA first and passing only the
-    block boundaries here.
+    The hull is exact for the points as given: every kept vertex lies
+    strictly above the chord of its neighbours.  Slopes computed in floats
+    can still tie where the points themselves are rounded: the ECDF heights
+    ``i/n`` of the sample ``[8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11]`` keep
+    ``x = 4`` and ``9``, which the counts ``i`` put on one line.  Kept
+    public as the tests' oracle for :func:`lcm`: the same hull pass over
+    every point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    hull: list[int] = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            cross = (x[i1] - x[i0]) * (y[i] - y[i0]) - (x[i] - x[i0]) * (y[i1] - y[i0])
-            if cross >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
+    hull = _upper_hull(x.tolist(), y.tolist())
     return PiecewiseLinear(x[hull], y[hull])
 
 
@@ -114,29 +141,31 @@ def lcm(data: EmpiricalData) -> PiecewiseLinear:
     Candidate vertices are the block boundaries of the pool-adjacent-violators
     (PAVA) fit of the corner-to-corner slopes, weighted by their widths, under
     a nonincreasing constraint: the pooled means are the Grenander slopes.
-    The exact cross-product pass of :func:`concave_majorant_points` then runs
-    on those few candidates only.  PAVA pools strict violators only, so two
-    adjacent blocks can share a mean, and their common vertex survives when
-    its cross product rounds below zero.  Hull slopes are therefore
-    nonincreasing, not always strictly decreasing: the lattice sample with
-    counts ``[8, 12, 11, 11, 8, 10, 11, 8, 7, 13, 18, 13]`` on ``0..11``
-    (n = 130) keeps ``x = 3``, with slope exactly ``11/130`` on both sides.
+    The exact hull pass then runs on those few candidates only, taken with
+    the integer counts ``i`` rather than the rounded ``i/n``, so the hull is
+    exact for the candidates: PAVA pools strict violators only, and the
+    common vertex of two adjacent blocks with the same mean goes.  Vertex
+    heights are the corners' own ``i/n``.
     """
     xs, ys = data.corners
+    counts = np.rint(ys * data.n)  # exactly the cumulative counts, since ys = counts / n
     if xs[0] > 0.0:
         xs = np.concatenate([[0.0], xs])
         ys = np.concatenate([[0.0], ys])
+        counts = np.concatenate([[0.0], counts])
     if len(xs) < 2:
         raise ValueError("the concave majorant needs a positive observation")
     dx = np.diff(xs)
     blocks = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False).blocks
-    return concave_majorant_points(xs[blocks], ys[blocks])
+    hull = blocks[_upper_hull(xs[blocks].tolist(), counts[blocks].tolist())]
+    return PiecewiseLinear(xs[hull], ys[hull])
 
 
 def grenander_density(majorant: PiecewiseLinear, t):
     """Monotone density estimate: left derivative of the concave majorant.
 
-    Defined for ``t`` in ``(0, X_(n)]``.
+    Defined for ``t`` in ``(0, X_(n)]``.  Kept as the paper's density
+    estimator (the Grenander estimator), as in the README quick start.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= majorant.x[0]) or np.any(t > majorant.x[-1]):
@@ -178,25 +207,19 @@ def concavity_event(data: EmpiricalData, mesh: KnotMesh) -> bool:
 
 def kw_tail_bound(n: int, k: int, beta1: float) -> float:
     """Tail bound for the non-concavity probability of the equal-mass broken line:
-    ``2 k exp(-n beta1^2 / (80 k^3))``."""
-    return 2.0 * k * math.exp(-n * beta1**2 / (80.0 * k**3))
+    ``2 k exp(-n beta1^2 / (80 k^3))``.
 
-
-def kw_tail_bound_proof_variant(n: int, k: int, beta1: float) -> float:
-    """Variant with leading factor ``4k`` instead of ``2k``.
-
-    The two published statements of this bound disagree on the leading
-    factor; both evaluators are provided so either can be compared against
-    simulation.
+    The proof's own statement of this bound has the leading factor ``4 k``,
+    twice this value; the two published statements disagree on it.
     """
-    return 4.0 * k * math.exp(-n * beta1**2 / (80.0 * k**3))
+    return 2.0 * k * math.exp(-n * beta1**2 / (80.0 * k**3))
 
 
 def marshall_check(majorant: PiecewiseLinear, data: EmpiricalData, h, interval) -> tuple[float, float]:
     """Distances for the majorant stability inequality against a concave ``h``.
 
     Returns ``(sup |LCM - h|, sup |F_n - h|)`` over ``interval``; for concave
-    ``h`` the first never exceeds the second.
+    ``h`` the first never exceeds the second.  Kept for acceptance gate #3.
     """
     lhs = sup_norm(majorant.as_curve(), h, interval)
     rhs = sup_norm(ecdf_curve(data, upto=interval[1]), h, interval)

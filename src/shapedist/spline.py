@@ -35,11 +35,9 @@ from .models import AnalyticModel, KnotMesh, _extreme
 __all__ = [
     "CubicSplineInterpolant",
     "complete_spline",
-    "hermite_spline",
     "interp_integrated_ecdf",
     "interp_integrated_cdf",
     "second_derivative_slopes",
-    "hermite_second_derivative_slopes",
     "convexity_event",
     "interp_error_report",
     "smooth_interp_error_bounds",
@@ -125,17 +123,6 @@ def complete_spline(knots, values, s0: float, sk: float) -> CubicSplineInterpola
     return CubicSplineInterpolant(knots, values, slopes)
 
 
-def hermite_spline(knots, values, slopes) -> CubicSplineInterpolant:
-    """Piecewise-cubic Hermite interpolant with all knot slopes prescribed."""
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    if not (knots.shape == values.shape == slopes.shape) or len(knots) < 2:
-        raise ValueError("need matching knot/value/slope arrays with >= 2 points")
-    _check_breakpoints(knots, "knots")
-    return CubicSplineInterpolant(knots, values, slopes)
-
-
 def interp_integrated_ecdf(data: EmpiricalData, mesh: KnotMesh) -> CubicSplineInterpolant:
     """Complete spline of the running ECDF integral on the mesh.
 
@@ -154,11 +141,6 @@ def interp_integrated_cdf(model: AnalyticModel, mesh: KnotMesh) -> CubicSplineIn
     return complete_spline(a, vals, float(model.F(a[0])), float(model.F(a[-1])))
 
 
-def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Per-cell trapezoid defect: mean of the end slopes times width, minus increment."""
-    return 0.5 * (slopes[:-1] + slopes[1:]) * widths - increments
-
-
 def second_derivative_slopes(spline: CubicSplineInterpolant) -> np.ndarray:
     """Per-cell slopes of the spline's second derivative: six times the
     leading cubic coefficient, ``6 (s_{j-1} + s_j - 2 dy / h) / h^2``.
@@ -171,17 +153,6 @@ def second_derivative_slopes(spline: CubicSplineInterpolant) -> np.ndarray:
     h = np.diff(spline.knots)
     dy = np.diff(spline.values)
     return 6.0 * (spline.slopes[:-1] + spline.slopes[1:] - 2.0 * dy / h) / h**2
-
-
-def hermite_second_derivative_slopes(data: EmpiricalData, mesh: KnotMesh) -> np.ndarray:
-    """Second-derivative slopes of the Hermite interpolant with ECDF knot slopes.
-
-    Uses the closed form ``(12 / h^3) ((F_n(a_{j-1}) + F_n(a_j)) h / 2 - dY_n)``
-    directly from exact ECDF evaluations.
-    """
-    h = mesh.deltas
-    fv, yv = data.at_knots(mesh.knots)
-    return 12.0 / h**3 * _defect(fv, np.diff(yv), h)
 
 
 def convexity_event(data: EmpiricalData, mesh: KnotMesh) -> bool:
@@ -201,7 +172,8 @@ def interp_error_report(g, mesh: KnotMesh) -> list[dict]:
     * ``sup |g' - (I4 g)'| <= (19/4) * omega(g'; |a|)``
     * ``sup |g  -  I4 g |  <= (19/8) * |a| * omega(g'; |a|)``
 
-    with all three quantities computed exactly.
+    with all three quantities computed exactly.  No experiment calls it yet; it
+    is kept for checking the proofs' interpolation step on each replicate.
     """
     g = as_curve(g)
     a = mesh.knots

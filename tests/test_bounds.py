@@ -9,19 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from shapedist.bounds import (
+    _defect,
     _raw_defects,
     _sample_defects,
     EVENT_BOUND_RECIP_K,
     bernstein_cell_bound,
     bernstein_residual_bound,
-    bernstein_slope_gap_bound,
     binomial_cell_bound,
     cell_variance,
     cell_variance_bound,
     cell_variance_report,
     compute_quantities,
     convexity_event_bound,
-    delta_schedule,
     interp_gap_report,
     mesh_ratio_check,
     slope_difference_bound,
@@ -36,15 +35,14 @@ from shapedist.empirical import (
     sample,
     seed_for,
 )
-from shapedist.models import knot_mesh_convex, make_model
+from shapedist.models import KnotMesh, knot_mesh_convex, make_model
 from shapedist.monotone import broken_line_error_report
 from shapedist.spline import (
-    _defect,
     complete_spline,
-    hermite_second_derivative_slopes,
     interp_error_report,
     interp_integrated_cdf,
     interp_integrated_ecdf,
+    second_derivative_slopes,
     smooth_interp_error_bounds,
 )
 
@@ -60,6 +58,16 @@ def raw_defect_oracle(x, a):
         yhi = sum(max(hi - xi, 0.0) for xi in x) / n
         out.append(0.5 * (flo + fhi) * (hi - lo) - (yhi - ylo))
     return np.array(out)
+
+
+def assert_event_slopes_are_rescaled_defects(spline, T, w):
+    """The convexity event's second-derivative slopes equal ``12 T / delta^3``
+    up to ``k^2 * 1e-16`` of the scale of the two bracket terms that cancel
+    in them, as the ``second_derivative_slopes`` docstring states."""
+    s = spline.slopes
+    scale = 12.0 / w**3 * (0.5 * np.abs(s[:-1] + s[1:]) * w + np.abs(np.diff(spline.values)))
+    np.testing.assert_array_less(np.abs(second_derivative_slopes(spline) - 12.0 * T / w**3),
+                                 len(w)**2 * 1e-16 * scale)
 
 
 def test_quantities_against_independent_routes():
@@ -84,18 +92,48 @@ def test_quantities_against_independent_routes():
     s_pop = interp_integrated_cdf(m, mesh).slopes
     e_pop = s_pop - np.asarray(m.F(a), dtype=float)
     np.testing.assert_allclose(q.b, 0.5 * (e_pop[:-1] + e_pop[1:]) * w, atol=1e-13)
-    s_emp = interp_integrated_ecdf(d, mesh).slopes
-    from shapedist.empirical import ecdf
-
-    e_emp = s_emp - np.asarray(ecdf(d, a), dtype=float)
+    spline = interp_integrated_ecdf(d, mesh)
+    e_emp = spline.slopes - np.asarray(ecdf(d, a), dtype=float)
     np.testing.assert_allclose(q.T - q.R, 0.5 * (e_emp[:-1] + e_emp[1:]) * w, atol=1e-13)
 
-    # decomposition closes, and the rescaled slopes are consistent
+    # the decomposition closes
     np.testing.assert_allclose(q.T - q.r, (q.R - q.r) + q.W + q.b, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(q.B, 12.0 * q.T / w**3, rtol=1e-13)
-    np.testing.assert_allclose(q.Btilde, 12.0 * q.R / w**3, rtol=1e-13)
-    np.testing.assert_allclose(q.B - q.Btilde, 12.0 * (q.W + q.b) / w**3, atol=1e-10)
-    np.testing.assert_allclose(q.Btilde, hermite_second_derivative_slopes(d, mesh), atol=1e-12)
+
+    # cross route: the convexity event's slopes are the rescaled spline defects
+    assert_event_slopes_are_rescaled_defects(spline, q.T, w)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("truncated-exponential", (1.0,)), ("beta-like", (2.0,)), ("shifted-power", (3.0, 1.0)),
+])
+@pytest.mark.parametrize("k", [3, 8, 20])
+def test_event_slopes_are_the_rescaled_spline_defects(name, params, k):
+    # the same cross route over the models and cell counts the two routes
+    # were compared on (their bits differ in nearly every draw)
+    m = make_model(name, params)
+    mesh = knot_mesh_convex(m, k)
+    for n in (120, 4096):
+        for rep in range(5):
+            d = sample(m, n, seed_for(83, n, rep))
+            T, _ = _sample_defects(d, mesh)
+            assert_event_slopes_are_rescaled_defects(interp_integrated_ecdf(d, mesh), T, mesh.deltas)
+
+
+def test_raw_defect_slopes_closed_form_example():
+    # data {1, 3} on knots {0, 2, 4}: ecdf steps make both bracket terms
+    # vanish, so the raw-slope estimates 12 R / delta^3 are exactly zero.
+    mesh = KnotMesh(2, np.array([0.0, 2.0, 4.0]), 0.5, 1.0)
+    h = mesh.deltas
+    _, R = _sample_defects(EmpiricalData(np.array([1.0, 3.0])), mesh)
+    np.testing.assert_allclose(12.0 * R / h**3, [0.0, 0.0], atol=1e-15)
+    # and against the generic spline-free formula at another dataset
+    d2 = EmpiricalData(np.array([0.5, 1.0, 3.5]))
+    a = mesh.knots
+    fv = np.asarray(ecdf(d2, a))
+    yv = np.asarray(integrated_ecdf(d2, a))
+    want = 12.0 / h**3 * ((fv[:-1] + fv[1:]) * h / 2.0 - np.diff(yv))
+    _, R2 = _sample_defects(d2, mesh)
+    np.testing.assert_allclose(12.0 * R2 / h**3, want, rtol=1e-13)
 
 
 KNOT_MODEL = make_model("truncated-exponential", (1.0,))
@@ -247,8 +285,6 @@ def test_bernstein_bounds_frozen_arithmetic():
     got = bernstein_cell_bound(100000, 0.1, 0.05, 0.5)
     assert math.isclose(got, 2.0 * math.exp(-0.09375 / 1.0025), rel_tol=1e-12)
     expo = (100000 * 0.1**2 * 0.5**2 * 0.05**3 / 100.0) / (1.0 + 0.05 * 0.1 * 0.5 / 30.0)
-    assert math.isclose(bernstein_slope_gap_bound(100000, 0.1, 0.05, 0.5),
-                        6.0 * math.exp(-expo), rel_tol=1e-12)
     assert math.isclose(bernstein_residual_bound(100000, 0.1, 0.05, 0.5),
                         4.0 * math.exp(-expo), rel_tol=1e-12)
     # smaller tail for more data, larger for flatter density
@@ -269,11 +305,6 @@ def test_binomial_cell_bound_and_slack():
     assert math.isclose(binomial_cell_bound(1000, 0.1, 0.2, slack=-0.1),
                         2.0 * math.exp(-1.8), rel_tol=1e-12)
     assert binomial_cell_bound(1000, 0.1, 0.2, slack=-0.1) > binomial_cell_bound(1000, 0.1, 0.2)
-
-
-def test_delta_schedule_arithmetic():
-    assert math.isclose(delta_schedule(0.5, 0.1, 2.0), 0.5 * 0.1 / (1152.0 * 2.0), rel_tol=1e-15)
-    assert 1152 == 8 * 144
 
 
 def test_cell_variance_uniform_closed_form():
@@ -323,3 +354,11 @@ def test_interp_gap_report_refinement():
     assert rep["final_over_first"] <= 0.25  # at least a 4x drop over 25 -> 200
     for row in rep["rows"]:
         assert row["pass"], row
+
+
+@pytest.mark.parametrize("k_list", [(), [], (50, 25), (25, 25, 50), (25, 100, 50)])
+def test_interp_gap_report_refuses_what_its_decay_check_cannot_read(k_list):
+    # the decay check compares rows in refinement order: nothing, or cell
+    # counts out of order, would pass it vacuously
+    with pytest.raises(ValueError, match="strictly increasing"):
+        interp_gap_report(make_model("truncated-exponential", (1.0,)), k_list)

@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from shapedist.curves import curve_sub
+from shapedist.curves import curve_sub, modulus, sup_norm
 from shapedist.empirical import (
     EmpiricalData,
     ecdf,
     ecdf_curve,
-    ecdf_left,
     integrated_ecdf,
     integrated_ecdf_curve,
-    modulus,
     sample,
     seed_for,
-    sup_norm,
 )
 from shapedist.models import make_model
 from test_models import SAMPLING_MODELS, old_finv
@@ -24,12 +21,13 @@ from test_models import SAMPLING_MODELS, old_finv
 
 def test_ecdf_evaluation_semantics():
     d = EmpiricalData(np.array([1.0, 3.0]))
+    c = ecdf_curve(d)
     assert ecdf(d, 0.5) == 0.0
     assert ecdf(d, 1.0) == 0.5  # right-continuous
-    assert ecdf_left(d, 1.0) == 0.0
+    assert c.left_limit(1.0) == 0.0  # #(X < 1) / n
     assert ecdf(d, 2.0) == 0.5
     assert ecdf(d, 3.0) == 1.0
-    assert ecdf_left(d, 3.0) == 0.5
+    assert c.left_limit(3.0) == 0.5  # #(X < 3) / n
     assert ecdf(d, 99.0) == 1.0
     np.testing.assert_allclose(ecdf(d, [0.5, 1.5, 3.5]), [0.0, 0.5, 1.0])
 
@@ -55,7 +53,8 @@ def test_curves_match_pointwise_functions():
     for t in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.5, 3.0, 4.0):
         assert math.isclose(c(t), ecdf(d, t), abs_tol=1e-15)
         assert math.isclose(ic(t), integrated_ecdf(d, t), abs_tol=1e-14)
-    assert math.isclose(c.left_limit(1.0), ecdf_left(d, 1.0), abs_tol=1e-15)
+    for t in (0.5, 1.0, 2.5, 4.0):
+        assert c.left_limit(t) == np.count_nonzero(d.x < t) / d.n
     # extension past the data is the constant-1 continuation
     assert c(3.9) == 1.0
 

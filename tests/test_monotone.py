@@ -1,12 +1,14 @@
 """Least concave majorant, Grenander density, monotone-side checks."""
 
+from fractions import Fraction
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from shapedist.empirical import EmpiricalData, ecdf, ecdf_curve, sample, seed_for, sup_norm
+from shapedist.curves import sup_norm
+from shapedist.empirical import EmpiricalData, ecdf, ecdf_curve, sample, seed_for
 from shapedist.models import constants, knot_mesh_monotone, make_model
 from shapedist.monotone import (
     PiecewiseLinear,
@@ -16,7 +18,6 @@ from shapedist.monotone import (
     concavity_event,
     grenander_density,
     kw_tail_bound,
-    kw_tail_bound_proof_variant,
     lcm,
     marshall_check,
 )
@@ -74,8 +75,9 @@ def test_lcm_vertices_equal_python_hull(n):
 
 def test_lcm_ties_match_python_hull():
     # Lattice data: many tied observations and exactly collinear corners.
-    # Vertex sets may differ here (rounding can leave a collinear vertex in
-    # the Python hull), so compare the functions.
+    # Vertex sets may differ here (the Python hull sees the rounded heights
+    # i/n, and can keep a vertex that is collinear in the counts i), so
+    # compare the functions.
     rng = np.random.default_rng(12)
     samples = [rng.integers(0, 12, int(rng.integers(2, 300))).astype(float) for _ in range(60)]
     samples += [np.repeat(rng.exponential(size=7), rng.integers(1, 9, 7)) for _ in range(20)]
@@ -98,8 +100,24 @@ def test_lcm_collinear_witness():
     assert np.all(np.diff(h.slopes) < 0.0)
 
 
+#: n = 130 lattice sample whose PAVA blocks end at x = 0, 1, 3, 11, with the
+#: count slope 11 on both sides of x = 3
+LATTICE_WITNESS = np.repeat(np.arange(12), [8, 12, 11, 11, 8, 10, 11, 8, 7, 13, 18, 13])
+
+
+def test_lcm_drops_a_vertex_collinear_in_the_counts():
+    # In the heights i/n the cross product at x = 3 rounds below zero, and a
+    # float sign test kept the vertex; in the counts it is exactly zero.
+    d = EmpiricalData(LATTICE_WITNESS.astype(float))
+    h = lcm(d)
+    np.testing.assert_array_equal(h.x, [0.0, 1.0, 11.0])
+    np.testing.assert_array_equal(h.y, ecdf(d, h.x))  # the corners' own heights
+    assert np.all(np.diff(h.slopes) < 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.floats(0.01, 100.0))
+@example(LATTICE_WITNESS.tolist(), 1.0)
 def test_lcm_properties(ints, scale):
     d = EmpiricalData(np.array(ints, dtype=float) * scale)
     if d.x[-1] == 0.0:
@@ -114,6 +132,29 @@ def test_lcm_properties(ints, scale):
     assert np.all(np.diff(h.slopes) < 0.0)                  # strictly concave
     assert h.x[0] == 0.0 and h.x[-1] == d.x[-1]
     assert math.isclose(h.y[-1], 1.0, rel_tol=0, abs_tol=tol)  # unit mass
+
+
+def exact_hull_x(x, y):
+    """Abscissae of the upper hull of the points, in rational arithmetic."""
+    hull = []
+    for p in zip(map(Fraction, x), map(Fraction, y)):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  >= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])):
+            hull.pop()
+        hull.append(p)
+    return [float(px) for px, _ in hull]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=120), st.floats(0.01, 100.0))
+@example([9, 1, 10, 5, 7, 8, 12, 9, 2, 5, 5, 12], 1.0)  # keeps x = 10; float signs drop it
+def test_concave_majorant_points_is_exact_for_the_points_given(ints, scale):
+    # ECDF corners with rounded heights i/n put many points within rounding
+    # of a chord, where a float sign test alone can go either way
+    d = EmpiricalData(np.array(ints, dtype=float) * scale)
+    xs, ys = d.corners
+    want = exact_hull_x([0.0] + xs.tolist(), [0.0] + ys.tolist())
+    assert corner_hull(d).x.tolist() == want
 
 
 def test_lcm_rejects_bad_samples():
@@ -218,10 +259,6 @@ def test_concavity_event_frequency_grows():
 def test_kw_tail_bound_frozen_arithmetic():
     # 2k exp(-n beta1^2/(80 k^3)) at (1e5, 20, 1): 40 exp(-5/32)
     assert math.isclose(kw_tail_bound(100000, 20, 1.0), 34.2138130922969, rel_tol=1e-12)
-    assert math.isclose(
-        kw_tail_bound_proof_variant(100000, 20, 1.0), 2.0 * kw_tail_bound(100000, 20, 1.0),
-        rel_tol=1e-15,
-    )
     # decreasing in n, increasing in k (for this argument range)
     assert kw_tail_bound(200000, 20, 1.0) < kw_tail_bound(100000, 20, 1.0)
     assert kw_tail_bound(100000, 40, 1.0) > kw_tail_bound(100000, 20, 1.0)

@@ -9,19 +9,17 @@ from scipy.linalg import solve_banded
 import shapedist.spline as spline_mod
 from shapedist.curves import curve_sub, extrema
 from shapedist.empirical import (
-    EmpiricalData,
     ecdf,
     integrated_ecdf,
     integrated_ecdf_curve,
     sample,
     seed_for,
 )
-from shapedist.models import KnotMesh, knot_mesh_convex, make_model
+from shapedist.models import knot_mesh_convex, make_model
 from shapedist.spline import (
+    CubicSplineInterpolant,
     complete_spline,
     convexity_event,
-    hermite_second_derivative_slopes,
-    hermite_spline,
     interp_error_report,
     interp_integrated_cdf,
     interp_integrated_ecdf,
@@ -92,7 +90,7 @@ def test_hermite_matches_basis_functions():
     # single-cell oracle: classical Hermite basis h00, h10, h01, h11.
     x0, x1 = 0.7, 2.2
     y0, y1, s0, s1 = 0.4, -1.1, 2.0, 0.3
-    sp = hermite_spline(np.array([x0, x1]), np.array([y0, y1]), np.array([s0, s1]))
+    sp = CubicSplineInterpolant(np.array([x0, x1]), np.array([y0, y1]), np.array([s0, s1]))
     h = x1 - x0
     for x in np.linspace(x0, x1, 23):
         t = (x - x0) / h
@@ -153,21 +151,6 @@ def test_second_derivative_slopes_on_fine_population_meshes(name, params, k):
     sp = interp_integrated_cdf(m, knot_mesh_convex(m, k))
     np.testing.assert_allclose(second_derivative_slopes(sp), 6.0 * sp.as_curve().c[:, 3],
                                rtol=1e-14, atol=0.0)
-
-
-def test_hermite_slopes_closed_form_example():
-    # data {1, 3} on knots {0, 2, 4}: ecdf steps make both bracket terms
-    # vanish, so the slope estimates are exactly zero.
-    mesh = KnotMesh(2, np.array([0.0, 2.0, 4.0]), 0.5, 1.0)
-    d = EmpiricalData(np.array([1.0, 3.0]))
-    np.testing.assert_allclose(hermite_second_derivative_slopes(d, mesh), [0.0, 0.0], atol=1e-15)
-    # and against the generic spline-free formula at another dataset
-    d2 = EmpiricalData(np.array([0.5, 1.0, 3.5]))
-    a, h = mesh.knots, mesh.deltas
-    fv = np.asarray(ecdf(d2, a))
-    yv = np.asarray(integrated_ecdf(d2, a))
-    want = 12.0 / h**3 * ((fv[:-1] + fv[1:]) * h / 2.0 - np.diff(yv))
-    np.testing.assert_allclose(hermite_second_derivative_slopes(d2, mesh), want, rtol=1e-13)
 
 
 def test_interp_integrated_ecdf_interpolates_with_ecdf_end_slopes():
@@ -277,11 +260,7 @@ def test_spline_rejects_bad_input():
         complete_spline(np.array([0.0, 1.0, 0.5]), np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError):
         complete_spline(np.array([0.0, 1.0]), np.zeros(3), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        hermite_spline(np.array([0.0]), np.array([1.0]), np.array([0.0]))
     for knots in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
         knots = np.array(knots)
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             complete_spline(knots, np.zeros(3), 0.0, 0.0)
-        with pytest.raises(ValueError, match="finite and strictly increasing"):
-            hermite_spline(knots, np.zeros(3), np.zeros(3))
