@@ -7,22 +7,32 @@ integrated CDF), each cell carries a "trapezoid defect"
 
 computed once with interpolated slopes (complete cubic spline) and once
 with the raw slopes of G itself, all by the one helper ``_defect``.  The
-four resulting statistics -- spline and raw, empirical and population --
-drive every convexity-event bound: the spline defect rescaled by
-12 / width^3 is, in exact arithmetic, the slope of the interpolant's second
-derivative, which the convexity event computes by its one route,
-:func:`shapedist.spline.second_derivative_slopes`.  The population raw
-defects of any cells come from ``_raw_defects``, which the Taylor bracket,
-the slope-difference bound and the cell variance share.
+four resulting statistics are the sample defects ``T`` (spline) and ``R``
+(raw) from ``_sample_defects`` and their population analogues ``t`` and
+``r`` from ``_population_defects``.  The lemma suite
+(``experiments._suite_deterministic``) forms from them the spline-vs-raw
+residual ``W = (T - t) - (R - r)`` and the interpolation gap ``b = t - r``,
+and checks that ``T - r = (R - r) + W + b`` closes.  The spline defect
+rescaled by 12 / width^3 is, in exact arithmetic, the slope of the
+interpolant's second derivative, which the convexity event computes by its
+one route, :func:`shapedist.spline.second_derivative_slopes`.  The
+population raw defects of any cells come from ``_raw_defects``, which the
+Taylor bracket, the slope-difference bound and the cell variance share.
 
 The module also evaluates the closed-form Bernstein/binomial tail bounds
 for the statistics, the Taylor bracket for the population defect, and the
-mesh-ratio and interpolation-gap checks used by the lemma suite.  Report
-rows come from ``curves._check``, the lemma suite's one row builder, and
-``pass`` means ``lhs <= rhs`` exactly, with no slack.
+mesh-ratio and interpolation-gap checks used by the lemma suite.  Nothing
+here raises on a verdict: bounds come back as numbers, and checks as report
+rows from ``curves._check``, the lemma suite's one row builder.  A row's
+``pass`` is ``lhs <= rhs`` exactly, with no slack, in all but two suite
+rows: ``taylor-bracket[pairs=1000]`` passes when every pair's defect lies in
+its bracket up to the roundoff allowance ``1e-12 * max(1, |value|, |lo|,
+|hi|)``, so it may pass with ``lhs`` a little above ``rhs = 0``; and
+``mesh-ratio-threshold`` passes when its cell count is positive and at most
+the fine mesh's.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,8 +50,6 @@ from .models import (
 from .spline import interp_integrated_cdf, interp_integrated_ecdf
 
 __all__ = [
-    "LemmaQuantities",
-    "compute_quantities",
     "trapezoid_remainder_bounds",
     "slope_difference_bound",
     "mesh_ratio_check",
@@ -54,33 +62,6 @@ __all__ = [
     "cell_variance_report",
     "interp_gap_report",
 ]
-
-
-@dataclass(frozen=True)
-class LemmaQuantities:
-    """Per-cell defect statistics on a knot mesh.
-
-    All arrays have length ``k`` (one entry per cell).  Capital letters are
-    empirical (built from a sample), lowercase their population analogues:
-
-    * ``T`` / ``t`` : defect with complete-spline slopes at the cell ends;
-    * ``R`` / ``r`` : defect with the raw slopes (ECDF / CDF values);
-    * ``W = (T - t) - (R - r)`` : spline-vs-raw residual, random;
-    * ``b = t - r`` : deterministic interpolation gap.
-
-    ``12 T / delta^3`` is the slope of the second derivative of the spline
-    interpolant on each cell; the convexity event computes those slopes once,
-    by :func:`shapedist.spline.second_derivative_slopes`, so they are not
-    stored here.  The identity ``T - r = (R - r) + W + b`` holds by
-    construction and is asserted to 1e-12 relative accuracy.
-    """
-
-    T: np.ndarray
-    R: np.ndarray
-    t: np.ndarray
-    r: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
 
 
 def _defect(slopes: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -110,21 +91,6 @@ def _population_defects(model: AnalyticModel, mesh: KnotMesh):
             _raw_defects(model, mesh.knots))
 
 
-def compute_quantities(data: EmpiricalData, model: AnalyticModel,
-                       mesh: KnotMesh) -> LemmaQuantities:
-    """Evaluate all per-cell statistics for one sample on one mesh."""
-    T, R = _sample_defects(data, mesh)
-    t, r = _population_defects(model, mesh)
-    W = (T - t) - (R - r)
-    b = t - r
-
-    scale = np.max(np.abs(T) + np.abs(r)) + 1.0
-    if not np.allclose(T - r, (R - r) + W + b, rtol=0.0, atol=1e-12 * scale):
-        raise AssertionError("defect decomposition failed to close")
-
-    return LemmaQuantities(T=T, R=R, t=t, r=r, W=W, b=b)
-
-
 def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
     """Taylor bracket for the population defect of one interval.
 
@@ -133,8 +99,8 @@ def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
 
         f'(s)(t-s)^3 / 12 + [inf or sup of f'' on [s, t]] (t-s)^4 / 24.
 
-    Returns ``(lower, upper, value)``; raises if the bracket fails beyond
-    roundoff.
+    Returns ``(lower, upper, value)``; the lemma suite's
+    ``taylor-bracket`` row judges whether the bracket holds.
     """
     if not 0.0 <= s < t:
         raise ValueError("need 0 <= s < t")
@@ -143,9 +109,6 @@ def trapezoid_remainder_bounds(model: AnalyticModel, s: float, t: float):
     quart = (t - s) ** 4 / 24.0
     lo = cube + _extreme(model.fsecond, s, t, "inf") * quart
     hi = cube + _extreme(model.fsecond, s, t, "sup") * quart
-    tol = 1e-12 * max(1.0, abs(value), abs(lo), abs(hi))
-    if value < lo - tol or value > hi + tol:
-        raise AssertionError("Taylor bracket does not contain the defect")
     return lo, hi, value
 
 
@@ -184,29 +147,28 @@ def _mesh_ratios(model: AnalyticModel, mesh: KnotMesh) -> float:
     return worst
 
 
-def mesh_ratio_check(model: AnalyticModel, mesh: KnotMesh):
-    """Worst density/width ratio of adjacent cells, and the first good k.
+def mesh_ratio_check(model: AnalyticModel) -> list[dict]:
+    """Adjacent-cell ratio rows: on a fine mesh, and the first good cell count.
 
-    Returns ``(max_ratio, threshold_k)`` where ``max_ratio`` is the larger
-    of ``max_j f(a_{j-1})/f(a_j)`` and ``max_j delta_{j+1}/delta_j`` for the
-    given mesh, and ``threshold_k`` is the smallest cell count for which
-    both stay <= 2 (or -1 if not found below an internal cap).  Raises when
-    the mesh is fine enough that the ratio is guaranteed <= 2 (cell count
-    at least 5 * gamma1_tilde * R) yet the bound fails.
+    The fine mesh has ``k_fine = max(2, ceil(5 gamma1_tilde R))`` cells (16
+    when that guarantee is infinite), enough for both ``max_j
+    f(a_{j-1})/f(a_j)`` and ``max_j delta_{j+1}/delta_j`` to stay <= 2; the
+    ``mesh-ratio[k=k_fine]`` row checks the larger of the two.  The
+    ``mesh-ratio-threshold`` row reports the smallest cell count for which
+    both stay <= 2 (-1 if none up to an internal cap) and passes when that
+    count is positive and at most ``k_fine``.
     """
     cons = constants(model)
     guarantee = 5.0 * cons.gamma1_tilde * cons.R
-    max_ratio = _mesh_ratios(model, mesh)
-    if np.isfinite(guarantee) and mesh.k >= guarantee and max_ratio > 2.0:
-        raise AssertionError("adjacent-cell ratio exceeds 2 on a fine mesh")
-
-    cap = int(max(mesh.k, 16, np.ceil(guarantee) + 8 if np.isfinite(guarantee) else 16))
-    threshold_k = -1
-    for k in range(1, cap + 1):
-        if _mesh_ratios(model, knot_mesh_convex(model, k)) <= 2.0:
-            threshold_k = k
-            break
-    return max_ratio, threshold_k
+    if math.isfinite(guarantee):
+        k_fine, cap = max(2, math.ceil(guarantee)), max(16, math.ceil(guarantee) + 8)
+    else:
+        k_fine = cap = 16
+    threshold_k = next((k for k in range(1, cap + 1)
+                        if _mesh_ratios(model, knot_mesh_convex(model, k)) <= 2.0), -1)
+    return [_check(f"mesh-ratio[k={k_fine}]", _mesh_ratios(model, knot_mesh_convex(model, k_fine)), 2.0),
+            _check("mesh-ratio-threshold", float(threshold_k), float(k_fine),
+                   ok=0 < threshold_k <= k_fine)]
 
 
 def bernstein_cell_bound(n: int, delta: float, p: float, f_star: float) -> float:
@@ -282,39 +244,26 @@ def cell_variance_report(model: AnalyticModel, mesh: KnotMesh) -> list[dict]:
             for j in range(1, mesh.k + 1)]
 
 
-def interp_gap_report(model: AnalyticModel, k_list) -> dict:
+def interp_gap_report(model: AnalyticModel, k_list) -> list[dict]:
     """Deterministic interpolation gap ``t - r`` across mesh refinements.
 
-    For each cell count ``k`` the report records ``max_j |t_j - r_j|``, the
-    rescaled ``max_j |t_j - r_j| / delta_j^4``, and the curvature bound
-    ``mesh^4 * sup|f''| / 24``; the rescaled column should decay as the
-    mesh refines.  That decay check reads ``k_list`` in refinement order, so
-    an empty or not strictly increasing ``k_list`` raises ``ValueError``.
+    For each cell count ``k`` an ``interp-gap[k=k]`` row checks ``max_j
+    |t_j - r_j|`` against the curvature bound ``mesh^4 * sup|f''| / 24``.
+    A last ``interp-gap-decay`` row checks that the rescaled gap ``max_j
+    |t_j - r_j| / delta_j^4`` of the last ``k`` is at most a quarter of the
+    first's.  That row reads ``k_list`` in refinement order, so an empty or
+    not strictly increasing ``k_list`` raises ``ValueError``.
     """
     ks = [int(k) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError(f"k_list must be nonempty and strictly increasing, got {ks!r}")
     sup_curv = _extreme(lambda x: np.abs(model.fsecond(x)), 0.0, model.tau, "sup")
-    rows = []
+    rows, rescaled = [], []
     for k in ks:
         mesh = knot_mesh_convex(model, k)
         t, r = _population_defects(model, mesh)
-        gap = t - r
-        max_abs = float(np.max(np.abs(gap)))
-        bound = mesh.mesh ** 4 * sup_curv / 24.0
-        rows.append({
-            "k": k,
-            "max_abs_gap": max_abs,
-            "max_rescaled_gap": float(np.max(np.abs(gap) / mesh.deltas ** 4)),
-            "bound": bound,
-            "pass": bool(max_abs <= bound),
-        })
-    ratios = [row["max_rescaled_gap"] for row in rows]
-    decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(ratios, ratios[1:]))
-    final_over_first = ratios[-1] / ratios[0] if ratios[0] > 0 else 0.0
-    return {
-        "rows": rows,
-        "rescaled_decreasing": decreasing,
-        "final_over_first": final_over_first,
-        "pass": decreasing and all(row["pass"] for row in rows),
-    }
+        gap = np.abs(t - r)
+        rows.append(_check(f"interp-gap[k={k}]", float(np.max(gap)), mesh.mesh ** 4 * sup_curv / 24.0))
+        rescaled.append(float(np.max(gap / mesh.deltas ** 4)))
+    final_over_first = rescaled[-1] / rescaled[0] if rescaled[0] > 0 else 0.0
+    return rows + [_check("interp-gap-decay", final_over_first, 0.25)]

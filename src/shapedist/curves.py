@@ -201,19 +201,11 @@ class PiecewisePoly:
     def __add__(self, other):
         if isinstance(other, PiecewisePoly):
             return self._binary(other, 1.0)
-        if np.isscalar(other):
-            c = self.c.copy()
-            c[:, 0] += other
-            return PiecewisePoly(self.x, c)
         return NotImplemented
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, PiecewisePoly):
             return self._binary(other, -1.0)
-        if np.isscalar(other):
-            return self + (-other)
         return NotImplemented
 
     def __neg__(self):
@@ -287,7 +279,7 @@ class CurveSum:
 
 
 def as_curve(obj) -> CurveSum:
-    """Coerce a curve-like object into a :class:`CurveSum`."""
+    """Coerce a curve part (or a constant) into a :class:`CurveSum`."""
     if isinstance(obj, CurveSum):
         return obj
     if isinstance(obj, PiecewisePoly):
@@ -296,8 +288,6 @@ def as_curve(obj) -> CurveSum:
         return CurveSum(smooth=obj)
     if np.isscalar(obj):
         return CurveSum(const=float(obj))
-    if hasattr(obj, "as_curve"):
-        return as_curve(obj.as_curve())
     raise TypeError(f"cannot interpret {type(obj).__name__} as a curve")
 
 

@@ -27,7 +27,6 @@ from .bounds import (
     bernstein_residual_bound,
     binomial_cell_bound,
     cell_variance_report,
-    compute_quantities,
     convexity_event_bound,
     interp_gap_report,
     mesh_ratio_check,
@@ -402,21 +401,8 @@ def run_event_frequency(config: ExperimentConfig) -> list:
 # lemma suite
 
 def _suite_deterministic(model, config: ExperimentConfig) -> list:
-    checks = []
-    cons = constants(model)
-
-    guarantee = 5.0 * cons.gamma1_tilde * cons.R
-    k_fine = max(2, int(math.ceil(guarantee))) if np.isfinite(guarantee) else 16
-    max_ratio, threshold_k = mesh_ratio_check(model, knot_mesh_convex(model, k_fine))
-    checks.append(_check(f"mesh-ratio[k={k_fine}]", max_ratio, 2.0))
-    checks.append(_check("mesh-ratio-threshold", float(threshold_k),
-                         float(k_fine), ok=0 < threshold_k <= k_fine))
-
-    gap = interp_gap_report(model, (25, 50, 100, 200))
-    for row in gap["rows"]:
-        checks.append(_check(f"interp-gap[k={row['k']}]",
-                             row["max_abs_gap"], row["bound"]))
-    checks.append(_check("interp-gap-decay", gap["final_over_first"], 0.25))
+    checks = mesh_ratio_check(model)
+    checks += interp_gap_report(model, (25, 50, 100, 200))
 
     rng = _generator(seed_for(config.base_seed, 0, 0))
     worst = math.inf
@@ -425,11 +411,9 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
         u = np.sort(rng.random(2)) * model.tau
         if u[1] - u[0] < 1e-6:
             continue
-        try:
-            lo, hi, value = trapezoid_remainder_bounds(model, float(u[0]), float(u[1]))
-        except AssertionError:
-            ok = False
-            break
+        lo, hi, value = trapezoid_remainder_bounds(model, float(u[0]), float(u[1]))
+        tol = 1e-12 * max(1.0, abs(value), abs(lo), abs(hi))  # roundoff allowance
+        ok &= lo - tol <= value <= hi + tol
         worst = min(worst, value - lo, hi - value)
     checks.append(_check("taylor-bracket[pairs=1000]", -worst, 0.0, ok=ok))
 
@@ -440,11 +424,13 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
         worst = max(worst, lhs - rhs)
     checks.append(_check("slope-difference[k=50]", worst, 0.0))
 
-    data = sample(model, 1000, seed_for(config.base_seed, 1000, 0))
     mesh20 = knot_mesh_convex(model, 20)
-    q = compute_quantities(data, model, mesh20)
-    resid = float(np.max(np.abs((q.T - q.r) - ((q.R - q.r) + q.W + q.b))))
-    scale = float(np.max(np.abs(q.T) + np.abs(q.r))) + 1.0
+    T, R = _sample_defects(sample(model, 1000, seed_for(config.base_seed, 1000, 0)), mesh20)
+    t, r = _population_defects(model, mesh20)
+    W = (T - t) - (R - r)
+    b = t - r
+    resid = float(np.max(np.abs((T - r) - ((R - r) + W + b))))
+    scale = float(np.max(np.abs(T) + np.abs(r))) + 1.0
     checks.append(_check("defect-decomposition[n=1000,k=20]", resid, 1e-12 * scale))
 
     for k in (5, 20, 80, 200):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from shapedist.bounds import (
     _defect,
+    _population_defects,
     _raw_defects,
     _sample_defects,
     EVENT_BOUND_RECIP_K,
@@ -19,7 +20,6 @@ from shapedist.bounds import (
     cell_variance,
     cell_variance_bound,
     cell_variance_report,
-    compute_quantities,
     convexity_event_bound,
     interp_gap_report,
     mesh_ratio_check,
@@ -74,11 +74,13 @@ def test_quantities_against_independent_routes():
     m = make_model("truncated-exponential", (1.0,))
     mesh = knot_mesh_convex(m, 6)
     d = sample(m, 120, seed_for(80, 120, 0))
-    q = compute_quantities(d, m, mesh)
+    T, R = _sample_defects(d, mesh)
+    t, r = _population_defects(m, mesh)
+    W, b = (T - t) - (R - r), t - r
     a, w = mesh.knots, mesh.deltas
 
     # R: direct sums over the sample
-    np.testing.assert_allclose(q.R, raw_defect_oracle(d.x, a), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(R, raw_defect_oracle(d.x, a), rtol=0.0, atol=1e-12)
 
     # r: numeric quadrature of the cdf
     r_quad = np.array([
@@ -86,21 +88,21 @@ def test_quantities_against_independent_routes():
         - quad(lambda u: float(m.F(u)), lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
         for lo, hi in zip(a[:-1], a[1:])
     ])
-    np.testing.assert_allclose(q.r, r_quad, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(r, r_quad, rtol=0.0, atol=1e-10)
 
     # b and T - R: half-sum of end slope errors times the width
     s_pop = interp_integrated_cdf(m, mesh).slopes
     e_pop = s_pop - np.asarray(m.F(a), dtype=float)
-    np.testing.assert_allclose(q.b, 0.5 * (e_pop[:-1] + e_pop[1:]) * w, atol=1e-13)
+    np.testing.assert_allclose(b, 0.5 * (e_pop[:-1] + e_pop[1:]) * w, atol=1e-13)
     spline = interp_integrated_ecdf(d, mesh)
     e_emp = spline.slopes - np.asarray(ecdf(d, a), dtype=float)
-    np.testing.assert_allclose(q.T - q.R, 0.5 * (e_emp[:-1] + e_emp[1:]) * w, atol=1e-13)
+    np.testing.assert_allclose(T - R, 0.5 * (e_emp[:-1] + e_emp[1:]) * w, atol=1e-13)
 
     # the decomposition closes
-    np.testing.assert_allclose(q.T - q.r, (q.R - q.r) + q.W + q.b, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(T - r, (R - r) + W + b, rtol=0.0, atol=1e-13)
 
     # cross route: the convexity event's slopes are the rescaled spline defects
-    assert_event_slopes_are_rescaled_defects(spline, q.T, w)
+    assert_event_slopes_are_rescaled_defects(spline, T, w)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -206,12 +208,12 @@ def test_population_defect_sign_and_uniform_case():
     # under the integral: population defects are nonpositive; for the
     # uniform model the cdf is linear and they vanish exactly.
     m = make_model("truncated-exponential", (1.0,))
-    q = compute_quantities(sample(m, 50, seed_for(81, 50, 0)), m, knot_mesh_convex(m, 7))
-    assert np.all(q.r <= 1e-15)
+    _, r = _population_defects(m, knot_mesh_convex(m, 7))
+    assert np.all(r <= 1e-15)
     mu = make_model("uniform", ())
-    qu = compute_quantities(sample(mu, 50, seed_for(82, 50, 0)), mu, knot_mesh_convex(mu, 4))
-    assert np.max(np.abs(qu.r)) == 0.0
-    np.testing.assert_allclose(qu.b, qu.t, atol=1e-15)
+    tu, ru = _population_defects(mu, knot_mesh_convex(mu, 4))
+    assert np.max(np.abs(ru)) == 0.0
+    np.testing.assert_allclose(tu - ru, tu, atol=1e-15)
 
 
 def scalar_raw_defect(model, s, t):
@@ -272,12 +274,13 @@ def test_slope_difference_bound_all_cells():
 def test_mesh_ratio_check_fine_and_uniform():
     m = make_model("truncated-exponential", (1.0,))
     # fine mesh: k = 80 = 5 * gamma1_tilde * R for this model
-    max_ratio, threshold_k = mesh_ratio_check(m, knot_mesh_convex(m, 80))
-    assert max_ratio <= 2.0
-    assert 1 <= threshold_k <= 80
-    mu = make_model("uniform", ())
-    max_u, thr_u = mesh_ratio_check(mu, knot_mesh_convex(mu, 3))
-    assert max_u == 1.0 and thr_u == 1
+    fine, threshold = mesh_ratio_check(m)
+    assert fine["name"] == "mesh-ratio[k=80]" and fine["pass"] and fine["lhs"] <= 2.0
+    assert threshold["name"] == "mesh-ratio-threshold" and threshold["pass"]
+    assert 1 <= threshold["lhs"] <= threshold["rhs"] == 80.0
+    # uniform: every ratio is 1, and the fine mesh has the floor of 2 cells
+    fine_u, thr_u = mesh_ratio_check(make_model("uniform", ()))
+    assert (fine_u["name"], fine_u["lhs"], thr_u["lhs"]) == ("mesh-ratio[k=2]", 1.0, 1.0)
 
 
 def test_bernstein_bounds_frozen_arithmetic():
@@ -348,12 +351,20 @@ def test_report_rows_share_the_check_format():
 
 def test_interp_gap_report_refinement():
     m = make_model("truncated-exponential", (1.0,))
-    rep = interp_gap_report(m, (25, 50, 100, 200))
-    assert rep["pass"]
-    assert rep["rescaled_decreasing"]
-    assert rep["final_over_first"] <= 0.25  # at least a 4x drop over 25 -> 200
-    for row in rep["rows"]:
+    ks = (25, 50, 100, 200)
+    rows = interp_gap_report(m, ks)
+    assert [row["name"] for row in rows] == [f"interp-gap[k={k}]" for k in ks] + ["interp-gap-decay"]
+    for row in rows:
         assert row["pass"], row
+    assert rows[-1]["rhs"] == 0.25  # at least a 4x drop over 25 -> 200
+    # the rescaled gap max |t - r| / delta^4 decreases at every refinement
+    rescaled = []
+    for k in ks:
+        mesh = knot_mesh_convex(m, k)
+        t, r = _population_defects(m, mesh)
+        rescaled.append(float(np.max(np.abs(t - r) / mesh.deltas ** 4)))
+    assert all(b <= a * (1.0 + 1e-9) for a, b in zip(rescaled, rescaled[1:])), rescaled
+    assert rows[-1]["lhs"] == rescaled[-1] / rescaled[0]
 
 
 @pytest.mark.parametrize("k_list", [(), [], (50, 25), (25, 25, 50), (25, 100, 50)])

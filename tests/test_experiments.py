@@ -9,8 +9,11 @@ from multiprocessing import Pool
 import numpy as np
 import pytest
 
+import shapedist.bounds as bounds
 import shapedist.experiments as experiments
+from shapedist import cli
 from shapedist.bounds import convexity_event_bound
+from shapedist.curves import _CHECK_COLUMNS
 from shapedist.empirical import sample, seed_for
 from shapedist.experiments import (
     REPLICATE_COLUMNS,
@@ -303,6 +306,21 @@ def test_base_seed_outside_64_bits_is_refused(seed):
 
 LEMMA_SHA256 = "cf7964fe99670a2a59a714bba51ac0a7496056336e62a17490c2ea8352a241c9"
 
+# the two suite rows whose pass is not lhs <= rhs: the Taylor bracket
+# allows roundoff per pair, and the threshold asks 0 < lhs <= rhs
+OWN_VERDICT_ROWS = {"taylor-bracket[pairs=1000]", "mesh-ratio-threshold"}
+
+
+def assert_row_contract(checks):
+    """Every suite row has the check columns in order, an exact margin, and a
+    pass that is lhs <= rhs except in ``OWN_VERDICT_ROWS``."""
+    assert OWN_VERDICT_ROWS <= {c["name"] for c in checks}
+    for c in checks:
+        assert tuple(c) == _CHECK_COLUMNS, c
+        assert c["margin"] == c["rhs"] - c["lhs"], c
+        if c["name"] not in OWN_VERDICT_ROWS:
+            assert c["pass"] is (c["lhs"] <= c["rhs"]), c
+
 
 def test_lemma_suite_report(tmp_path):
     out = tmp_path / "lemmas.json"
@@ -315,8 +333,7 @@ def test_lemma_suite_report(tmp_path):
     assert len(names) >= 40
     for c in report["checks"]:
         assert c["pass"], c
-        assert set(c) == {"name", "pass", "lhs", "rhs", "margin"}
-        assert math.isclose(c["margin"], c["rhs"] - c["lhs"], rel_tol=1e-9, abs_tol=1e-12)
+    assert_row_contract(report["checks"])
     on_disk = json.loads(out.read_text())
     assert on_disk["pass"] is True
     assert [c["name"] for c in on_disk["checks"]] == names
@@ -364,7 +381,24 @@ def test_lemma_suite_bytes_frozen_beyond_one_model(tmp_path, model, params, reps
                            n_grid=(128,), replicates=reps, base_seed=1, out=str(out))
     report = run_lemma_suite(cfg)
     assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
+    assert_row_contract(report["checks"])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_failing_lemma_check_is_reported_not_raised(monkeypatch, capsys):
+    # a ratio above 2 on the fine mesh fails its row and the report; the
+    # suite returns, and the CLI exits 1
+    monkeypatch.setattr(bounds, "_mesh_ratios", lambda model, mesh: 3.0)
+    cfg = ExperimentConfig(model="truncated-exponential", params=(1.0,), target="convex",
+                           n_grid=(128,), replicates=20, base_seed=1)
+    report = run_lemma_suite(cfg)
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["mesh-ratio[k=80]"]["pass"] is False
+    assert rows["mesh-ratio[k=80]"]["lhs"] == 3.0
+    assert report["pass"] is False
+    assert cli.main(["lemmas", "--model", "truncated-exponential", "--params", "1.0",
+                     "--reps", "20", "--seed", "1"]) == 1
+    assert "mesh-ratio[k=80],False,3.0," in capsys.readouterr().out
 
 
 def test_lemma_suite_deterministic():
