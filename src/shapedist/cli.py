@@ -2,8 +2,11 @@
 
 Subcommands: ``rate`` (log-log convergence fit), ``events`` (shape-event
 frequency sweep), ``lemmas`` (deterministic + Monte Carlo check suite).
-Flags override config-file values; the config file is flat ``key = value``
-lines mirroring the flag names (``#`` starts a comment).
+Flags override config-file values.  The config file is flat ``key = value``
+lines whose keys are ``ExperimentConfig`` field names, with ``-`` read as
+``_`` (``#`` starts a comment).  Four keys differ from their flags:
+``replicates`` (``--reps``), ``base_seed`` (``--seed``), ``k_override``
+(``--k``) and ``tau_quantile`` (``--tau-q``).
 
 Exit codes: 0 success, 1 check/convergence failure, 2 bad configuration.
 """

@@ -170,11 +170,11 @@ class ConvexLse:
         return self.cdf_curve(upto).antiderivative()
 
 
-def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):
+def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, data: EmpiricalData):
     """Equality solve on the active set plus ratio steps back to feasibility.
 
-    ``yn_at`` re-evaluates the ECDF integral if a kink must be jittered away
-    from a singular Gram configuration.  Returns ``(thetas, weights, v, G)``
+    The ECDF integral of ``data`` is re-evaluated if a kink must be jittered
+    away from a singular Gram configuration.  Returns ``(thetas, weights, v, G)``
     with all weights strictly positive, the normal equations satisfied on the
     surviving set, and ``G`` its Gram matrix.
     """
@@ -190,7 +190,7 @@ def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, yn_at):
             thetas = thetas.copy()
             thetas[-1] *= 1.0 + 1e-9 * jitters
             v = v.copy()
-            v[-1] = yn_at(thetas[-1])
+            v[-1] = float(integrated_ecdf(data, thetas[-1]))
             continue
         if np.all(cn > 0.0):
             return thetas, cn, v, G
@@ -268,36 +268,32 @@ def _gap_extrema_on(H: PiecewisePoly, yn: PiecewisePoly, keep: np.ndarray,
     return _piece_extrema(x0, c, np.zeros(len(x0)), uhi, max(H.degree(), yn.degree()) <= 1)
 
 
-def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
-            full_output: bool = False):
+#: Relative certificate tolerance of :func:`fit_lse`: the fit stops once the
+#: gap between the double integral of the fit and the ECDF integral is
+#: everywhere above ``-_TOL * X_(n)^3`` (the gap carries cubic length units),
+#: and the fit's mass is at least ``1 - _TOL * X_(n)^2``.
+_TOL = 1e-9
+
+
+def fit_lse(data: EmpiricalData, full_output: bool = False):
     """Least-squares convex density fit by support reduction.
 
-    Parameters
-    ----------
-    tol : relative certificate tolerance; the fit stops once the gap between
-        the double integral of the fit and the ECDF integral is everywhere
-        above ``-tol * X_(n)^3`` (the gap carries cubic length units).
-    max_iter : outer iteration cap, default ``100 n + 100``.
-    full_output : also return a dict with the objective trace and certificate.
+    ``full_output`` also returns a dict with the objective trace, the pass
+    count (``iterations``) and the certificate's ``min_gap``.
 
     Each pass adds the candidate with the most negative gap.  Once the grid
     is clean, the data intervals that the convexity screen cannot clear are
     minimized exactly; a violation there becomes the next kink, the same one
     the full minimization would pick.  Otherwise the gap is minimized exactly
     over all of ``[0, horizon]``; only that full check ends the fit, and it
-    gives ``min_gap``.  ``tol`` must be finite and positive and ``max_iter``
-    at least 1, or ``ValueError`` is raised.
+    gives ``min_gap``, which stays above ``-_TOL * X_(n)^3``.  A fit without
+    a certificate after ``100 n + 100`` passes raises :class:`FitError`.
 
     Returns the fitted :class:`ConvexLse` (and the info dict if requested).
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter is None:
-        max_iter = 100 * data.n + 100
-    elif max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = 100 * data.n + 100
     scale = float(data.x[-1])
-    gap_tol = tol * scale**3
+    gap_tol = _TOL * scale**3
     # the screen clears an interval only this far above the certificate, which
     # outweighs the rounding of the grid gap and of the exact pieces
     clear_at = -gap_tol + max(gap_tol, 1e-12 * scale)
@@ -337,7 +333,7 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
                 gap = curve_sub(H, yn_curve)
                 ext = extrema(gap, 0.0, horizon)
                 tail_slope = fit.mass - 1.0
-                if ext.min_val >= -gap_tol and tail_slope >= -tol * scale**2:
+                if ext.min_val >= -gap_tol and tail_slope >= -_TOL * scale**2:
                     info = {"objective_trace": qtrace, "min_gap": ext.min_val,
                             "iterations": len(qtrace), "horizon": horizon}
                     return (fit, info) if full_output else fit
@@ -355,9 +351,7 @@ def fit_lse(data: EmpiricalData, tol: float = 1e-9, max_iter: int | None = None,
         thetas = np.append(thetas, new_theta)
         w = np.append(w, 0.0)
         v = np.append(v, float(integrated_ecdf(data, new_theta)))
-        thetas, w, v, G = _solve_nonnegative(
-            thetas, v, w, lambda t: float(integrated_ecdf(data, t))
-        )
+        thetas, w, v, G = _solve_nonnegative(thetas, v, w, data)
         qtrace.append(float(0.5 * w @ G @ w - w @ v) if len(thetas) else 0.0)
     raise FitError(f"no certificate after {max_iter} iterations")
 
@@ -367,7 +361,7 @@ class CharacterizationReport:
     """Exact diagnostics of the LSE characterization.
 
     ``min_gap`` is the minimum of (double integral of fit) - (ECDF integral)
-    over ``[0, X_(n)]``; it must not fall below ``-tol * X_(n)^3``.
+    over ``[0, X_(n)]``; it must not fall below ``-_TOL * X_(n)^3``.
     ``max_abs_gap_at_kinks`` is the largest absolute gap at the fitted kinks,
     where the characterization demands equality.  ``tail_min_gap`` extends the
     minimum past the data to three times the largest observation.

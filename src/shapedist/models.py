@@ -100,16 +100,18 @@ class ModelConstants:
     R: float
 
 
-def _extreme(fn, lo: float, hi: float, kind: str) -> float:
+def _extreme(fn, lo, hi, kind: str):
     """Inf or sup of ``fn`` on ``[lo, hi]``, taken at the two ends.
 
     Every function passed here is monotone on its interval (see
     ``AnalyticModel``), so its extremes are end values.  A NaN end (0/0
-    where the density vanishes) is skipped.
+    where the density vanishes) is skipped.  Arrays of ends give one
+    extreme per interval; scalar ends give a float.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = np.asarray(fn(np.array([lo, hi])), dtype=float)
-    return float(np.nanmax(v) if kind == "sup" else np.nanmin(v))
+    out = np.nanmax(v, axis=0) if kind == "sup" else np.nanmin(v, axis=0)
+    return out if out.ndim else float(out)
 
 
 def constants(model: AnalyticModel) -> ModelConstants:

@@ -191,7 +191,7 @@ def broken_line_error_report(model: AnalyticModel, mesh: KnotMesh) -> dict:
     lo, hi = float(knots[0]), float(knots[-1])
     lhs = sup_norm(broken_line(model.F, knots).as_curve(), model.F_curve(), (lo, hi))
     sup_fp = _extreme(lambda t: np.abs(model.fprime(t)), lo, hi, "sup")
-    return _check("chord-error-vs-curvature", lhs, mesh.mesh**2 * sup_fp / 8.0)
+    return _check(f"chord-error-vs-curvature[k={mesh.k}]", lhs, mesh.mesh**2 * sup_fp / 8.0)
 
 
 def concavity_event(data: EmpiricalData, mesh: KnotMesh) -> bool:

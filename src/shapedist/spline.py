@@ -210,7 +210,7 @@ def smooth_interp_error_bounds(model: AnalyticModel, mesh: KnotMesh) -> list[dic
     lhs_d = extrema(curve_sub(spline.as_curve().derivative(), model.F_curve()), lo, hi).sup_abs
     osc = modulus(model.F_curve(), mesh.mesh, (lo, hi))
     return [
-        _check("spline-error-vs-fourth-derivative", lhs, 5.0 / 384.0 * mesh.mesh**4 * m4),
-        _check("spline-deriv-error-vs-fourth-derivative", lhs_d, mesh.mesh**3 * m4 / 24.0),
-        _check("spline-deriv-error-vs-cdf-oscillation", lhs_d, 19.0 / 4.0 * osc),
+        _check(f"spline-error-vs-fourth-derivative[k={mesh.k}]", lhs, 5.0 / 384.0 * mesh.mesh**4 * m4),
+        _check(f"spline-deriv-error-vs-fourth-derivative[k={mesh.k}]", lhs_d, mesh.mesh**3 * m4 / 24.0),
+        _check(f"spline-deriv-error-vs-cdf-oscillation[k={mesh.k}]", lhs_d, 19.0 / 4.0 * osc),
     ]

@@ -32,10 +32,11 @@ from shapedist.empirical import (
     ecdf,
     integrated_ecdf,
     integrated_ecdf_curve,
+    _generator,
     sample,
     seed_for,
 )
-from shapedist.models import KnotMesh, knot_mesh_convex, make_model
+from shapedist.models import KnotMesh, _extreme, knot_mesh_convex, make_model
 from shapedist.monotone import broken_line_error_report
 from shapedist.spline import (
     complete_spline,
@@ -257,18 +258,67 @@ def test_trapezoid_bracket_rejects_bad_interval():
         trapezoid_remainder_bounds(m, -0.1, 0.5)
     with pytest.raises(ValueError):
         trapezoid_remainder_bounds(m, 0.5, 0.5)
+    # every pair of an array is checked
+    with pytest.raises(ValueError):
+        trapezoid_remainder_bounds(m, np.array([0.1, 0.5, 0.2]), np.array([0.3, 0.5, 0.4]))
 
 
 def test_slope_difference_bound_all_cells():
     m = make_model("truncated-exponential", (1.0,))
-    mesh = knot_mesh_convex(m, 50)
-    for j in range(1, 50):
-        lhs, rhs = slope_difference_bound(m, mesh, j)
-        assert lhs <= rhs + 1e-15
-    with pytest.raises(ValueError):
-        slope_difference_bound(m, mesh, 0)
-    with pytest.raises(ValueError):
-        slope_difference_bound(m, mesh, 50)
+    lhs, rhs = slope_difference_bound(m, knot_mesh_convex(m, 50))
+    assert lhs.shape == rhs.shape == (49,)
+    assert np.all(lhs <= rhs + 1e-15)
+
+
+# The per-pair and per-cell formulas that the whole-array bounds replaced,
+# kept as the oracle they must match bit for bit.  Powers are Python-float **.
+def taylor_bracket_oracle(model, s, t):
+    value = float(_raw_defects(model, [s, t])[0])
+    cube = float(model.fprime(s)) * (t - s) ** 3 / 12.0
+    quart = (t - s) ** 4 / 24.0
+    lo = cube + _extreme(model.fsecond, s, t, "inf") * quart
+    hi = cube + _extreme(model.fsecond, s, t, "sup") * quart
+    return lo, hi, value
+
+
+def slope_difference_oracle(model, mesh, j):
+    a = mesh.knots
+    d = [float(v) for v in mesh.deltas]
+    rj, rj1 = (float(v) for v in _raw_defects(model, a[j - 1:j + 2]))
+    lhs = rj / d[j - 1] ** 3 - rj1 / d[j] ** 3
+    diff_quot = (float(model.fprime(a[j])) - float(model.fprime(a[j - 1]))) / d[j - 1]
+    sup_j = _extreme(model.fsecond, a[j - 1], a[j], "sup")
+    inf_j1 = _extreme(model.fsecond, a[j], a[j + 1], "inf")
+    rhs = -diff_quot * d[j - 1] / 12.0 + (sup_j * d[j - 1] - inf_j1 * d[j]) / 24.0
+    return lhs, rhs
+
+
+ORACLE_MODELS = [
+    ("truncated-exponential", (1.0,)), ("truncated-exponential", (2.0, 3.0)),
+    ("beta-like", (2.0,)), ("beta-like", (1.5,)),
+    ("shifted-power", (3.0, 1.0)), ("shifted-power", (2.0, 1.0)), ("shifted-power", (4.5, 2.0)),
+]
+
+
+@pytest.mark.parametrize("name,params", ORACLE_MODELS)
+def test_whole_array_bounds_match_the_per_element_formulas_bitwise(name, params):
+    m = make_model(name, params)
+    for k in (3, 10, 50, 200):
+        mesh = knot_mesh_convex(m, k)
+        want = np.array([slope_difference_oracle(m, mesh, j) for j in range(1, k)]).T
+        got = np.array(slope_difference_bound(m, mesh))
+        assert got.tobytes() == want.tobytes(), k
+    # the lemma suite's pairs: one draw of 1000 pairs against 1000 draws of one
+    for base_seed in (1, 6, 32):
+        u = np.sort(_generator(seed_for(base_seed, 0, 0)).random((1000, 2)), axis=1) * m.tau
+        s, t = u[u[:, 1] - u[:, 0] >= 1e-6].T
+        got = np.array(trapezoid_remainder_bounds(m, s, t))
+        rng = _generator(seed_for(base_seed, 0, 0))
+        pairs = [np.sort(rng.random(2)) * m.tau for _ in range(1000)]
+        want = np.array([taylor_bracket_oracle(m, float(a), float(b))
+                         for a, b in pairs if b - a >= 1e-6]).T
+        assert got.tobytes() == want.tobytes(), base_seed
+        assert trapezoid_remainder_bounds(m, float(s[0]), float(t[0])) == tuple(got[:, 0])
 
 
 def test_mesh_ratio_check_fine_and_uniform():
@@ -352,7 +402,7 @@ def test_report_rows_share_the_check_format():
 def test_interp_gap_report_refinement():
     m = make_model("truncated-exponential", (1.0,))
     ks = (25, 50, 100, 200)
-    rows = interp_gap_report(m, ks)
+    rows = interp_gap_report(m)
     assert [row["name"] for row in rows] == [f"interp-gap[k={k}]" for k in ks] + ["interp-gap-decay"]
     for row in rows:
         assert row["pass"], row
@@ -365,11 +415,3 @@ def test_interp_gap_report_refinement():
         rescaled.append(float(np.max(np.abs(t - r) / mesh.deltas ** 4)))
     assert all(b <= a * (1.0 + 1e-9) for a, b in zip(rescaled, rescaled[1:])), rescaled
     assert rows[-1]["lhs"] == rescaled[-1] / rescaled[0]
-
-
-@pytest.mark.parametrize("k_list", [(), [], (50, 25), (25, 25, 50), (25, 100, 50)])
-def test_interp_gap_report_refuses_what_its_decay_check_cannot_read(k_list):
-    # the decay check compares rows in refinement order: nothing, or cell
-    # counts out of order, would pass it vacuously
-    with pytest.raises(ValueError, match="strictly increasing"):
-        interp_gap_report(make_model("truncated-exponential", (1.0,)), k_list)

@@ -163,10 +163,18 @@ def test_load_config_file(tmp_path):
         "n-grid = 64, 128, 256   # dashes map to underscores\n"
         "replicates = 7\n"
         "k-override = 2\n"
+        "base_seed = 9\n"
+        "tau-quantile = 0.5\n"
     )
     values = cli.load_config_file(str(p))
     assert values == {"model": "truncated-exponential", "params": (1.0,),
-                      "n_grid": (64, 128, 256), "replicates": 7, "k_override": 2}
+                      "n_grid": (64, 128, 256), "replicates": 7, "k_override": 2,
+                      "base_seed": 9, "tau_quantile": 0.5}
+    # keys are config field names, not flag names
+    for flag_name, key in (("reps", "reps"), ("tau-q", "tau_q")):
+        (tmp_path / "flag.conf").write_text(f"model = uniform\n{flag_name} = 2\n")
+        with pytest.raises(ConfigError, match=f"flag.conf:2: unknown key '{key}'"):
+            cli.load_config_file(str(tmp_path / "flag.conf"))
     (tmp_path / "bad1.conf").write_text("mystery = 3\n")
     with pytest.raises(ConfigError):
         cli.load_config_file(str(tmp_path / "bad1.conf"))

@@ -175,15 +175,6 @@ def test_marshall_integrated_level_needs_factor_two():
 
 
 def test_fit_rejects_bad_input():
-    one = EmpiricalData(np.array([1.0]))
-    # nan passed a plain ``tol <= 0`` check and ran to the iteration cap;
-    # inf stopped on a misleading "degenerate sample"
-    for tol in (0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            fit_lse(one, tol=tol)
-    for max_iter in (0, -1):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            fit_lse(one, max_iter=max_iter)
     with pytest.raises(FitError):
         fit_lse(EmpiricalData(np.array([0.0, 0.0, 0.0])))
 

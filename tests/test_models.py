@@ -461,7 +461,7 @@ def _fixed_extreme_calls(model):
     """Every ``(fn, lo, hi, kind)`` that ``constants`` and the bounds pass to ``_extreme``.
 
     ``trapezoid_remainder_bounds`` and ``slope_difference_bound`` pass
-    ``f''`` on subintervals of ``[0, tau]``; the rest are recorded here.
+    ``f''`` on arrays of subintervals of ``[0, tau]``; the rest are recorded here.
     """
     calls = []
 
@@ -473,7 +473,7 @@ def _fixed_extreme_calls(model):
         for module in (models, bounds, spline):
             mp.setattr(module, "_extreme", spy)
         constants(model)
-        bounds.interp_gap_report(model, (2,))
+        bounds.interp_gap_report(model)
         spline.smooth_interp_error_bounds(model, knot_mesh_convex(model, 2))
     return calls
 
@@ -491,6 +491,11 @@ def test_endpoint_extreme_matches_grid_search_bitwise(name, params, tau_quantile
     for fn, lo, hi, kind in calls:
         got, want = _extreme(fn, lo, hi, kind), _grid_extreme(fn, lo, hi, kind)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (lo, hi, kind, got, want)
+    # arrays of interval ends give, element by element, the scalar call's bits
+    lo, hi = (np.array([c[i] for c in calls[9::2]]) for i in (1, 2))
+    for kind in ("inf", "sup"):
+        want = [_extreme(m.fsecond, float(a), float(b), kind) for a, b in zip(lo, hi)]
+        assert _extreme(m.fsecond, lo, hi, kind).tobytes() == np.array(want).tobytes()
 
 
 def _is_monotone(v) -> bool:

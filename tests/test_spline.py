@@ -203,9 +203,9 @@ def test_smooth_interp_error_bounds_hold(name, params):
     for k in (5, 20):
         rows = smooth_interp_error_bounds(m, knot_mesh_convex(m, k))
         assert [r["name"] for r in rows] == [
-            "spline-error-vs-fourth-derivative",
-            "spline-deriv-error-vs-fourth-derivative",
-            "spline-deriv-error-vs-cdf-oscillation",
+            f"spline-error-vs-fourth-derivative[k={k}]",
+            f"spline-deriv-error-vs-fourth-derivative[k={k}]",
+            f"spline-deriv-error-vs-cdf-oscillation[k={k}]",
         ]
         for r in rows:
             assert r["pass"], r
