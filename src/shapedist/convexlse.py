@@ -88,7 +88,13 @@ def _powers(t):
 
 @dataclass(frozen=True)
 class ConvexLse:
-    """Fitted decreasing convex density ``f(x) = sum_i c_i (theta_i - x)_+``."""
+    """Fitted decreasing convex density ``f(x) = sum_i c_i (theta_i - x)_+``.
+
+    Its evaluators are the exact piecewise-polynomial curves
+    :meth:`density_curve`, :meth:`cdf_curve` and :meth:`integrated_cdf_curve`
+    on ``[0, upto]``, which every distance uses, and
+    :meth:`_integrated_cdf_sorted`, the integrated CDF at sorted points.
+    """
 
     kinks: np.ndarray
     weights: np.ndarray
@@ -113,45 +119,18 @@ class ConvexLse:
         """Total integral of the fitted density, ``sum c theta^2 / 2``."""
         return float(self._suffix[2, 0] / 2.0)
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.kinks, t, side="right")
-        s = self._suffix
-        out = np.maximum(s[1, i] - t * s[0, i], 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.kinks, t, side="right")
-        s = self._suffix
-        tail = s[2, i] - 2.0 * t * s[1, i] + t * t * s[0, i]
-        out = 0.5 * (s[2, 0] - np.where(t >= 0.0, tail, s[2, 0]))
-        return out if out.ndim else float(out)
-
-    def integrated_cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.kinks, t, side="right")
-        out = self._integrated_cdf(_powers(t), self._suffix[:, i])
-        return out if out.ndim else float(out)
-
-    def _integrated_cdf(self, p, s):
-        """Integrated CDF at the points whose :func:`_powers` are ``p``.
-
-        ``s`` holds the suffix column under each point: the column of the
-        first kink above it.
-        """
-        t, t3, tt3, ttt = p
-        tail = s[3] - t3 * s[2] + tt3 * s[1] - ttt * s[0]
-        return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
-
     def _integrated_cdf_sorted(self, t, p):
-        """:meth:`integrated_cdf` at sorted points ``t`` with :func:`_powers` ``p``.
+        """Integrated CDF of the fit at sorted points ``t`` with :func:`_powers` ``p``.
 
-        Sorted points pass the kinks in order, so the suffix columns are runs,
-        expanded with ``np.repeat`` instead of gathered point by point.
+        Each point takes the suffix column of the first kink above it; sorted
+        points pass the kinks in order, so those columns are runs, expanded
+        with ``np.repeat`` instead of gathered point by point.
         """
         runs = np.diff(np.searchsorted(t, self.kinks, side="left"), prepend=0, append=len(t))
-        return self._integrated_cdf(p, np.repeat(self._suffix, runs, axis=1))
+        s = np.repeat(self._suffix, runs, axis=1)
+        _, t3, tt3, ttt = p
+        tail = s[3] - t3 * s[2] + tt3 * s[1] - ttt * s[0]
+        return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
 
     def density_curve(self, upto: float) -> PiecewisePoly:
         bx = np.unique(np.concatenate([[0.0], self.kinks, [max(upto, self.kinks[-1] * 1.5)]]))
@@ -380,7 +359,7 @@ def characterization_report(lse: ConvexLse, data: EmpiricalData) -> Characteriza
     gap = curve_sub(lse.integrated_cdf_curve(1.01 * hi), yn_curve)
     body = extrema(gap, 0.0, xn)
     tail = extrema(gap, xn, hi)
-    at_kinks = np.asarray(lse.integrated_cdf(lse.kinks), dtype=float) - np.asarray(
+    at_kinks = lse._integrated_cdf_sorted(lse.kinks, _powers(lse.kinks)) - np.asarray(
         integrated_ecdf(data, lse.kinks), dtype=float
     )
     return CharacterizationReport(

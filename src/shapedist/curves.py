@@ -13,8 +13,8 @@ Two kinds of curve objects appear:
 * :class:`SmoothCurve` -- a smooth function bundled with a chain of
   derivatives, used for analytic CDFs and their integrals.
 
-A :class:`CurveSum` combines one of each (plus a constant), which is exactly
-the shape of differences like ``ecdf - F`` or ``spline - Y``.  Stationary
+A :class:`CurveSum` combines one of each, which is exactly the shape of
+differences like ``ecdf - F`` or ``spline - Y``.  Stationary
 points of such differences come from one bisection cascade down the
 derivative chain, vectorized across pieces (one batched bisection per
 level), which is exact whenever the relevant derivative of the smooth part is
@@ -91,8 +91,8 @@ def _sum_coefficients(a: "PiecewisePoly", b: "PiecewisePoly", sign: float,
     counts as ``0.0``: a line adds to a cubic as ``ca + sign * 0.0``, which is
     what retargeting its zero columns would give, up to the sign of a zero.
     """
-    ra = a._retarget(x0, ia, a.degree())
-    rb = b._retarget(x0, ib, b.degree())
+    ra = a._retarget(x0, ia)
+    rb = b._retarget(x0, ib)
     c = np.zeros((len(x0), 4))
     for j in range(max(len(ra), len(rb))):
         c[:, j] = (ra[j] if j < len(ra) else 0.0) + sign * (rb[j] if j < len(rb) else 0.0)
@@ -176,15 +176,15 @@ class PiecewisePoly:
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
-    def _retarget(self, x0: np.ndarray, i: np.ndarray, deg: int):
+    def _retarget(self, x0: np.ndarray, i: np.ndarray):
         """Coefficient columns re-expressed on pieces of a finer grid starting at ``x0``.
 
-        ``i`` holds the piece of ``self`` under each of ``x0``.  With
-        ``deg <= 1`` (pieces known to be lines) only the ``c0`` and ``c1``
-        columns are built; otherwise all four.
+        ``i`` holds the piece of ``self`` under each of ``x0``.  Lines
+        (:meth:`degree` at most 1) build only the ``c0`` and ``c1`` columns;
+        higher degrees all four.
         """
         d = x0 - self.x[i]
-        if deg <= 1:
+        if self.degree() <= 1:
             c1 = self.c[i, 1]
             return c1 * d + self.c[i, 0], c1
         c0, c1, c2, c3 = (self.c[i, j] for j in range(4))
@@ -250,14 +250,13 @@ class SmoothCurve:
 
 @dataclass(frozen=True)
 class CurveSum:
-    """``poly + smooth + const``, either part optional."""
+    """``poly + smooth``, either part optional (``None`` standing for zero)."""
 
     poly: PiecewisePoly | None = None
     smooth: SmoothCurve | None = None
-    const: float = 0.0
 
     def _eval(self, t, side):
-        out = np.zeros_like(np.asarray(t, dtype=float)) + self.const
+        out = np.zeros_like(np.asarray(t, dtype=float))
         if self.poly is not None:
             out = out + self.poly._eval(t, side)
         if self.smooth is not None:
@@ -274,20 +273,17 @@ class CurveSum:
         return CurveSum(
             None if self.poly is None else self.poly.derivative(),
             None if self.smooth is None else self.smooth.derivative(),
-            0.0,
         )
 
 
 def as_curve(obj) -> CurveSum:
-    """Coerce a curve part (or a constant) into a :class:`CurveSum`."""
+    """Coerce a curve part into a :class:`CurveSum`."""
     if isinstance(obj, CurveSum):
         return obj
     if isinstance(obj, PiecewisePoly):
         return CurveSum(poly=obj)
     if isinstance(obj, SmoothCurve):
         return CurveSum(smooth=obj)
-    if np.isscalar(obj):
-        return CurveSum(const=float(obj))
     raise TypeError(f"cannot interpret {type(obj).__name__} as a curve")
 
 
@@ -301,7 +297,7 @@ def _minus(a, b):
 def curve_sub(g, h) -> CurveSum:
     g = as_curve(g)
     h = as_curve(h)
-    return CurveSum(_minus(g.poly, h.poly), _minus(g.smooth, h.smooth), g.const - h.const)
+    return CurveSum(_minus(g.poly, h.poly), _minus(g.smooth, h.smooth))
 
 
 @dataclass(frozen=True)
@@ -508,22 +504,18 @@ def extrema(g, lo: float, hi: float) -> Extrema:
     """
     _check_interval(lo, hi)
     cs = as_curve(g)
-    if cs.poly is None and cs.smooth is None:
-        return Extrema(cs.const, lo, cs.const, lo)
     poly = cs.poly if cs.poly is not None else _flat(lo, hi)
     if cs.smooth is None:
         sl, ulo, uhi = _window(poly, lo, hi)
-        e = _piece_extrema(poly.x[sl], poly.c[sl], ulo, uhi, poly.degree() <= 1)
-    else:
-        e = _hybrid_extrema(poly, cs.smooth, lo, hi)
-    return Extrema(e.min_val + cs.const, e.min_at, e.max_val + cs.const, e.max_at)
+        return _piece_extrema(poly.x[sl], poly.c[sl], ulo, uhi, poly.degree() <= 1)
+    return _hybrid_extrema(poly, cs.smooth, lo, hi)
 
 
 def sup_norm(g, h, interval) -> float:
     """Exact sup of ``|g - h|`` over a closed interval with finite ends.
 
-    Both arguments may be piecewise polynomials, smooth curves, curve sums,
-    or constants.  Jumps contribute through their one-sided limits.
+    Both arguments may be piecewise polynomials, smooth curves or curve
+    sums.  Jumps contribute through their one-sided limits.
     """
     lo, hi = float(interval[0]), float(interval[1])
     return extrema(curve_sub(g, h), lo, hi).sup_abs
@@ -573,7 +565,7 @@ def _shifted(cs: CurveSum, width: float) -> CurveSum:
         poly = PiecewisePoly(np.append(x[:-1][keep], x[-1]), poly.c[keep])
     if smooth is not None:
         smooth = SmoothCurve(*((lambda t, f=f: f(t + width)) for f in smooth.funcs))
-    return CurveSum(poly, smooth, cs.const)
+    return CurveSum(poly, smooth)
 
 
 def modulus(g, width: float, interval) -> float:

@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .convexlse import FitError, fit_lse
 from .curves import _check, sup_norm
-from .empirical import _generator, ecdf_curve, integrated_ecdf_curve, sample, seed_for
+from .empirical import _generator, ecdf_curve, sample, seed_for
 from .models import AnalyticModel, constants, knot_mesh_convex, knot_mesh_monotone, make_model
 from .monotone import broken_line_error_report, concavity_event, kw_tail_bound, lcm
 from .spline import convexity_event, smooth_interp_error_bounds
@@ -198,9 +198,9 @@ def _replicate(task):
                 raise FitError(f"n={n} replicate={rep} seed={seed}: {err}") from err
             tau = model.tau
             cap = max(tau, float(data.x[-1])) * 1.5 + 1.0
-            sup_f = float(sup_norm(fit.cdf_curve(cap), ecdf_curve(data, upto=cap), (0.0, tau)))
-            sup_h = float(sup_norm(fit.integrated_cdf_curve(cap),
-                                   integrated_ecdf_curve(data, upto=cap), (0.0, tau)))
+            F, Fn = fit.cdf_curve(cap), ecdf_curve(data, upto=cap)
+            sup_f = float(sup_norm(F, Fn, (0.0, tau)))
+            sup_h = float(sup_norm(F.antiderivative(), Fn.antiderivative(), (0.0, tau)))
         event = convexity_event
     return {
         "model": config.model, "n": n, "k": ks, "replicate": rep,

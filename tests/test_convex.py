@@ -20,7 +20,7 @@ from shapedist.convexlse import (
     marshall_A,
     marshall_Aprime,
 )
-from shapedist.curves import curve_sub, extrema
+from shapedist.curves import Extrema, curve_sub, extrema
 from shapedist.empirical import (EmpiricalData, integrated_ecdf, integrated_ecdf_curve, sample,
                                  seed_for)
 from shapedist.models import make_model
@@ -99,24 +99,22 @@ def test_fit_properties():
     assert np.all(fit.weights > 0)
     assert np.all(np.diff(fit.kinks) > 0)
     # decreasing convex density; integrates to ~1; CDF/double integral consistent
-    t = np.linspace(0.0, float(fit.kinks[-1]) * 1.1, 500)
-    dens = np.asarray(fit.density(t))
+    upto = float(fit.kinks[-1]) * 1.1
+    t = np.linspace(0.0, upto, 500)
+    dens = fit.density_curve(upto)(t)
     assert np.all(np.diff(dens) <= 1e-12)
     assert np.all(np.diff(dens, 2) >= -1e-12)
     assert abs(fit.mass - 1.0) <= 1e-4
+    cdf, icdf = fit.cdf_curve(upto), fit.integrated_cdf_curve(upto)
+    assert math.isclose(cdf(upto), fit.mass, rel_tol=1e-12)
     h = 1e-6
     mid = t[5:-5]
-    np.testing.assert_allclose(
-        (np.asarray(fit.integrated_cdf(mid + h)) - np.asarray(fit.integrated_cdf(mid - h)))
-        / (2 * h),
-        np.asarray(fit.cdf(mid)),
-        atol=1e-6,
-    )
-    np.testing.assert_allclose(
-        (np.asarray(fit.cdf(mid + h)) - np.asarray(fit.cdf(mid - h))) / (2 * h),
-        np.asarray(fit.density(mid)),
-        atol=1e-5,
-    )
+    np.testing.assert_allclose((icdf(mid + h) - icdf(mid - h)) / (2 * h), cdf(mid), atol=1e-6)
+    np.testing.assert_allclose((cdf(mid + h) - cdf(mid - h)) / (2 * h), fit.density_curve(upto)(mid),
+                               atol=1e-5)
+    # the curve and the closed-form scan are two routes to the same integrated CDF
+    np.testing.assert_allclose(icdf(t), fit._integrated_cdf_sorted(t, convexlse._powers(t)),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_descent_trace():
@@ -184,10 +182,10 @@ def test_convexlse_evaluators_sorted_construction():
     np.testing.assert_allclose(lse.kinks, [1.0, 2.0])
     np.testing.assert_allclose(lse.weights, [0.2, 0.1])
     # density at 0 is sum c_i theta_i; mass is sum c theta^2/2
-    assert math.isclose(lse.density(0.0), 0.2 * 1.0 + 0.1 * 2.0, rel_tol=1e-15)
+    assert math.isclose(lse.density_curve(5.0)(0.0), 0.2 * 1.0 + 0.1 * 2.0, rel_tol=1e-15)
     assert math.isclose(lse.mass, 0.5 * (0.2 * 1.0 + 0.1 * 4.0), rel_tol=1e-15)
-    assert lse.density(5.0) == 0.0
-    assert math.isclose(lse.cdf(5.0), lse.mass, rel_tol=1e-15)
+    assert lse.density_curve(5.0)(5.0) == 0.0
+    assert math.isclose(lse.cdf_curve(5.0)(5.0), lse.mass, rel_tol=1e-15)
 
 
 # sha256 of the float.hex of kinks, weights, objective trace and min_gap, and
@@ -274,8 +272,8 @@ def test_certificate_screen_is_sound(case, monkeypatch):
         yn = integrated_ecdf_curve(d, upto=1.01 * horizon)
         H = fit.integrated_cdf_curve(1.01 * horizon)
         gap = curve_sub(H, yn)
-        keep = convexlse._uncleared_pieces(np.asarray(fit.integrated_cdf(cands)) - vcand,
-                                           at_data, yn, clear_at)
+        keep = convexlse._uncleared_pieces(
+            fit._integrated_cdf_sorted(cands, convexlse._powers(cands)) - vcand, at_data, yn, clear_at)
         assert keep[0] and keep[-1]
         for p in np.flatnonzero(~keep):
             assert extrema(gap, yn.x[p], yn.x[p + 1]).min_val >= -gap_tol
@@ -286,3 +284,154 @@ def test_certificate_screen_is_sound(case, monkeypatch):
             assert (got.min_val.hex(), got.min_at.hex()) == (want.min_val.hex(), want.min_at.hex())
             violations += 1
     assert cleared and violations
+
+
+def _gathered_integrated_cdf(fit, t):
+    """The integrated CDF gathered point by point, the formula of the evaluator
+    ``ConvexLse.integrated_cdf`` that the sorted scan replaced: the suffix
+    column of the first kink above each point, then the tail sum."""
+    i = np.searchsorted(fit.kinks, t, side="right")
+    s = fit._suffix[:, i]
+    tail = s[3] - 3.0 * t * s[2] + 3.0 * t * t * s[1] - t**3 * s[0]
+    return t * fit._suffix[2, 0] / 2.0 - fit._suffix[3, 0] / 6.0 + tail / 6.0
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_FITS))
+def test_sorted_scan_matches_the_gathered_formula_bitwise(case):
+    d = _frozen_sample(*case)
+    fit = fit_lse(d)
+    cands, _ = convexlse._candidate_grid(d)
+    for t in (fit.kinks, cands):
+        got = fit._integrated_cdf_sorted(t, convexlse._powers(t))
+        assert got.tobytes() == _gathered_integrated_cdf(fit, t).tobytes()
+
+
+# float.hex of (min_gap, max_abs_gap_at_kinks, tail_min_gap), recorded when the
+# kink values were still gathered point by point
+FROZEN_REPORTS = {
+    ("beta-like", 64, 0): ("0x0.0p+0", "0x1.0000000000000p-53", "-0x1.5b491e9e925c9p-32"),
+    ("truncated-exponential", 512, 1): ("-0x1.a1954ae0761e5p-23", "0x1.0000000000000p-50",
+                                        "-0x1.077996efdf269p-24"),
+    ("shifted-power", 4096, 2): ("-0x1.19eb4c3f44b2bp-34", "0x1.0000000000000p-53",
+                                 "-0x1.e5ea724dc59e3p-33"),
+    ("lattice", 400, 0): ("-0x1.312d2f4d4dc0fp-22", "0x1.0000000000000p-49",
+                          "-0x1.32e97a1c4dbeep-22"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_REPORTS))
+def test_characterization_report_is_frozen(case):
+    d = _frozen_sample(*case)
+    r = characterization_report(fit_lse(d), d)
+    got = (r.min_gap, r.max_abs_gap_at_kinks, r.tail_min_gap)
+    assert tuple(float.hex(v) for v in got) == FROZEN_REPORTS[case]
+
+
+# Paths of fit_lse that no sample in these tests reaches, pinned as they behave.
+SMALL = EmpiricalData(np.array([1.0, 2.0, 3.0, 5.0]))
+
+
+def test_singular_gram_is_jittered(monkeypatch):
+    # two equal kinks make the Gram matrix exactly singular: the last kink is
+    # moved by 1e-9 of itself, its ECDF integral re-read, and the ratio step
+    # then drops it
+    grams, reads = [], []
+    monkeypatch.setattr(convexlse, "gram_matrix",
+                        lambda t: grams.append(t.tolist()) or gram_matrix(t))
+    monkeypatch.setattr(convexlse, "integrated_ecdf",
+                        lambda d, t: reads.append(t) or integrated_ecdf(d, t))
+    thetas = np.array([2.5, 2.5])
+    v = np.asarray(integrated_ecdf(SMALL, thetas), dtype=float)
+    th, w, v_out, G = convexlse._solve_nonnegative(thetas, v, np.zeros(2), SMALL)
+    assert grams == [[2.5, 2.5], [2.5, 2.5 * (1.0 + 1e-9)], [2.5]]
+    assert reads == [2.5 * (1.0 + 1e-9)]
+    assert th.tolist() == [2.5] and v_out.tolist() == [0.5]
+    assert w[0].hex() == "0x1.89374bc6a7ef9p-4"  # 0.5 / (2.5^3 / 3) = 0.096
+    assert G.tolist() == gram_matrix([2.5]).tolist()
+    # three jitters are the limit
+    grams.clear()
+    monkeypatch.setattr(convexlse, "gram_matrix",
+                        lambda t: grams.append(t.tolist()) or np.zeros((len(t), len(t))))
+    with pytest.raises(FitError, match="singular generator set"):
+        convexlse._solve_nonnegative(thetas, v, np.zeros(2), SMALL)
+    assert len(grams) == 4
+
+
+def test_solve_can_drop_every_kink():
+    # a kink below X_(1) has a zero ECDF integral, so its weight solves to 0
+    out = convexlse._solve_nonnegative(np.array([0.5]), np.array([0.0]), np.zeros(1), SMALL)
+    assert [a.shape for a in out] == [(0,), (0,), (0,), (0, 0)]
+
+
+def test_duplicate_kink_is_nudged(monkeypatch):
+    # a continuum violation reported at an existing kink adds that kink plus
+    # 1e-9 X_(n); the solve drops it, and the fit rejoins its own path one pass later
+    want, want_info = fit_lse(SMALL, full_output=True)
+    solve, asked = convexlse._solve_nonnegative, []
+    monkeypatch.setattr(convexlse, "_solve_nonnegative",
+                        lambda th, *rest: asked.append(th.tolist()) or solve(th, *rest))
+    full = convexlse._gap_extrema_on
+    monkeypatch.setattr(convexlse, "_gap_extrema_on", lambda H, *rest: (
+        Extrema(-1.0, float(H.x[1]), 0.0, 0.0) if len(asked) == 1 else full(H, *rest)))
+    fit, info = fit_lse(SMALL, full_output=True)
+    assert asked[:2] == [[10.0], [10.0, 10.0 + 1e-9 * 5.0]]
+    assert fit.kinks.tobytes() == want.kinks.tobytes()
+    assert fit.weights.tobytes() == want.weights.tobytes()
+    assert info["iterations"] == want_info["iterations"] + 1
+
+
+def test_fit_stalls_on_a_duplicate_kink(monkeypatch):
+    # a solve that keeps every kink, with weights large enough that the grid is
+    # clean, and a violation always at the first kink: the nudge lands on the
+    # kink the previous nudge added
+    monkeypatch.setattr(convexlse, "_solve_nonnegative",
+                        lambda th, v, w, d: (th, np.ones(len(th)), v, gram_matrix(th)))
+    monkeypatch.setattr(convexlse, "_gap_extrema_on",
+                        lambda H, *rest: Extrema(-1.0, float(H.x[1]), 0.0, 0.0))
+    with pytest.raises(FitError, match="stalled on duplicate kink"):
+        fit_lse(SMALL)
+
+
+def test_fit_without_a_certificate_gives_up(monkeypatch):
+    # a solve that drops every kink never lets the grid come clean
+    calls = []
+    monkeypatch.setattr(convexlse, "_solve_nonnegative", lambda th, v, w, d: calls.append(th) or (
+        np.empty(0), np.empty(0), np.empty(0), np.empty((0, 0))))
+    with pytest.raises(FitError, match="no certificate after 500 iterations"):
+        fit_lse(SMALL)
+    assert len(calls) == 500 and all(th.tolist() == [10.0] for th in calls)
+
+
+def test_nan_weights_make_the_restoration_cycle():
+    # the kink at 0.5 solves to a negative weight, but NaN weights are never
+    # dropped, so the ratio steps repeat until their cap
+    thetas = np.array([0.5, 10.0])
+    v = np.asarray(integrated_ecdf(SMALL, thetas), dtype=float)
+    assert np.linalg.solve(gram_matrix(thetas), v)[0] < 0.0
+    with pytest.raises(FitError, match="nonnegativity restoration cycled"):
+        convexlse._solve_nonnegative(thetas, v, np.full(2, np.nan), SMALL)
+
+
+def test_mass_deficit_aims_past_the_horizon(monkeypatch):
+    # one kink at 6 with mass 0.999 clears the gap on [0, 3 X_(n)] = [0, 15],
+    # but the gap falls at slope mass - 1 beyond: the next kink is aimed where
+    # it undershoots the certificate, horizon + (gap(15) + 2 gap_tol) / (1 - mass)
+    c, asked = 0.999 / 18.0, []
+
+    class Stop(Exception):
+        pass
+
+    def solve(thetas, v, w, data):
+        asked.append(thetas.tolist())
+        if len(asked) > 1:
+            raise Stop
+        t = np.array([6.0])
+        return t, np.array([c]), np.asarray(integrated_ecdf(data, t), dtype=float), gram_matrix(t)
+
+    monkeypatch.setattr(convexlse, "_solve_nonnegative", solve)
+    with pytest.raises(Stop):
+        fit_lse(SMALL)
+    mass = c * 18.0
+    gap_h = mass * (15.0 - 6.0 / 3.0) - (15.0 - 2.75)  # H and Y_n are lines past 6 and 5
+    assert asked[0] == [10.0] and asked[1][0] == 6.0
+    assert math.isclose(asked[1][1], 15.0 + (gap_h + 2e-9 * 5.0**3) / (1.0 - mass), rel_tol=1e-12)

@@ -355,9 +355,18 @@ def test_bad_intervals_are_refused(lo, hi):
     with pytest.raises(ValueError, match="interval must be finite"):
         extrema(line, lo, hi)
     with pytest.raises(ValueError, match="interval must be finite"):
-        sup_norm(line, 0.0, (lo, hi))
+        sup_norm(line, -line, (lo, hi))
     with pytest.raises(ValueError, match="interval must be finite"):
         modulus(line, 0.1, (lo, hi))
+
+
+def test_numbers_are_not_curves():
+    # a constant is the zero-slope polynomial piece; a bare number is refused
+    with pytest.raises(TypeError, match="cannot interpret float as a curve"):
+        as_curve(0.0)
+    line = PiecewisePoly(np.array([0.0, 0.5]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(TypeError, match="as a curve"):
+        sup_norm(line, 0.0, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -0.1])
@@ -451,8 +460,7 @@ def test_extrema_of_sums_and_differences_match_the_union_engine_bitwise(deg_a, d
         union = (min(a.x[0], b.x[0]), max(a.x[-1], b.x[-1]))
         for lo, hi in ((lo0, hi0), np.sort(rng.uniform(lo0, hi0, 2)), union):
             for sign, got in ((-1.0, extrema(curve_sub(a, b), lo, hi)), (1.0, extrema(a + b, lo, hi))):
-                e = _union_poly_extrema(_union_binary(a, b, sign), lo, hi)
-                want = Extrema(e.min_val + 0.0, e.min_at, e.max_val + 0.0, e.max_at)
+                want = _union_poly_extrema(_union_binary(a, b, sign), lo, hi)
                 assert [float.hex(v) for v in (got.min_val, got.min_at, got.max_val, got.max_at)] == \
                     [float.hex(v) for v in (want.min_val, want.min_at, want.max_val, want.max_at)]
 
