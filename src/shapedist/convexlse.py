@@ -91,9 +91,10 @@ class ConvexLse:
     """Fitted decreasing convex density ``f(x) = sum_i c_i (theta_i - x)_+``.
 
     Its evaluators are the exact piecewise-polynomial curves
-    :meth:`density_curve`, :meth:`cdf_curve` and :meth:`integrated_cdf_curve`
-    on ``[0, upto]``, which every distance uses, and
-    :meth:`_integrated_cdf_sorted`, the integrated CDF at sorted points.
+    :meth:`density_curve`, :meth:`cdf_curve` and :meth:`integrated_cdf_curve`,
+    which every distance uses, and :meth:`_integrated_cdf_sorted`, the
+    integrated CDF at sorted points.  The curves close at ``1.5 * kinks[-1]``
+    and continue their last pieces past it.
     """
 
     kinks: np.ndarray
@@ -132,8 +133,8 @@ class ConvexLse:
         tail = s[3] - t3 * s[2] + tt3 * s[1] - ttt * s[0]
         return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
 
-    def density_curve(self, upto: float) -> PiecewisePoly:
-        bx = np.unique(np.concatenate([[0.0], self.kinks, [max(upto, self.kinks[-1] * 1.5)]]))
+    def density_curve(self) -> PiecewisePoly:
+        bx = np.unique(np.concatenate([[0.0], self.kinks, [self.kinks[-1] * 1.5]]))
         bx = bx[bx >= 0.0]
         c = np.zeros((len(bx) - 1, 4))
         i = np.searchsorted(self.kinks, bx[:-1], side="right")
@@ -142,11 +143,11 @@ class ConvexLse:
         c[:, 1] = -s[0, i]
         return PiecewisePoly(bx, c)
 
-    def cdf_curve(self, upto: float) -> PiecewisePoly:
-        return self.density_curve(upto).antiderivative()
+    def cdf_curve(self) -> PiecewisePoly:
+        return self.density_curve().antiderivative()
 
-    def integrated_cdf_curve(self, upto: float) -> PiecewisePoly:
-        return self.cdf_curve(upto).antiderivative()
+    def integrated_cdf_curve(self) -> PiecewisePoly:
+        return self.cdf_curve().antiderivative()
 
 
 def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, data: EmpiricalData):
@@ -229,15 +230,16 @@ def _gap_extrema_on(H: PiecewisePoly, yn: PiecewisePoly, keep: np.ndarray,
     that the mask ``keep`` marks.
 
     Both curves start at 0, and ``keep`` marks the piece of ``yn`` under
-    ``hi``.  Each piece of the difference inside them gets the
+    ``hi``.  As in the merge, neither curve's last breakpoint splits the
+    difference.  Each piece of it inside the kept pieces gets the
     coefficients and candidates that ``extrema(curve_sub(H, yn), 0, hi)``
     gives it, bit for bit, ranked in the same order.  So when every piece
     left out lies above the returned minimum, that minimum and its location
     are the full engine's.
     """
-    pieces = np.flatnonzero(keep)
-    inside = H.x[keep[yn._piece_index(H.x)]]
-    pts = np.unique(np.concatenate([yn.x[pieces], yn.x[pieces + 1], inside]))
+    # the kept pieces' starts and right ends (but yn's closing), and H's starts inside them
+    inside = H.x[:-1][keep[yn._piece_index(H.x[:-1])]]
+    pts = np.unique(np.concatenate([yn.x[:-1][keep], yn.x[1:-1][keep[:-1]], inside]))
     ib = yn._piece_index(pts)
     left = np.flatnonzero(keep[ib] & (pts <= hi))
     x0 = pts[left]
@@ -285,7 +287,7 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
     v = np.empty(0)
     qtrace: list[float] = []
     horizon = 3.0 * scale
-    yn_curve = integrated_ecdf_curve(data, upto=1.01 * horizon)
+    yn_curve = integrated_ecdf_curve(data)
 
     for _ in range(max_iter):
         if len(thetas):
@@ -301,9 +303,7 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
             if fit is None:
                 raise FitError("degenerate sample: ECDF integral vanishes on the grid")
             horizon = max(horizon, 1.3 * float(thetas.max()))
-            if yn_curve.x[-1] < horizon:
-                yn_curve = integrated_ecdf_curve(data, upto=1.01 * horizon)
-            H = fit.integrated_cdf_curve(1.01 * horizon)
+            H = fit.integrated_cdf_curve()
             # a violation found by the screen is the full engine's minimum;
             # only the full check below can end the fit
             ext = _gap_extrema_on(H, yn_curve,
@@ -355,8 +355,7 @@ def characterization_report(lse: ConvexLse, data: EmpiricalData) -> Characteriza
     """The fit's exact characterization certificate; kept for acceptance gate #4."""
     xn = float(data.x[-1])
     hi = max(3.0 * xn, 1.3 * float(lse.kinks[-1]))
-    yn_curve = integrated_ecdf_curve(data, upto=1.01 * hi)
-    gap = curve_sub(lse.integrated_cdf_curve(1.01 * hi), yn_curve)
+    gap = curve_sub(lse.integrated_cdf_curve(), integrated_ecdf_curve(data))
     body = extrema(gap, 0.0, xn)
     tail = extrema(gap, xn, hi)
     at_kinks = lse._integrated_cdf_sorted(lse.kinks, _powers(lse.kinks)) - np.asarray(
@@ -376,9 +375,8 @@ def marshall_A(lse: ConvexLse, data: EmpiricalData, h, interval) -> tuple[float,
     ``h`` with convex derivative the first never exceeds the second.  Kept
     for acceptance gate #3.
     """
-    hi = float(interval[1])
-    lhs = sup_norm(lse.cdf_curve(hi), h, interval)
-    rhs = 2.0 * sup_norm(ecdf_curve(data, upto=hi), h, interval)
+    lhs = sup_norm(lse.cdf_curve(), h, interval)
+    rhs = 2.0 * sup_norm(ecdf_curve(data), h, interval)
     return lhs, rhs
 
 
@@ -393,7 +391,6 @@ def marshall_Aprime(lse: ConvexLse, data: EmpiricalData, g, interval) -> tuple[f
     attains its sup distance on the positive side away from a kink.  Kept
     for acceptance gate #3.
     """
-    hi = float(interval[1])
-    lhs = sup_norm(lse.integrated_cdf_curve(hi * 1.01), g, interval)
-    rhs = sup_norm(integrated_ecdf_curve(data, upto=hi * 1.01), g, interval)
+    lhs = sup_norm(lse.integrated_cdf_curve(), g, interval)
+    rhs = sup_norm(integrated_ecdf_curve(data), g, interval)
     return lhs, rhs

@@ -22,16 +22,19 @@ monotone on each piece; all catalog models used here satisfy that (their
 densities have one-signed, monotone first and second derivatives on the
 working interval).
 
-A sum or difference of two piecewise polynomials lives on the union of their
-breakpoints: one linear-time merge of the two sorted breakpoint arrays gives
-that grid and each operand's piece under every grid point, with no search.
-Each operand is re-expressed on that grid at its own degree: a line (degree
-<= 1) builds only its constant and slope columns.  When both operands are
-lines, as in ``lcm - ecdf``, extrema evaluate each piece at its two ends
-alone; higher degrees add the interior stationary points.  As in
-evaluation, the first piece of a curve continues left of its outer
-breakpoints and the last piece right of them; this holds for each operand of
-a sum or difference too, so extrema cover all of any finite interval.
+A sum or difference of two piecewise polynomials has its pieces start at
+the union of both operands' piece starts.  A curve's last breakpoint only
+closes its last piece, which evaluation continues (as it continues the first
+piece to the left), so where an operand closes splits no sum and moves no
+extremum, and no curve is padded to cover an interval.  One linear-time
+merge of the sorted piece starts gives that grid and each operand's piece
+under every point.  Each operand is re-expressed there at its own degree: a
+line (degree <= 1) builds only its constant and slope columns, and when both
+are lines, as in ``lcm - ecdf``, extrema evaluate each piece at its two ends.
+
+:func:`sup_norm` of curves given in floats is within ``2 * 2**-53 * scale`` of
+the exact sup (``scale`` the larger curve magnitude on the interval).  Against a
+rational oracle the worst measured is 0.40 for ``lcm - ecdf``, 0.76 for LSE CDF - ECDF.
 """
 
 from __future__ import annotations
@@ -59,26 +62,28 @@ def _check_breakpoints(x: np.ndarray, name: str = "breakpoints") -> None:
 
 
 def _merge(xa: np.ndarray, xb: np.ndarray):
-    """Sorted union of two breakpoint arrays, with the piece of each operand
-    under every point but the last.
+    """Grid of a sum of two curves, with the piece of each operand under every
+    point but the last.
 
-    A stable argsort of the concatenation merges the two sorted runs in
-    linear time (timsort).  At the last copy of each value, a running count of
-    the points of ``xa`` passed so far equals ``searchsorted(xa, t, "right")``,
-    and the rest of the merge position counts those of ``xb``; so neither
-    array is searched.  Indices are clipped to each operand's pieces, so past
-    its own breakpoints an operand continues its end piece, as in evaluation.
-    Returns ``(xs, ia, ib)``.
+    The sum's pieces start at the sorted union of the piece starts ``xa[:-1]``
+    and ``xb[:-1]``; its grid closes at the later last breakpoint, which
+    splits nothing.  A stable argsort of the starts and that closing point
+    merges the sorted runs in linear time (timsort).  At the last copy of
+    each start, a running count of the starts of ``xa`` passed so far equals
+    ``searchsorted(xa[:-1], t, "right")``, and the rest of the merge position
+    counts those of ``xb``; so neither array is searched.  Before its first
+    start an operand continues its first piece.  Returns ``(xs, ia, ib)``.
     """
-    both = np.concatenate([xa, xb])
+    # the closing point exceeds every piece start, so it sorts last
+    both = np.concatenate([xa[:-1], xb[:-1], [max(xa[-1], xb[-1])]])
     order = np.argsort(both, kind="stable")
     merged = both[order]
     del both
     keep = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
-    seen_a = np.cumsum(order < len(xa))[keep[:-1]]
+    seen_a = np.cumsum(order < len(xa) - 1)[keep[:-1]]
     ia, ib = seen_a - 1, keep[:-1] - seen_a
-    np.clip(ia, 0, len(xa) - 2, out=ia)
-    np.clip(ib, 0, len(xb) - 2, out=ib)
+    np.maximum(ia, 0, out=ia)
+    np.maximum(ib, 0, out=ib)
     return merged[keep], ia, ib
 
 
@@ -194,7 +199,7 @@ class PiecewisePoly:
         return n0, n1, n2, c3
 
     def _binary(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
-        """``self + sign * other`` on the union of both breakpoint ranges."""
+        """``self + sign * other`` on the grid of :func:`_merge`."""
         xs, ia, ib = _merge(self.x, other.x)
         return PiecewisePoly(xs, _sum_coefficients(self, other, sign, xs[:-1], ia, ib))
 

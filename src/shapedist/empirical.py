@@ -155,18 +155,15 @@ def integrated_ecdf(data: EmpiricalData, t):
     return out if out.ndim else float(out)
 
 
-def ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
+def ecdf_curve(data: EmpiricalData) -> PiecewisePoly:
     """The ECDF as an exact step curve.
 
-    The curve always extends past the largest observation (at least to
-    ``upto`` when given) with a constant-1 piece, so the value *at* the top
-    order statistic and its left limit are both representable.  Evaluations
-    beyond the data are the true continuation of the ECDF.
+    A constant-1 piece from the largest observation on makes the value *at*
+    the top order statistic and its left limit both representable;
+    evaluation continues it past the data, the true continuation of the ECDF.
     """
     xs, vals = data.corners
     hi = float(xs[-1]) + max(1.0, float(xs[-1]))
-    if upto is not None:
-        hi = max(hi, float(upto))
     if xs[0] > 0.0:
         bx = np.concatenate([[0.0], xs, [hi]])
         cv = np.concatenate([[0.0], vals])
@@ -178,6 +175,6 @@ def ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
     return PiecewisePoly(bx, c)
 
 
-def integrated_ecdf_curve(data: EmpiricalData, upto: float | None = None) -> PiecewisePoly:
+def integrated_ecdf_curve(data: EmpiricalData) -> PiecewisePoly:
     """The running ECDF integral as an exact piecewise-linear curve."""
-    return ecdf_curve(data, upto).antiderivative()
+    return ecdf_curve(data).antiderivative()

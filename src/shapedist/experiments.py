@@ -196,11 +196,9 @@ def _replicate(task):
                 fit = fit_lse(data)
             except FitError as err:
                 raise FitError(f"n={n} replicate={rep} seed={seed}: {err}") from err
-            tau = model.tau
-            cap = max(tau, float(data.x[-1])) * 1.5 + 1.0
-            F, Fn = fit.cdf_curve(cap), ecdf_curve(data, upto=cap)
-            sup_f = float(sup_norm(F, Fn, (0.0, tau)))
-            sup_h = float(sup_norm(F.antiderivative(), Fn.antiderivative(), (0.0, tau)))
+            F, Fn = fit.cdf_curve(), ecdf_curve(data)
+            sup_f = float(sup_norm(F, Fn, (0.0, model.tau)))
+            sup_h = float(sup_norm(F.antiderivative(), Fn.antiderivative(), (0.0, model.tau)))
         event = convexity_event
     return {
         "model": config.model, "n": n, "k": ks, "replicate": rep,

@@ -222,5 +222,5 @@ def marshall_check(majorant: PiecewiseLinear, data: EmpiricalData, h, interval) 
     ``h`` the first never exceeds the second.  Kept for acceptance gate #3.
     """
     lhs = sup_norm(majorant.as_curve(), h, interval)
-    rhs = sup_norm(ecdf_curve(data, upto=interval[1]), h, interval)
+    rhs = sup_norm(ecdf_curve(data), h, interval)
     return lhs, rhs

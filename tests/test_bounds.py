@@ -389,8 +389,7 @@ def test_report_rows_share_the_check_format():
             rows.append(broken_line_error_report(m, mesh))
             rows += cell_variance_report(m, mesh)
         d = sample(m, 60, seed_for(41, 60, 0))
-        hi = max(float(m.tau), float(d.x[-1])) + 1.0
-        g = curve_sub(integrated_ecdf_curve(d, hi), m.Fint_curve())
+        g = curve_sub(integrated_ecdf_curve(d), m.Fint_curve())
         rows += interp_error_report(g, knot_mesh_convex(m, 5))
     assert len(rows) == 3 * (2 * 4 + 5 + 20 + 2)
     for row in rows:

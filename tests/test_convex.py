@@ -99,18 +99,18 @@ def test_fit_properties():
     assert np.all(fit.weights > 0)
     assert np.all(np.diff(fit.kinks) > 0)
     # decreasing convex density; integrates to ~1; CDF/double integral consistent
-    upto = float(fit.kinks[-1]) * 1.1
-    t = np.linspace(0.0, upto, 500)
-    dens = fit.density_curve(upto)(t)
+    hi = float(fit.kinks[-1]) * 1.1
+    t = np.linspace(0.0, hi, 500)
+    dens = fit.density_curve()(t)
     assert np.all(np.diff(dens) <= 1e-12)
     assert np.all(np.diff(dens, 2) >= -1e-12)
     assert abs(fit.mass - 1.0) <= 1e-4
-    cdf, icdf = fit.cdf_curve(upto), fit.integrated_cdf_curve(upto)
-    assert math.isclose(cdf(upto), fit.mass, rel_tol=1e-12)
+    cdf, icdf = fit.cdf_curve(), fit.integrated_cdf_curve()
+    assert math.isclose(cdf(hi), fit.mass, rel_tol=1e-12)
     h = 1e-6
     mid = t[5:-5]
     np.testing.assert_allclose((icdf(mid + h) - icdf(mid - h)) / (2 * h), cdf(mid), atol=1e-6)
-    np.testing.assert_allclose((cdf(mid + h) - cdf(mid - h)) / (2 * h), fit.density_curve(upto)(mid),
+    np.testing.assert_allclose((cdf(mid + h) - cdf(mid - h)) / (2 * h), fit.density_curve()(mid),
                                atol=1e-5)
     # the curve and the closed-form scan are two routes to the same integrated CDF
     np.testing.assert_allclose(icdf(t), fit._integrated_cdf_sorted(t, convexlse._powers(t)),
@@ -182,10 +182,10 @@ def test_convexlse_evaluators_sorted_construction():
     np.testing.assert_allclose(lse.kinks, [1.0, 2.0])
     np.testing.assert_allclose(lse.weights, [0.2, 0.1])
     # density at 0 is sum c_i theta_i; mass is sum c theta^2/2
-    assert math.isclose(lse.density_curve(5.0)(0.0), 0.2 * 1.0 + 0.1 * 2.0, rel_tol=1e-15)
+    assert math.isclose(lse.density_curve()(0.0), 0.2 * 1.0 + 0.1 * 2.0, rel_tol=1e-15)
     assert math.isclose(lse.mass, 0.5 * (0.2 * 1.0 + 0.1 * 4.0), rel_tol=1e-15)
-    assert lse.density_curve(5.0)(5.0) == 0.0
-    assert math.isclose(lse.cdf_curve(5.0)(5.0), lse.mass, rel_tol=1e-15)
+    assert lse.density_curve()(5.0) == 0.0
+    assert math.isclose(lse.cdf_curve()(5.0), lse.mass, rel_tol=1e-15)
 
 
 # sha256 of the float.hex of kinks, weights, objective trace and min_gap, and
@@ -269,8 +269,8 @@ def test_certificate_screen_is_sound(case, monkeypatch):
     for thetas, w in states[:: max(1, len(states) // 6)] + states[-1:]:
         fit = ConvexLse(thetas, w)
         horizon = max(3.0 * xn, 1.3 * float(fit.kinks[-1]))
-        yn = integrated_ecdf_curve(d, upto=1.01 * horizon)
-        H = fit.integrated_cdf_curve(1.01 * horizon)
+        yn = integrated_ecdf_curve(d)
+        H = fit.integrated_cdf_curve()
         gap = curve_sub(H, yn)
         keep = convexlse._uncleared_pieces(
             fit._integrated_cdf_sorted(cands, convexlse._powers(cands)) - vcand, at_data, yn, clear_at)

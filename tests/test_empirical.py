@@ -48,8 +48,8 @@ def test_integrated_ecdf_closed_form():
 
 def test_curves_match_pointwise_functions():
     d = EmpiricalData(np.array([0.5, 1.0, 1.0, 2.5]))
-    c = ecdf_curve(d, upto=4.0)
-    ic = integrated_ecdf_curve(d, upto=4.0)
+    c = ecdf_curve(d)
+    ic = integrated_ecdf_curve(d)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 2.5, 3.0, 4.0):
         assert math.isclose(c(t), ecdf(d, t), abs_tol=1e-15)
         assert math.isclose(ic(t), integrated_ecdf(d, t), abs_tol=1e-14)
@@ -137,7 +137,7 @@ def test_seed_for_spreads():
 def test_modulus_step_function():
     # two jumps of 1/2 at x = 1, 3: a window of width 2.5 spans both.
     d = EmpiricalData(np.array([1.0, 3.0]))
-    c = ecdf_curve(d, upto=4.0)
+    c = ecdf_curve(d)
     assert math.isclose(modulus(c, 2.5, (0.0, 4.0)), 1.0, abs_tol=1e-12)
     assert math.isclose(modulus(c, 1.5, (0.0, 4.0)), 0.5, abs_tol=1e-12)
     assert math.isclose(modulus(c, 0.5, (0.0, 0.9)), 0.0, abs_tol=1e-12)

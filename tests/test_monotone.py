@@ -115,6 +115,32 @@ def test_lcm_drops_a_vertex_collinear_in_the_counts():
     assert np.all(np.diff(h.slopes) < 0.0)
 
 
+#: scaled lattice sample whose corner at x = 15.398548815531534 lies strictly
+#: above the chord of its neighbours in exact arithmetic (the two x gaps are
+#: 7946227976921003 and 7946227976921004 units of 2^-49), while the rounded
+#: slopes on its two sides compare the other way
+PAVA_WITNESS = np.array([0, 0, 0, 0, 1, 12, 23], dtype=float) * 1.2832124012942945
+
+
+def test_exact_hull_keeps_the_pava_witness_vertex():
+    d = EmpiricalData(PAVA_WITNESS)
+    xs, ys = d.corners
+    counts = np.rint(ys * d.n)
+    hull = concave_majorant_points(xs, counts)
+    assert hull.x.tolist() == exact_hull_x(xs.tolist(), counts.tolist())
+    assert hull.x.tolist() == [0.0, 1.2832124012942945, 15.398548815531534, 29.513885229768775]
+
+
+@pytest.mark.xfail(strict=True, reason="lcm takes its candidate vertices from PAVA on the "
+                   "rounded slopes np.diff(ys) / dx, which pools away the exact hull's vertex "
+                   "at x = 15.398548815531534; it passes once lcm checks every ECDF corner "
+                   "against its hull")
+def test_lcm_keeps_a_vertex_that_rounded_slopes_pool_away():
+    d = EmpiricalData(PAVA_WITNESS)
+    xs, ys = d.corners
+    np.testing.assert_array_equal(lcm(d).x, concave_majorant_points(xs, np.rint(ys * d.n)).x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.floats(0.01, 100.0))
 @example(LATTICE_WITNESS.tolist(), 1.0)

@@ -225,8 +225,7 @@ def test_interp_error_report_on_centered_curve():
     m = make_model("truncated-exponential", (1.0,))
     mesh = knot_mesh_convex(m, 5)
     d = sample(m, 60, seed_for(41, 60, 0))
-    hi = max(float(m.tau), float(d.x[-1])) + 1.0
-    g = curve_sub(integrated_ecdf_curve(d, hi), m.Fint_curve())
+    g = curve_sub(integrated_ecdf_curve(d), m.Fint_curve())
     rows = interp_error_report(g, mesh)
     assert [r["name"] for r in rows] == [
         "spline-deriv-error-vs-oscillation",
