@@ -93,8 +93,8 @@ class ConvexLse:
     Its evaluators are the exact piecewise-polynomial curves
     :meth:`density_curve`, :meth:`cdf_curve` and :meth:`integrated_cdf_curve`,
     which every distance uses, and :meth:`_integrated_cdf_sorted`, the
-    integrated CDF at sorted points.  The curves close at ``1.5 * kinks[-1]``
-    and continue their last pieces past it.
+    integrated CDF at sorted points.  The curves' pieces start at 0 and at
+    the kinks; the last runs on to the right.
     """
 
     kinks: np.ndarray
@@ -134,12 +134,12 @@ class ConvexLse:
         return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
 
     def density_curve(self) -> PiecewisePoly:
-        bx = np.unique(np.concatenate([[0.0], self.kinks, [self.kinks[-1] * 1.5]]))
+        bx = np.unique(np.concatenate([[0.0], self.kinks]))
         bx = bx[bx >= 0.0]
-        c = np.zeros((len(bx) - 1, 4))
-        i = np.searchsorted(self.kinks, bx[:-1], side="right")
+        c = np.zeros((len(bx), 4))
+        i = np.searchsorted(self.kinks, bx, side="right")
         s = self._suffix
-        c[:, 0] = s[1, i] - bx[:-1] * s[0, i]
+        c[:, 0] = s[1, i] - bx * s[0, i]
         c[:, 1] = -s[0, i]
         return PiecewisePoly(bx, c)
 
@@ -230,22 +230,22 @@ def _gap_extrema_on(H: PiecewisePoly, yn: PiecewisePoly, keep: np.ndarray,
     that the mask ``keep`` marks.
 
     Both curves start at 0, and ``keep`` marks the piece of ``yn`` under
-    ``hi``.  As in the merge, neither curve's last breakpoint splits the
-    difference.  Each piece of it inside the kept pieces gets the
+    ``hi``.  As in the merge, the difference's pieces start at both curves'
+    piece starts.  Each piece of it inside the kept pieces gets the
     coefficients and candidates that ``extrema(curve_sub(H, yn), 0, hi)``
     gives it, bit for bit, ranked in the same order.  So when every piece
     left out lies above the returned minimum, that minimum and its location
     are the full engine's.
     """
-    # the kept pieces' starts and right ends (but yn's closing), and H's starts inside them
-    inside = H.x[:-1][keep[yn._piece_index(H.x[:-1])]]
-    pts = np.unique(np.concatenate([yn.x[:-1][keep], yn.x[1:-1][keep[:-1]], inside]))
+    # the kept pieces' starts and right ends, and H's starts inside them
+    inside = H.x[keep[yn._piece_index(H.x)]]
+    pts = np.unique(np.concatenate([yn.x[keep], yn.x[1:][keep[:-1]], inside]))
     ib = yn._piece_index(pts)
     left = np.flatnonzero(keep[ib] & (pts <= hi))
     x0 = pts[left]
     uhi = pts[np.minimum(left + 1, len(pts) - 1)] - x0
     uhi[-1] = hi - x0[-1]
-    c = _sum_coefficients(H, yn, -1.0, x0, H._piece_index(x0), ib[left])
+    c = _sum_coefficients(H, yn, x0, H._piece_index(x0), ib[left])
     return _piece_extrema(x0, c, np.zeros(len(x0)), uhi, max(H.degree(), yn.degree()) <= 1)
 
 

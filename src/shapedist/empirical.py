@@ -158,21 +158,16 @@ def integrated_ecdf(data: EmpiricalData, t):
 def ecdf_curve(data: EmpiricalData) -> PiecewisePoly:
     """The ECDF as an exact step curve.
 
-    A constant-1 piece from the largest observation on makes the value *at*
-    the top order statistic and its left limit both representable;
-    evaluation continues it past the data, the true continuation of the ECDF.
+    Its pieces start at the corners, after a zero piece from 0 when
+    ``X_(1) > 0``.  The last, constant 1 from ``X_(n)``, runs on past the
+    data, the true continuation of the ECDF.
     """
     xs, vals = data.corners
-    hi = float(xs[-1]) + max(1.0, float(xs[-1]))
     if xs[0] > 0.0:
-        bx = np.concatenate([[0.0], xs, [hi]])
-        cv = np.concatenate([[0.0], vals])
-    else:
-        bx = np.concatenate([xs, [hi]])
-        cv = vals
-    c = np.zeros((len(bx) - 1, 4))
-    c[:, 0] = cv
-    return PiecewisePoly(bx, c)
+        xs, vals = np.concatenate([[0.0], xs]), np.concatenate([[0.0], vals])
+    c = np.zeros((len(xs), 4))
+    c[:, 0] = vals
+    return PiecewisePoly(xs, c)
 
 
 def integrated_ecdf_curve(data: EmpiricalData) -> PiecewisePoly:

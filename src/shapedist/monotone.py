@@ -69,16 +69,17 @@ class PiecewiseLinear:
     def as_curve(self) -> PiecewisePoly:
         """The same function as a :class:`PiecewisePoly`.
 
-        Constant pieces at ``y[0]`` and ``y[-1]`` open and close it, so past
-        the outer vertices the curve holds the end values, as ``__call__``
-        does, instead of continuing the end slopes.
+        Past the outer vertices the curve holds the end values, as
+        ``__call__`` does: its last piece, constant ``y[-1]`` from ``x[-1]``,
+        runs on to the right.  Its first piece runs on to the left, so
+        holding ``y[0]`` there takes a constant piece that starts left of
+        ``x[0]``.
         """
         x, y = self.x, self.y
-        pad = [max(1.0, abs(x[0])), max(1.0, abs(x[-1]))]
         c = np.zeros((len(x) + 1, 4))
         c[:, 0] = np.concatenate([y[:1], y])
         c[1:-1, 1] = self.slopes
-        return PiecewisePoly(np.concatenate([[x[0] - pad[0]], x, [x[-1] + pad[1]]]), c)
+        return PiecewisePoly(np.concatenate([[x[0] - max(1.0, abs(x[0]))], x]), c)
 
 
 #: Shewchuk's orient2d error bound coefficient, ``(3 + 16 eps) eps``.

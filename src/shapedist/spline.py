@@ -66,7 +66,7 @@ class CubicSplineInterpolant:
             (3.0 * d - 2.0 * s0 - s1) / h,
             (s0 + s1 - 2.0 * d) / h**2,
         ])
-        return PiecewisePoly(self.knots, c)
+        return PiecewisePoly(self.knots[:-1], c)
 
 
 def _solve_interior_slopes(h: np.ndarray, d: np.ndarray, s0: float, sk: float) -> np.ndarray:
