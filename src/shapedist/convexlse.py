@@ -22,10 +22,10 @@ clears data intervals: between consecutive order statistics the gap is
 convex (its second derivative is the fitted density and the ECDF integral is
 linear there), so its values at the ends and the midpoint bound its minimum.
 Only the uncleared pieces, always including ``[0, X_(1)]`` and the tail past
-``X_(n)``, are minimized exactly.  A violation found there is, bit for bit,
-the minimum and location the full minimization would give; when the screen
-finds none, the full minimization over every piece runs, and it alone ends a
-fit and gives its ``min_gap``.
+``X_(n)``, are minimized exactly, by the extrema engine of ``curves`` on a
+mask of pieces, so a violation found there is, bit for bit, the full
+minimum and location; when the screen finds none, the same engine runs
+without the mask, and it alone ends a fit and gives its ``min_gap``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import (Extrema, PiecewisePoly, _piece_extrema, _sum_coefficients, curve_sub,
-                     extrema, sup_norm)
+from .curves import PiecewisePoly, _difference_extrema, curve_sub, extrema, sup_norm
 from .empirical import EmpiricalData, ecdf_curve, integrated_ecdf, integrated_ecdf_curve
 
 __all__ = [
@@ -224,31 +223,6 @@ def _uncleared_pieces(d_cand: np.ndarray, at_data: np.ndarray, yn: PiecewisePoly
     return keep
 
 
-def _gap_extrema_on(H: PiecewisePoly, yn: PiecewisePoly, keep: np.ndarray,
-                    hi: float) -> Extrema:
-    """Extrema of ``H - yn`` over ``[0, hi]``, taken only on the pieces of ``yn``
-    that the mask ``keep`` marks.
-
-    Both curves start at 0, and ``keep`` marks the piece of ``yn`` under
-    ``hi``.  As in the merge, the difference's pieces start at both curves'
-    piece starts.  Each piece of it inside the kept pieces gets the
-    coefficients and candidates that ``extrema(curve_sub(H, yn), 0, hi)``
-    gives it, bit for bit, ranked in the same order.  So when every piece
-    left out lies above the returned minimum, that minimum and its location
-    are the full engine's.
-    """
-    # the kept pieces' starts and right ends, and H's starts inside them
-    inside = H.x[keep[yn._piece_index(H.x)]]
-    pts = np.unique(np.concatenate([yn.x[keep], yn.x[1:][keep[:-1]], inside]))
-    ib = yn._piece_index(pts)
-    left = np.flatnonzero(keep[ib] & (pts <= hi))
-    x0 = pts[left]
-    uhi = pts[np.minimum(left + 1, len(pts) - 1)] - x0
-    uhi[-1] = hi - x0[-1]
-    c = _sum_coefficients(H, yn, x0, H._piece_index(x0), ib[left])
-    return _piece_extrema(x0, c, np.zeros(len(x0)), uhi, max(H.degree(), yn.degree()) <= 1)
-
-
 #: Relative certificate tolerance of :func:`fit_lse`: the fit stops once the
 #: gap between the double integral of the fit and the ECDF integral is
 #: everywhere above ``-_TOL * X_(n)^3`` (the gap carries cubic length units),
@@ -264,11 +238,12 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
 
     Each pass adds the candidate with the most negative gap.  Once the grid
     is clean, the data intervals that the convexity screen cannot clear are
-    minimized exactly; a violation there becomes the next kink, the same one
-    the full minimization would pick.  Otherwise the gap is minimized exactly
-    over all of ``[0, horizon]``; only that full check ends the fit, and it
-    gives ``min_gap``, which stays above ``-_TOL * X_(n)^3``.  A fit without
-    a certificate after ``100 n + 100`` passes raises :class:`FitError`.
+    minimized exactly (the extrema engine on a mask of pieces); a violation
+    there becomes the next kink, the same one the full minimization would
+    pick.  Otherwise the gap is minimized exactly over all of ``[0,
+    horizon]``; only that full check ends the fit, and it gives ``min_gap``,
+    which stays above ``-_TOL * X_(n)^3``.  A fit without a certificate
+    after ``100 n + 100`` passes raises :class:`FitError`.
 
     Returns the fitted :class:`ConvexLse` (and the info dict if requested).
     """
@@ -306,11 +281,10 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
             H = fit.integrated_cdf_curve()
             # a violation found by the screen is the full engine's minimum;
             # only the full check below can end the fit
-            ext = _gap_extrema_on(H, yn_curve,
-                                  _uncleared_pieces(d_cand, at_data, yn_curve, clear_at), horizon)
+            ext = _difference_extrema(H, yn_curve, 0.0, horizon,
+                                      _uncleared_pieces(d_cand, at_data, yn_curve, clear_at))
             if ext.min_val >= -gap_tol:
-                gap = curve_sub(H, yn_curve)
-                ext = extrema(gap, 0.0, horizon)
+                ext = _difference_extrema(H, yn_curve, 0.0, horizon)
                 tail_slope = fit.mass - 1.0
                 if ext.min_val >= -gap_tol and tail_slope >= -_TOL * scale**2:
                     info = {"objective_trace": qtrace, "min_gap": ext.min_val,
@@ -321,7 +295,7 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
             else:
                 # gap still drifts down past the horizon; aim where it
                 # undershoots the certificate
-                gap_h = float(gap(horizon))
+                gap_h = float(curve_sub(H, yn_curve)(horizon))
                 new_theta = horizon + (gap_h + 2.0 * gap_tol) / (-tail_slope)
         if len(thetas) and np.min(np.abs(thetas - new_theta)) < 1e-13 * scale:
             new_theta = new_theta + 1e-9 * scale

@@ -30,7 +30,11 @@ both operands' piece starts.  One linear-time merge of the sorted starts
 gives that grid and each operand's piece under every start.  Each operand is
 re-expressed there at its own degree: a line (degree <= 1) builds only its
 constant and slope columns, and when both are lines, as in ``lcm - ecdf``,
-extrema evaluate each piece at its two ends.
+extrema evaluate each piece at its two ends.  The LSE certificate reads the
+extrema of a difference off the merge, on a window and a mask of pieces,
+without building the difference.  One function ranks every extremum's
+candidates, piece by piece: a tie goes to the first, and a zero extremum is
+returned as ``+0.0``.
 
 :func:`sup_norm` of curves given in floats is within ``2 * 2**-53 * scale`` of
 the exact sup (``scale`` the larger curve magnitude on the interval).  Against a
@@ -88,7 +92,8 @@ def _merge(xa: np.ndarray, xb: np.ndarray):
 
 def _sum_coefficients(a: "PiecewisePoly", b: "PiecewisePoly",
                       x0: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Coefficients of ``a - b`` on pieces starting at ``x0``.
+    """Coefficients of ``a - b`` on pieces starting at ``x0``: the columns
+    ``c0`` and ``c1`` when both are lines, else all four.
 
     ``ia`` and ``ib`` hold the piece of each operand under each of ``x0``.
     Each operand is retargeted at its own degree, and a column it lacks
@@ -98,9 +103,9 @@ def _sum_coefficients(a: "PiecewisePoly", b: "PiecewisePoly",
     """
     ra = a._retarget(x0, ia)
     rb = b._retarget(x0, ib)
-    c = np.zeros((len(x0), 4))
-    for j in range(max(len(ra), len(rb))):
-        c[:, j] = (ra[j] if j < len(ra) else 0.0) - (rb[j] if j < len(rb) else 0.0)
+    c = np.empty((len(x0), max(len(ra), len(rb))))
+    for j in range(c.shape[1]):
+        np.subtract(ra[j] if j < len(ra) else 0.0, rb[j] if j < len(rb) else 0.0, out=c[:, j])
     return c
 
 
@@ -201,7 +206,8 @@ class PiecewisePoly:
     def __sub__(self, other):
         if isinstance(other, PiecewisePoly):
             xs, ia, ib = _merge(self.x, other.x)
-            return PiecewisePoly(xs, _sum_coefficients(self, other, xs, ia, ib))
+            c = _sum_coefficients(self, other, xs, ia, ib)
+            return PiecewisePoly(xs, np.pad(c, ((0, 0), (0, 4 - c.shape[1]))))
         return NotImplemented
 
     def __neg__(self):
@@ -329,20 +335,17 @@ def _quad_roots(a, b, c):
     return r1, r2
 
 
-def _window(poly: PiecewisePoly, lo: float, hi: float):
-    """Pieces of ``poly`` meeting [lo, hi], with [lo, hi] in each piece's local offsets.
+def _window(x: np.ndarray, lo: float, hi: float):
+    """Pieces starting at ``x`` that meet [lo, hi], with [lo, hi] in each piece's local offsets.
 
     Returns ``(sl, ulo, uhi)``: a slice of the pieces and the local offsets of
     ``lo`` and ``hi`` within each of them.  Each piece ends where the next
     starts, and the last one in the slice at ``hi``.  As in evaluation, the
-    first piece of ``poly`` continues to the left of ``x[0]`` and the last
-    piece has no right end, so the offsets of the window ends are not clipped
-    and windows partly or wholly outside the piece starts are covered.
+    first piece continues to the left of ``x[0]`` and the last piece has no
+    right end, so the offsets of the window ends are not clipped and windows
+    partly or wholly outside the piece starts are covered.
     """
-    x = poly.x
-    m = poly.npieces
-    i0 = int(np.clip(np.searchsorted(x, lo, side="right") - 1, 0, m - 1))
-    i1 = int(np.clip(np.searchsorted(x, hi, side="right") - 1, 0, m - 1))
+    i0, i1 = np.clip(np.searchsorted(x, [lo, hi], side="right") - 1, 0, len(x) - 1)
     sl = slice(i0, i1 + 1)
     ulo = np.zeros(i1 + 1 - i0)
     ulo[0] = lo - x[i0]
@@ -372,36 +375,64 @@ def _flat(lo: float) -> PiecewisePoly:
     return PiecewisePoly(np.array([lo]), np.zeros((1, 4)))
 
 
-def _piece_extrema(x0, cc, ulo, uhi, linear: bool) -> Extrema:
-    """Extrema over pieces starting at ``x0`` with local coefficients ``cc``,
-    each taken over its local offsets ``[ulo, uhi]``.
-
-    One-sided limits at breakpoints count: each piece contributes its closed
-    left end, its (open) right end value and its interior stationary points
-    (lines, ``linear``, have none), which together cover the closure of the
-    range.  Candidates are ranked piece by piece, so a tie goes to the first
-    piece, and any subset of pieces in order ranks its candidates as the
-    whole set does.
+def _piece_extrema(x0, cc, us, add=None, ts=None) -> Extrema:
+    """Extrema among candidates at local offsets ``us`` (a row per piece
+    starting at ``x0``): Horner over the columns of ``cc`` (``c0`` first, two
+    for a line), plus ``add`` if given.  Ranked piece by piece, so a tie goes
+    to the first piece and column, and any subset of pieces in order ranks as
+    the whole set does.  A zero extremum is returned as ``+0.0``.  A location
+    is ``ts[i, j]`` if the candidates' points are given, else ``x0[i] + us[i, j]``.
     """
-    # Horner in place (the operations and order of ((c3*u + c2)*u + c1)*u + c0,
-    # without temporaries) and only the two winners' locations: these arrays
-    # set the memory peak of a convex fit's final certificate
-    if linear:
-        us = np.column_stack([ulo, uhi])
-        vals = cc[:, 1, None] * us
-    else:
-        # a piece without an interior root repeats its left end
-        us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
-        vals = cc[:, 3, None] * us
-        vals += cc[:, 2, None]
-        vals *= us
-        vals += cc[:, 1, None]
+    # Horner in place, as ((c3*u + c2)*u + c1)*u + c0 without temporaries, and
+    # only the winners' locations: these set a convex fit's memory peak
+    vals = cc[:, -1, None] * us
+    for j in range(cc.shape[1] - 2, 0, -1):
+        vals += cc[:, j, None]
         vals *= us
     vals += cc[:, 0, None]
+    if add is not None:
+        vals += add
     kmin, kmax = int(np.argmin(vals)), int(np.argmax(vals))
     (imin, jmin), (imax, jmax) = divmod(kmin, us.shape[1]), divmod(kmax, us.shape[1])
-    return Extrema(float(vals[imin, jmin]), float(x0[imin] + us[imin, jmin]),
-                   float(vals[imax, jmax]), float(x0[imax] + us[imax, jmax]))
+    def at(i, j):
+        return float(x0[i] + us[i, j] if ts is None else ts[i, j])
+    return Extrema(float(vals[imin, jmin]) + 0.0, at(imin, jmin),
+                   float(vals[imax, jmax]) + 0.0, at(imax, jmax))
+
+
+def _poly_extrema(x0, cc, ulo, uhi) -> Extrema:
+    """Extrema over pieces starting at ``x0`` with local coefficients ``cc``,
+    each over its local offsets ``[ulo, uhi]``.  One-sided limits count: each
+    piece gives its closed left end, its open right end and its interior
+    stationary points (lines, given as two columns, have none).
+    """
+    if cc.shape[1] == 2:
+        return _piece_extrema(x0, cc, np.column_stack([ulo, uhi]))
+    # a piece without an interior root repeats its left end
+    return _piece_extrema(x0, cc, np.column_stack(
+        [ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])]))
+
+
+def _difference_extrema(a: PiecewisePoly, b: PiecewisePoly, lo: float, hi: float,
+                        keep=None) -> Extrema:
+    """``extrema(curve_sub(a, b), lo, hi)`` bit for bit, built on the window only.
+
+    ``keep``, a mask over the pieces of ``b`` leaving one in the window, drops
+    the pieces of ``a - b`` on the others before any coefficient is built;
+    the rest rank as in the full window.  Lines (both operands of degree <= 1)
+    take two candidates a piece; a difference whose cubic terms cancel keeps
+    the cubic branch, which gives the same values, zeros aside.
+    """
+    _check_interval(lo, hi)
+    xs, ia, ib = _merge(a.x, b.x)
+    sl, ulo, uhi = _window(xs, lo, hi)
+    x0, ia, ib = xs[sl], ia[sl], ib[sl]
+    if keep is not None:
+        on = keep[ib]
+        x0, ia, ib, ulo, uhi = x0[on], ia[on], ib[on], ulo[on], uhi[on]
+    c = _sum_coefficients(a, b, x0, ia, ib)
+    del ia, ib  # not held through the ranking, which sets the memory peak
+    return _poly_extrema(x0, c, ulo, uhi)
 
 
 def _bisect_many(func, a, b):
@@ -476,33 +507,28 @@ def _hybrid_stationary(cc, x0, alo, ahi, smooth: SmoothCurve):
 
 def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
     """Extrema of ``poly + smooth`` on [lo, hi]."""
-    sl, ulo, uhi = _window(poly, lo, hi)
-    x0 = poly.x[sl]
+    sl, ulo, uhi = _window(poly.x, lo, hi)
+    x0, cc = poly.x[sl], poly.c[sl]
     alo = x0 + ulo
-    roots = _hybrid_stationary(poly.c[sl], x0, alo, x0 + uhi, smooth)
-    # a piece without a root repeats its left end; column-major order ranks
-    # left ends first, then right ends, then roots
+    roots = _hybrid_stationary(cc, x0, alo, x0 + uhi, smooth)
+    # a piece without a root repeats its left end
     ts = np.column_stack([alo, x0 + uhi, np.fmax(roots, alo[:, None])])
-    vals = _eval_hybrid(poly.c[sl].T[:, :, None], x0[:, None], smooth, ts).ravel(order="F")
-    ts = ts.ravel(order="F")
-    kmin = int(np.argmin(vals))
-    kmax = int(np.argmax(vals))
-    return Extrema(float(vals[kmin]), float(ts[kmin]), float(vals[kmax]), float(ts[kmax]))
+    return _piece_extrema(x0, cc, ts - x0[:, None], smooth(ts), ts)
 
 
 def extrema(g, lo: float, hi: float) -> Extrema:
     """Exact extrema (values and locations) of a curve over [lo, hi].
 
     One-sided limits at jump points participate, so the results equal the
-    closure of the range of ``g`` on the interval.  The ends must be finite
-    with ``lo < hi``.
+    closure of the range of ``g`` on the interval; a zero extremum is
+    ``+0.0``.  The ends must be finite with ``lo < hi``.
     """
     _check_interval(lo, hi)
     cs = as_curve(g)
     poly = cs.poly if cs.poly is not None else _flat(lo)
     if cs.smooth is None:
-        sl, ulo, uhi = _window(poly, lo, hi)
-        return _piece_extrema(poly.x[sl], poly.c[sl], ulo, uhi, poly.degree() <= 1)
+        sl, ulo, uhi = _window(poly.x, lo, hi)
+        return _poly_extrema(poly.x[sl], poly.c[sl, :2 if poly.degree() <= 1 else 4], ulo, uhi)
     return _hybrid_extrema(poly, cs.smooth, lo, hi)
 
 
@@ -593,7 +619,7 @@ def modulus(g, width: float, interval) -> float:
     # (NaN marks a piece without one and drops out with the range filter)
     poly = cs.poly if cs.poly is not None else _flat(lo)
     ev = [np.array([lo, hi]), poly.x[(poly.x > lo) & (poly.x < hi)]]
-    sl, ulo, uhi = _window(poly, lo, hi)
+    sl, ulo, uhi = _window(poly.x, lo, hi)
     x0 = poly.x[sl]
     deg = poly.degree()
     if cs.smooth is not None:

@@ -278,7 +278,7 @@ def test_certificate_screen_is_sound(case, monkeypatch):
         for p in np.flatnonzero(~keep):
             assert extrema(gap, yn.x[p], yn.x[p + 1]).min_val >= -gap_tol
             cleared += 1
-        got = convexlse._gap_extrema_on(H, yn, keep, horizon)
+        got = convexlse._difference_extrema(H, yn, 0.0, horizon, keep)
         if got.min_val < -gap_tol:
             want = extrema(gap, 0.0, horizon)
             assert (got.min_val.hex(), got.min_at.hex()) == (want.min_val.hex(), want.min_at.hex())
@@ -370,8 +370,8 @@ def test_duplicate_kink_is_nudged(monkeypatch):
     solve, asked = convexlse._solve_nonnegative, []
     monkeypatch.setattr(convexlse, "_solve_nonnegative",
                         lambda th, *rest: asked.append(th.tolist()) or solve(th, *rest))
-    full = convexlse._gap_extrema_on
-    monkeypatch.setattr(convexlse, "_gap_extrema_on", lambda H, *rest: (
+    full = convexlse._difference_extrema
+    monkeypatch.setattr(convexlse, "_difference_extrema", lambda H, *rest: (
         Extrema(-1.0, float(H.x[1]), 0.0, 0.0) if len(asked) == 1 else full(H, *rest)))
     fit, info = fit_lse(SMALL, full_output=True)
     assert asked[:2] == [[10.0], [10.0, 10.0 + 1e-9 * 5.0]]
@@ -386,7 +386,7 @@ def test_fit_stalls_on_a_duplicate_kink(monkeypatch):
     # kink the previous nudge added
     monkeypatch.setattr(convexlse, "_solve_nonnegative",
                         lambda th, v, w, d: (th, np.ones(len(th)), v, gram_matrix(th)))
-    monkeypatch.setattr(convexlse, "_gap_extrema_on",
+    monkeypatch.setattr(convexlse, "_difference_extrema",
                         lambda H, *rest: Extrema(-1.0, float(H.x[1]), 0.0, 0.0))
     with pytest.raises(FitError, match="stalled on duplicate kink"):
         fit_lse(SMALL)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 import tracemalloc
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
@@ -14,10 +14,14 @@ from shapedist.curves import (
     PiecewisePoly,
     SmoothCurve,
     _bisect_many,
+    _difference_extrema,
+    _eval_hybrid,
+    _hybrid_extrema,
     _hybrid_stationary,
     _poly_stationary,
     _range_extrema,
     _shifted,
+    _window,
     as_curve,
     curve_sub,
     extrema,
@@ -27,8 +31,8 @@ from shapedist.curves import (
 from shapedist.convexlse import fit_lse
 from shapedist.empirical import EmpiricalData, ecdf_curve, integrated_ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
-from shapedist.monotone import lcm, marshall_check
-from shapedist.spline import complete_spline, interp_integrated_ecdf
+from shapedist.monotone import broken_line, lcm, marshall_check
+from shapedist.spline import complete_spline, interp_integrated_cdf, interp_integrated_ecdf
 
 MODEL = make_model("truncated-exponential", (1.0,))  # tau = log 4
 TOL = 1e-12
@@ -451,8 +455,12 @@ def _clipped_window(poly, lo, hi):
     return idx, np.clip(lo - x[idx], start, width), np.clip(hi - x[idx], start, width)
 
 
-def _union_poly_extrema(pp, lo, hi):
+def _union_poly_extrema(pp, lo, hi, on=None):
+    """The union engine's extrema; ``on``, a mask over the pieces of ``pp``,
+    keeps only the pieces it marks.  A zero extremum is returned as ``+0.0``."""
     idx, ulo, uhi = _clipped_window(pp, lo, hi)
+    if on is not None:
+        idx, ulo, uhi = idx[on[idx]], ulo[on[idx]], uhi[on[idx]]
     cc = pp.c[idx]
     # a piece without an interior root repeats its left end
     us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
@@ -461,8 +469,8 @@ def _union_poly_extrema(pp, lo, hi):
     flat_t = (pp.x[idx][:, None] + us).ravel()
     kmin = int(np.argmin(flat_v))
     kmax = int(np.argmax(flat_v))
-    return Extrema(float(flat_v[kmin]), float(flat_t[kmin]),
-                   float(flat_v[kmax]), float(flat_t[kmax]))
+    return Extrema(float(flat_v[kmin]) + 0.0, float(flat_t[kmin]),
+                   float(flat_v[kmax]) + 0.0, float(flat_t[kmax]))
 
 
 def _hex(e):
@@ -529,12 +537,49 @@ def _lattice_curve(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_lattice_curve(), _lattice_curve(), st.floats(-3.0, 10.0), st.floats(-3.0, 10.0))
+# every candidate a zero: the engine's line columns and the oracle's cubic
+# columns can round it to opposite signs, and -0.0 - 0.0 is -0.0 in both
+@example(PiecewisePoly(np.array([0.0]), np.full((1, 4), -0.0)),
+         PiecewisePoly(np.array([-2.0]), np.array([[-0.0, -0.0, -0.0, 0.0]])), 9.75, 9.875)
+@example(PiecewisePoly(np.array([0.0]), np.full((1, 4), -0.0)),
+         PiecewisePoly(np.array([0.0]), np.zeros((1, 4))), 0.5, 1.0)
 def test_extrema_of_lattice_differences_match_the_union_engine_bitwise(a, b, lo, hi):
     # the window ends fall before, among and past both curves' piece starts
     lo, hi = min(lo, hi), max(lo, hi)
     assume(lo < hi)
     want = _union_poly_extrema(_union_difference(a, b), lo, hi)
     assert _hex(extrema(curve_sub(a, b), lo, hi)) == _hex(want)
+
+
+@st.composite
+def _cancelling_pair(draw):
+    """A lattice curve and a copy of it with new constant and slope columns:
+    their difference is a line, though both operands are cubics."""
+    a = draw(_lattice_curve())
+    c = a.c.copy()
+    c[:, :2] = draw(st.lists(st.lists(_COEF, min_size=2, max_size=2),
+                             min_size=a.npieces, max_size=a.npieces))
+    return a, PiecewisePoly(a.x, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_lattice_curve(), _lattice_curve()), _cancelling_pair()),
+       st.floats(-3.0, 10.0), st.floats(-3.0, 10.0), st.randoms(use_true_random=False))
+def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, rnd):
+    a, b = pair
+    lo, hi = min(lo, hi), max(lo, hi)
+    assume(lo < hi)
+    full = extrema(curve_sub(a, b), lo, hi)
+    assert _hex(_difference_extrema(a, b, lo, hi)) == _hex(full)
+    assert float.hex(sup_norm(a, b, (lo, hi))) == float.hex(full.sup_abs)
+    # a random mask over b's pieces that leaves a piece of the difference in the window
+    keep = np.array([rnd.random() < 0.5 for _ in range(b.npieces)])
+    diff = _union_difference(a, b)
+    on = keep[b._piece_index(diff.x)]
+    sl, _, _ = _window(diff.x, lo, hi)
+    assume(on[sl].any())
+    want = _union_poly_extrema(diff, lo, hi, on)
+    assert _hex(_difference_extrema(a, b, lo, hi, keep)) == _hex(want)
 
 
 def _exact_sup_distance(p, q, lo, hi):
@@ -650,6 +695,58 @@ def test_sup_norm_of_lcm_and_ecdf_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 22 * 8 * n, peak / (8 * n)
+
+
+def _column_major_hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: float) -> Extrema:
+    """The hybrid engine that ranked its candidates column by column, kept as
+    an oracle: verbatim but for ``_window``, which now takes the piece starts."""
+    sl, ulo, uhi = _window(poly.x, lo, hi)
+    x0 = poly.x[sl]
+    alo = x0 + ulo
+    roots = _hybrid_stationary(poly.c[sl], x0, alo, x0 + uhi, smooth)
+    # a piece without a root repeats its left end; column-major order ranks
+    # left ends first, then right ends, then roots
+    ts = np.column_stack([alo, x0 + uhi, np.fmax(roots, alo[:, None])])
+    vals = _eval_hybrid(poly.c[sl].T[:, :, None], x0[:, None], smooth, ts).ravel(order="F")
+    ts = ts.ravel(order="F")
+    kmin = int(np.argmin(vals))
+    kmax = int(np.argmax(vals))
+    return Extrema(float(vals[kmin]), float(ts[kmin]), float(vals[kmax]), float(ts[kmax]))
+
+
+@pytest.mark.parametrize("name, params", [("truncated-exponential", (1.0,)),
+                                          ("beta-like", (2.0,)), ("shifted-power", (3.0, 1.0))])
+@pytest.mark.parametrize("k", [5, 20, 80, 200])
+def test_hybrid_extrema_match_the_column_major_ranker(name, params, k):
+    # the lemma curves: the spline of Y less Y, its derivative less F, the
+    # broken line of F less F, and F_n less F
+    model = make_model(name, params)
+    mesh = knot_mesh_convex(model, k)
+    spline = interp_integrated_cdf(model, mesh).as_curve()
+    data = sample(model, 10 * k, seed_for(6, k, 0))
+    lo, hi = float(mesh.knots[0]), float(mesh.knots[-1])
+    for g, h in ((spline, model.Fint_curve()), (spline.derivative(), model.F_curve()),
+                 (broken_line(model.F, mesh.knots).as_curve(), model.F_curve()),
+                 (ecdf_curve(data), model.F_curve())):
+        cs = curve_sub(g, h)
+        got = _hybrid_extrema(cs.poly, cs.smooth, lo, hi)
+        want = _column_major_hybrid_extrema(cs.poly, cs.smooth, lo, hi)
+        assert [v.hex() for v in (got.min_val, got.min_at, got.max_val, got.max_at)] == \
+            [v.hex() for v in (want.min_val, want.min_at, want.max_val, want.max_at)]
+
+
+def test_hybrid_extrema_locate_the_ranked_point():
+    # u + phi(t), phi' = -t / 0.35: the stationary point t ~ 0.35 is found in
+    # absolute terms, and 0.1 + (t - 0.1) rounds off it; the location must be
+    # the point whose value was ranked
+    poly = PiecewisePoly(np.array([0.1]), np.array([[0.0, 1.0, 0.0, 0.0]]))
+    smooth = SmoothCurve(lambda t: -t * t / 0.7, lambda t: -t / 0.35,
+                         lambda t: np.full_like(t, -1 / 0.35))
+    got = extrema(CurveSum(poly, smooth), 0.2, 0.9)
+    want = _column_major_hybrid_extrema(poly, smooth, 0.2, 0.9)
+    assert 0.1 + (want.max_at - 0.1) != want.max_at
+    assert [v.hex() for v in (got.min_val, got.min_at, got.max_val, got.max_at)] == \
+        [v.hex() for v in (want.min_val, want.min_at, want.max_val, want.max_at)]
 
 
 @pytest.mark.parametrize("name, params", [("truncated-exponential", (1.0,)),
