@@ -1,6 +1,7 @@
 """Catalog models: closed forms, inverses, meshes, shape constants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,10 +182,21 @@ def _bisect_80(F, u):
 
 
 @pytest.mark.parametrize("b", [1.5, 2.0, 5.0])
-def test_beta_like_inverse_stops_early_to_the_same_bits(b):
+def test_beta_like_inverse_stops_early_to_the_same_bits(b, monkeypatch):
     m = make_model("beta-like", (b,), 0.9)
     u = np.concatenate([np.random.default_rng(11).random(4096), [0.0, 0.5, 1.0 - 2.0 ** -53]])
     assert m.Finv(u).tobytes() == _bisect_80(m.F, u).tobytes()
+    # the certified start leaves about 15 steps of the ~67 from [0, 1]: a
+    # silent fall back to the whole bisection fails here
+    real, calls = models._beta_like_inverse, []
+
+    def counting(F, *rest):
+        return real(lambda x: calls.append(1) or F(x), *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_beta_like_inverse", counting)
+        assert m.Finv(u[:4096]).tobytes() == _bisect_80(m.F, u[:4096]).tobytes()
+    assert 0 < len(calls) <= 30
     # the scalar path (tau) and the knot-mesh vector
     assert isinstance(m.tau, float)
     assert np.float64(m.tau).tobytes() == _bisect_80(m.F, 0.9).tobytes()
@@ -343,24 +355,48 @@ def _same_bits(got, want):
 
 
 EDGES = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, 1.5, -0.5, INF, -INF]
+BETA_B = [1.0001, 1.5, 2.0, 5.0, 100.0]
+_BETA_F = make_model("beta-like", (2.0,)).F
 
 
-@pytest.mark.parametrize("b", [1.0001, 1.5, 2.0, 5.0, 100.0])
+@pytest.mark.parametrize("b", BETA_B)
 def test_bisect_inverse_matches_the_where_loop_bit_for_bit(b):
-    F = make_model("beta-like", (b,)).F
-    for key in (1, 7, 2024):
-        for n in (1, 2, 3, 64, 1000, 8192, 30000):
-            u = _generator(seed_for(key, n, 0)).random(n)
-            _same_bits(_bisect_inverse(F, 0.0, 1.0, u), _where_bisect(F, 0.0, 1.0, u))
-    edges = np.array(EDGES)
-    _same_bits(_bisect_inverse(F, 0.0, 1.0, edges), _where_bisect(F, 0.0, 1.0, edges))
-    # 0-d arrays and floats take the scalar path; 2-d arrays keep their shape
-    for s in EDGES:
-        _same_bits(_bisect_inverse(F, 0.0, 1.0, s), _where_bisect(F, 0.0, 1.0, s))
-        _same_bits(_bisect_inverse(F, 0.0, 1.0, np.array(s)), _where_bisect(F, 0.0, 1.0, np.array(s)))
-    grid = np.concatenate([edges, _generator(5).random(91)]).reshape(10, 10)
-    _same_bits(_bisect_inverse(F, 0.0, 1.0, grid), _where_bisect(F, 0.0, 1.0, grid))
-    _same_bits(_bisect_inverse(F, 0.0, 1.0, grid.T), _where_bisect(F, 0.0, 1.0, grid.T))
+    m = make_model("beta-like", (b,))
+    F = m.F
+    # the loop from [0, 1], and the model's inverse from its certified start
+    for inverse in (lambda u: _bisect_inverse(F, 0.0, 1.0, u), m.Finv):
+        for key in (1, 7, 2024):
+            for n in (1, 2, 3, 64, 1000, 8192, 30000):
+                u = _generator(seed_for(key, n, 0)).random(n)
+                _same_bits(inverse(u), _where_bisect(F, 0.0, 1.0, u))
+        edges = np.array(EDGES)
+        _same_bits(inverse(edges), _where_bisect(F, 0.0, 1.0, edges))
+        # 0-d arrays and floats take the scalar path; 2-d arrays keep their shape
+        for s in EDGES:
+            _same_bits(inverse(s), _where_bisect(F, 0.0, 1.0, s))
+            _same_bits(inverse(np.array(s)), _where_bisect(F, 0.0, 1.0, np.array(s)))
+        grid = np.concatenate([edges, _generator(5).random(91)]).reshape(10, 10)
+        _same_bits(inverse(grid), _where_bisect(F, 0.0, 1.0, grid))
+        _same_bits(inverse(grid.T), _where_bisect(F, 0.0, 1.0, grid.T))
+
+
+def test_bisect_inverse_resumes_from_any_level():
+    # a bracket that the loop from [0, 1] reaches after `level` steps, given
+    # with its level, ends where the 80 steps from [0, 1] end; level 80
+    # leaves no step, and draws near 0 run out of steps before they settle
+    F = _BETA_F
+    rng = _generator(13)
+    u = np.concatenate([rng.random(3000), 10.0 ** -rng.uniform(3, 40, 1000), [5e-324, 1e-300]])
+    level = rng.integers(0, 81, u.size)
+    lo, hi = np.zeros(u.shape), np.ones(u.shape)
+    for step in range(80):
+        at = level > step
+        mid = 0.5 * (lo + hi)
+        less = F(mid) < u
+        lo = np.where(at & less, mid, lo)
+        hi = np.where(at & ~less, mid, hi)
+    _same_bits(_bisect_inverse(F, lo, hi, u, level), _bisect_80(F, u))
+    _same_bits(_bisect_inverse(F, lo[:7], hi[:7], u[:7], 80), 0.5 * (lo[:7] + hi[:7]))
 
 
 def test_bisect_inverse_matches_the_where_loop_on_any_interval():
@@ -372,9 +408,6 @@ def test_bisect_inverse_matches_the_where_loop_on_any_interval():
     _same_bits(_bisect_inverse(F, -1.0, 3.0, grid), _where_bisect(F, -1.0, 3.0, grid))
     for s in EDGES + [0.3, -0.99]:
         _same_bits(_bisect_inverse(F, -1.0, 3.0, s), _where_bisect(F, -1.0, 3.0, s))
-
-
-_BETA_F = make_model("beta-like", (2.0,)).F
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -392,6 +425,100 @@ def test_bisect_inverse_keeps_the_where_bits_on_any_input(u, ends):
     with np.errstate(all="ignore"):
         got, want = _bisect_inverse(_BETA_F, lo, hi, u), _where_bisect(_BETA_F, lo, hi, u)
     _same_bits(got, want)
+
+
+_ULP = Fraction(1, 2 ** 53)
+_GAMMA10 = 10 * _ULP / (1 - 10 * _ULP)
+
+
+def _exact_cubic(b, signs):
+    """x -> c_b (b x + s1 (1 + b) x^2/2 + s2 x^3/3) in rationals, c_b = 6/(3b - 1)."""
+    B = Fraction(b)
+    cb = 6 / (3 * B - 1)
+    return lambda x: cb * (B * x + signs[0] * (1 + B) * x * x / 2 + signs[1] * x ** 3 / 3)
+
+
+@pytest.mark.parametrize("b", BETA_B)
+def test_beta_like_error_bound_holds_exactly(b):
+    # |F_float - F| <= e = gamma_10 S + 2^-1070 (the derivation in
+    # _build_beta_like), and the float e the certificate reads is at least 2e/3
+    m = make_model("beta-like", (b,))
+    c = 6.0 / (3.0 * b - 1.0)
+    F, S = _exact_cubic(b, (-1, 1)), _exact_cubic(b, (1, 1))
+    e = lambda x: _GAMMA10 * S(x) + Fraction(2) ** -1070
+    tiny = [2.0 ** -1074, 1e-300, 2.0 ** -360, 2.0 ** -520, 1e-20]
+    x = np.concatenate([_generator(seed_for(17, 10_000, 0)).random(10_000),
+                        [0.0, 1.0 - 2.0 ** -53, 1.0, 0.5, 2.0 ** -53], tiny])
+    for xi, Fi, ei in zip(x.tolist(), m.F(x).tolist(), models._beta_like_err(x, b, c).tolist()):
+        X = Fraction(xi)
+        assert abs(Fraction(Fi) - F(X)) <= e(X)
+        assert 3 * Fraction(ei) >= 2 * e(X)
+    # the cut on u is at most 1 - e(1)
+    assert Fraction(1.0 - 3.0 * float(models._beta_like_err(1.0, b, c))) <= 1 - e(Fraction(1))
+    # (F - e)' = c_b ((1 - g) x^2 - (1 + b)(1 + g) x + (1 - g) b) is convex, positive
+    # at 0 and negative at 1: F - e increases on [0, x*] and decreases after
+    B, g = Fraction(b), _GAMMA10
+    slope = lambda t: (1 - g) * t * t - (1 + B) * (1 + g) * t + (1 - g) * B
+    assert 1 - g > 0 and slope(Fraction(0)) > 0 and slope(Fraction(1)) < 0
+    lo, hi = 0.0, 1.0  # floats around x*, by the sign of the exact slope
+    while np.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(Fraction(mid)) > 0 else (lo, mid)
+    for grid, sign in ((np.linspace(0.0, lo, 200), 1), (np.unique(np.linspace(hi, 1.0, 50)), -1)):
+        vals = [F(X) - e(X) for X in map(Fraction, grid.tolist())]
+        assert all(sign * (q - p) > 0 for p, q in zip(vals, vals[1:]))
+
+
+def _neighbours(v, d):
+    for _ in range(abs(d)):
+        v = np.nextafter(v, np.sign(d) * INF)
+    return float(v)
+
+
+def _dyadic_root_u(F):
+    """u = F(k / 2^j), a root on a dyadic point, and its float neighbours."""
+    return st.builds(
+        lambda j, k, d: _neighbours(float(F((2 * (k % 2 ** (j - 1)) + 1) / 2.0 ** j)), d),
+        st.integers(1, 52), st.integers(0, 2 ** 52), st.integers(-3, 3))
+
+
+def _oracle(F, u):
+    """The loop from [0, 1] with its early stop; NaN maps to NaN."""
+    want = _where_bisect(F, 0.0, 1.0, u)
+    if isinstance(want, float):
+        return NAN if math.isnan(u) else want
+    return np.where(np.isnan(u), u, want)
+
+
+_BETA_MODELS = {b: make_model("beta-like", (b,)) for b in BETA_B}
+_ANY_U = st.sampled_from(EDGES + [NAN, 2.0, 1e300, -1e-300, 1.0 - 2.0 ** -52])
+
+
+@pytest.mark.parametrize("b", BETA_B)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_beta_like_inverse_keeps_the_bisection_bits_on_any_input(b, data):
+    m = _BETA_MODELS[b]
+    elements = st.one_of(_dyadic_root_u(m.F), st.floats(0.0, 1.0), _ANY_U, st.floats())
+    u = data.draw(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=20),
+                         elements=elements), label="u")
+    with np.errstate(all="ignore"):
+        _same_bits(m.Finv(u), _oracle(m.F, u))
+        for s in u.flat[:3]:
+            _same_bits(m.Finv(float(s)), _oracle(m.F, float(s)))
+
+
+@pytest.mark.parametrize("guess", [0.0, 0.3, 0.999, NAN])
+def test_beta_like_inverse_bits_do_not_depend_on_the_guess(guess, monkeypatch):
+    # the guess only picks the start cell; the certificate carries the bits
+    F = _BETA_F
+    u = np.concatenate([_generator(3).random(2000), [float(F(0.3)), float(F(0.5))], EDGES])
+    want = _where_bisect(F, 0.0, 1.0, u)
+    monkeypatch.setattr(models, "_beta_like_guess", lambda u, b, c: np.full(np.shape(u), guess))
+    m = make_model("beta-like", (2.0,), 0.9)
+    _same_bits(m.Finv(u), want)
+    _same_bits(m.Finv(u[:40].reshape(5, 8)), want[:40].reshape(5, 8))
+    _same_bits(m.tau, _where_bisect(F, 0.0, 1.0, 0.9))
 
 
 @pytest.mark.parametrize("name,params", SAMPLING_MODELS)
