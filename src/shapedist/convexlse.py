@@ -17,15 +17,21 @@ exact nonnegativity certificate rather than a grid-limited one.
 
 The candidate grid is fixed for the whole fit, so its powers are computed
 once and each pass expands the fit's suffix sums over it in runs, one per
-kink, with no per-point search.  Before the exact minimization a screen
-clears data intervals: between consecutive order statistics the gap is
-convex (its second derivative is the fitted density and the ECDF integral is
-linear there), so its values at the ends and the midpoint bound its minimum.
-Only the uncleared pieces, always including ``[0, X_(1)]`` and the tail past
-``X_(n)``, are minimized exactly, by the extrema engine of ``curves`` on a
-mask of pieces, so a violation found there is, bit for bit, the full
-minimum and location; when the screen finds none, the same engine runs
-without the mask, and it alone ends a fit and gives its ``min_gap``.
+kink, with no per-point search, and forms the integrated CDF in place in
+that expansion.  The fit's integrated CDF curve ``H`` is formed straight
+from the suffix sums: the density's columns, then both antiderivative
+recurrences on the columns, and one curve.  Before the exact minimization a
+screen clears data intervals: between consecutive order statistics the gap
+is convex (its second derivative is the fitted density and the ECDF
+integral is linear there), so its values at the ends and the midpoint bound
+its minimum.  Only the uncleared pieces, always including ``[0, X_(1)]`` and
+the tail past ``X_(n)``, are minimized exactly, by the extrema engine of
+``curves`` on a mask of pieces, which builds only the pieces it keeps, so
+the screen's cost follows the uncleared pieces rather than ``n``.  A
+violation found there is, bit for bit, the full minimum and location; when
+the screen finds none, the same engine runs without the mask, and it alone
+ends a fit and gives its ``min_gap``.  The objective trace is formed only
+when asked for.
 """
 
 from __future__ import annotations
@@ -124,29 +130,58 @@ class ConvexLse:
 
         Each point takes the suffix column of the first kink above it; sorted
         points pass the kinks in order, so those columns are runs, expanded
-        with ``np.repeat`` instead of gathered point by point.
+        with ``np.repeat`` instead of gathered point by point.  The sums are
+        formed in the rows of that expansion, in place, so neither the cached
+        suffix sums nor ``p`` is written.
         """
-        runs = np.diff(np.searchsorted(t, self.kinks, side="left"), prepend=0, append=len(t))
-        s = np.repeat(self._suffix, runs, axis=1)
+        edges = np.concatenate(([0], np.searchsorted(t, self.kinks, side="left"), [len(t)]))
+        s = np.repeat(self._suffix, np.diff(edges), axis=1)
+        s0, s1, s2, s3 = s
         _, t3, tt3, ttt = p
-        tail = s[3] - t3 * s[2] + tt3 * s[1] - ttt * s[0]
-        return t * self._suffix[2, 0] / 2.0 - self._suffix[3, 0] / 6.0 + tail / 6.0
+        # tail = s3 - t3 s2 + tt3 s1 - ttt s0, then t S2 / 2 - S3 / 6 + tail / 6
+        np.multiply(t3, s2, out=s2)
+        np.subtract(s3, s2, out=s3)
+        np.multiply(tt3, s1, out=s1)
+        np.add(s3, s1, out=s3)
+        np.multiply(ttt, s0, out=s0)
+        np.subtract(s3, s0, out=s3)
+        np.divide(s3, 6.0, out=s3)
+        np.multiply(t, self._suffix[2, 0], out=s0)
+        np.divide(s0, 2.0, out=s0)
+        np.subtract(s0, self._suffix[3, 0] / 6.0, out=s0)
+        np.add(s0, s3, out=s0)
+        return s0
 
-    def density_curve(self) -> PiecewisePoly:
+    def _density_columns(self):
+        """Piece starts (0 and the kinks past it) and the density's ``c0``, ``c1``."""
         bx = np.unique(np.concatenate([[0.0], self.kinks]))
         bx = bx[bx >= 0.0]
-        c = np.zeros((len(bx), 4))
         i = np.searchsorted(self.kinks, bx, side="right")
         s = self._suffix
-        c[:, 0] = s[1, i] - bx * s[0, i]
-        c[:, 1] = -s[0, i]
+        return bx, s[1, i] - bx * s[0, i], -s[0, i]
+
+    def density_curve(self) -> PiecewisePoly:
+        bx, c0, c1 = self._density_columns()
+        c = np.zeros((len(bx), 4))
+        c[:, 0] = c0
+        c[:, 1] = c1
         return PiecewisePoly(bx, c)
 
     def cdf_curve(self) -> PiecewisePoly:
         return self.density_curve().antiderivative()
 
     def integrated_cdf_curve(self) -> PiecewisePoly:
-        return self.cdf_curve().antiderivative()
+        """The density integrated twice, bit for bit as
+        ``density_curve().antiderivative().antiderivative()``: the recurrence
+        of :meth:`PiecewisePoly.antiderivative` runs twice on the columns
+        formed from the suffix sums, and one curve is built."""
+        bx, c0, c1 = self._density_columns()
+        h = np.diff(bx)
+        c2 = np.zeros(len(bx))
+        for _ in range(2):
+            ints = ((c2[:-1] / 3.0 * h + c1[:-1] / 2.0) * h + c0[:-1]) * h
+            c0, c1, c2, c3 = np.concatenate([[0.0], np.cumsum(ints)]), c0, c1 / 2.0, c2 / 3.0
+        return PiecewisePoly(bx, np.column_stack([c0, c1, c2, c3]))
 
 
 def _solve_nonnegative(thetas: np.ndarray, v: np.ndarray, w: np.ndarray, data: EmpiricalData):
@@ -234,7 +269,9 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
     """Least-squares convex density fit by support reduction.
 
     ``full_output`` also returns a dict with the objective trace, the pass
-    count (``iterations``) and the certificate's ``min_gap``.
+    count (``iterations``) and the certificate's ``min_gap``.  The trace
+    (the objective after each pass) is computed only then; the passes are
+    the same either way.
 
     Each pass adds the candidate with the most negative gap.  Once the grid
     is clean, the data intervals that the convexity screen cannot clear are
@@ -264,7 +301,7 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
     horizon = 3.0 * scale
     yn_curve = integrated_ecdf_curve(data)
 
-    for _ in range(max_iter):
+    for passes in range(max_iter):
         if len(thetas):
             fit = ConvexLse(thetas, w)
             d_cand = fit._integrated_cdf_sorted(cands, powers) - vcand
@@ -288,7 +325,7 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
                 tail_slope = fit.mass - 1.0
                 if ext.min_val >= -gap_tol and tail_slope >= -_TOL * scale**2:
                     info = {"objective_trace": qtrace, "min_gap": ext.min_val,
-                            "iterations": len(qtrace), "horizon": horizon}
+                            "iterations": passes, "horizon": horizon}
                     return (fit, info) if full_output else fit
             if ext.min_val < -gap_tol:
                 new_theta = float(ext.min_at)
@@ -305,7 +342,8 @@ def fit_lse(data: EmpiricalData, full_output: bool = False):
         w = np.append(w, 0.0)
         v = np.append(v, float(integrated_ecdf(data, new_theta)))
         thetas, w, v, G = _solve_nonnegative(thetas, v, w, data)
-        qtrace.append(float(0.5 * w @ G @ w - w @ v) if len(thetas) else 0.0)
+        if full_output:
+            qtrace.append(float(0.5 * w @ G @ w - w @ v) if len(thetas) else 0.0)
     raise FitError(f"no certificate after {max_iter} iterations")
 
 

@@ -31,8 +31,9 @@ gives that grid and each operand's piece under every start.  Each operand is
 re-expressed there at its own degree: a line (degree <= 1) builds only its
 constant and slope columns, and when both are lines, as in ``lcm - ecdf``,
 extrema evaluate each piece at its two ends.  The LSE certificate reads the
-extrema of a difference off the merge, on a window and a mask of pieces,
-without building the difference.  One function ranks every extremum's
+extrema of a difference without the merge or the difference: it builds
+only the pieces in the window that a mask over one operand's pieces keeps
+(all of them when there is no mask).  One function ranks every extremum's
 candidates, piece by piece: a tie goes to the first, and a zero extremum is
 returned as ``+0.0``.
 
@@ -413,23 +414,71 @@ def _poly_extrema(x0, cc, ulo, uhi) -> Extrema:
         [ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])]))
 
 
+def _union_floor(xa: np.ndarray, ra: int, xb: np.ndarray, rb: int):
+    """Start of the piece of ``a - b`` under a point that ``ra`` starts of ``a``
+    and ``rb`` of ``b`` do not exceed: the later of the two operands' last
+    such starts, or the first start of both when there is none (the first
+    piece runs on to the left)."""
+    if ra == 0 and rb == 0:
+        return min(xa[0], xb[0])
+    return max(xa[ra - 1] if ra else -np.inf, xb[rb - 1] if rb else -np.inf)
+
+
 def _difference_extrema(a: PiecewisePoly, b: PiecewisePoly, lo: float, hi: float,
                         keep=None) -> Extrema:
-    """``extrema(curve_sub(a, b), lo, hi)`` bit for bit, built on the window only.
+    """``extrema(curve_sub(a, b), lo, hi)`` bit for bit, built on the kept pieces only.
 
-    ``keep``, a mask over the pieces of ``b`` leaving one in the window, drops
-    the pieces of ``a - b`` on the others before any coefficient is built;
-    the rest rank as in the full window.  Lines (both operands of degree <= 1)
-    take two candidates a piece; a difference whose cubic terms cancel keeps
-    the cubic branch, which gives the same values, zeros aside.
+    ``keep`` is a boolean mask over the pieces of ``b``, and ``None`` keeps
+    them all; either way one route runs.  A piece of ``a - b`` (they start
+    at the union of both operands' starts) is kept when the piece of ``b``
+    under its start is, and the kept ones rank as in the full window.  Only
+    the kept pieces in the window are built: the kept starts of ``b`` there,
+    plus the starts of ``a`` there that fall in a kept piece of ``b`` and
+    are not starts of ``b``.  So a masked call costs what its kept pieces
+    cost, not what ``b``'s do.  Each piece ends at the next start of either
+    operand, the window's first piece starts at ``lo`` and its last ends at
+    ``hi``, by the same subtractions as :func:`_window`.  Lines (both
+    operands of degree <= 1) take two candidates a piece; a difference whose
+    cubic terms cancel keeps the cubic branch, which gives the same values,
+    zeros aside.  A mask that is not one boolean per piece of ``b``, or that
+    keeps no piece in the window, raises ``ValueError``.
     """
     _check_interval(lo, hi)
-    xs, ia, ib = _merge(a.x, b.x)
-    sl, ulo, uhi = _window(xs, lo, hi)
-    x0, ia, ib = xs[sl], ia[sl], ib[sl]
-    if keep is not None:
-        on = keep[ib]
-        x0, ia, ib, ulo, uhi = x0[on], ia[on], ib[on], ulo[on], uhi[on]
+    xa, xb = a.x, b.x
+    if keep is None:
+        keep = np.ones(len(xb), dtype=bool)
+    elif not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_ and keep.shape == xb.shape):
+        raise ValueError(f"keep must be a boolean array with one entry per piece of b ({len(xb)})")
+    # the starts of each operand at or before lo and hi, and the window's first and last start
+    na, nb = np.searchsorted(xa, (lo, hi), side="right"), np.searchsorted(xb, (lo, hi), side="right")
+    first, last = _union_floor(xa, na[0], xb, nb[0]), _union_floor(xa, na[1], xb, nb[1])
+    # the kept starts of b in the window, and the starts of a there that split a kept piece of b
+    j0, j1 = np.searchsorted(xb, first, side="left"), np.searchsorted(xb, last, side="right")
+    kb = j0 + np.flatnonzero(keep[j0:j1])
+    sa = xa[np.searchsorted(xa, first, side="left"):np.searchsorted(xa, last, side="right")]
+    rb_a = np.searchsorted(xb, sa, side="right")
+    jb = np.maximum(rb_a - 1, 0)
+    split = keep[jb] & (xb[jb] != sa)
+    sa, rb_a = sa[split], rb_a[split]
+    if not (len(kb) or len(sa)):
+        raise ValueError(f"keep leaves no piece of the difference in [{lo}, {hi}]")
+    # merge the two sorted runs, and count the starts of each operand at or
+    # before each piece's start
+    at = np.searchsorted(xb[kb], sa) + np.arange(len(sa))
+    from_b = np.ones(len(kb) + len(sa), dtype=bool)
+    from_b[at] = False
+    x0, rb = np.empty(len(from_b)), np.empty(len(from_b), dtype=np.intp)
+    x0[from_b], x0[at], rb[from_b], rb[at] = xb[kb], sa, kb + 1, rb_a
+    ra = np.searchsorted(xa, x0, side="right")
+    # each piece ends at the next start of either operand
+    ends = np.append(xa, np.inf)[ra]
+    np.minimum(ends, np.where(rb < len(xb), xb.take(rb, mode="clip"), np.inf), out=ends)
+    ulo, uhi = np.zeros(len(x0)), ends - x0
+    if x0[0] == first:
+        ulo[0] = lo - x0[0]
+    if x0[-1] == last:
+        uhi[-1] = hi - x0[-1]
+    ia, ib = np.maximum(ra - 1, 0), np.maximum(rb - 1, 0)
     c = _sum_coefficients(a, b, x0, ia, ib)
     del ia, ib  # not held through the ranking, which sets the memory peak
     return _poly_extrema(x0, c, ulo, uhi)

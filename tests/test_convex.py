@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -304,6 +305,56 @@ def test_sorted_scan_matches_the_gathered_formula_bitwise(case):
     for t in (fit.kinks, cands):
         got = fit._integrated_cdf_sorted(t, convexlse._powers(t))
         assert got.tobytes() == _gathered_integrated_cdf(fit, t).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_FITS))
+def test_fit_is_the_same_without_full_output(case):
+    # the objective trace is computed only under full_output; the passes are not
+    d = _frozen_sample(*case)
+    fit, info = fit_lse(d, full_output=True)
+    bare = fit_lse(d)
+    assert bare.kinks.tobytes() == fit.kinks.tobytes()
+    assert bare.weights.tobytes() == fit.weights.tobytes()
+    assert info["iterations"] == len(info["objective_trace"])
+
+
+def _twice_integrated_density(fit):
+    """The integrated CDF as the density's curve integrated twice, the route
+    ``ConvexLse.integrated_cdf_curve`` took before it ran the recurrences on
+    the suffix-sum columns."""
+    return fit.density_curve().antiderivative().antiderivative()
+
+
+def _same_curve(got, want):
+    return got.x.tobytes() == want.x.tobytes() and got.c.tobytes() == want.c.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_FITS))
+def test_integrated_cdf_curve_matches_the_twice_integrated_density_bitwise(case):
+    fit = fit_lse(_frozen_sample(*case))
+    assert _same_curve(fit.integrated_cdf_curve(), _twice_integrated_density(fit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=12, unique=True),
+       st.lists(st.floats(1e-6, 4.0), min_size=12, max_size=12))
+@example([0.0, 1.5], [0.25] * 12)  # a kink at 0 is the first piece start
+@example([0.0], [1.0] * 12)
+def test_integrated_cdf_curve_of_any_kinks_matches_bitwise(kinks, weights):
+    fit = ConvexLse(np.array(kinks), np.array(weights[:len(kinks)]))
+    assert _same_curve(fit.integrated_cdf_curve(), _twice_integrated_density(fit))
+
+
+@pytest.mark.parametrize("case", [("beta-like", 512, 0), ("lattice", 400, 0)])
+def test_sorted_scan_writes_neither_the_suffix_sums_nor_the_powers(case):
+    d = _frozen_sample(*case)
+    fit = fit_lse(d)
+    cands, _ = convexlse._candidate_grid(d)
+    powers = convexlse._powers(cands)
+    before = [fit._suffix.tobytes()] + [p.tobytes() for p in powers]
+    first = fit._integrated_cdf_sorted(cands, powers).tobytes()
+    assert fit._integrated_cdf_sorted(cands, powers).tobytes() == first
+    assert [fit._suffix.tobytes()] + [p.tobytes() for p in powers] == before
 
 
 # float.hex of (min_gap, max_abs_gap_at_kinks, tail_min_gap), recorded when the

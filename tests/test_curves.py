@@ -562,9 +562,38 @@ def _cancelling_pair(draw):
     return a, PiecewisePoly(a.x, c)
 
 
+class _Mask:
+    """Stands in for the random source of a mask: ``random()`` gives 0.0
+    (keep) or 1.0 (drop) for each piece of ``b`` in turn."""
+
+    def __init__(self, *kept):
+        self.draws = iter([0.0 if k else 1.0 for k in kept])
+
+    def random(self):
+        return next(self.draws)
+
+
+_A_SPLITS = PiecewisePoly(np.array([-1.0, 0.5, 1.25, 2.0]),
+                          np.array([[0.5, -1.0, 2.0, 0.25], [1.0, 0.5, -0.5, 1.5],
+                                    [-0.25, 2.0, 1.0, -1.0], [0.0, -0.5, 0.75, 0.5]]))
+_B_STEPS = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
+                         np.array([[0.25, 1.0, 0.0, 0.0], [-0.5, 2.0, 0.0, 0.0],
+                                   [1.5, -1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.tuples(_lattice_curve(), _lattice_curve()), _cancelling_pair()),
        st.floats(-3.0, 10.0), st.floats(-3.0, 10.0), st.randoms(use_true_random=False))
+# a start of a (2.0) that is a start of b, in a kept and in a dropped piece of b
+@example((_A_SPLITS, _B_STEPS), -2.0, 4.0, _Mask(True, False, True, True))
+@example((_A_SPLITS, _B_STEPS), -2.0, 4.0, _Mask(True, True, False, True))
+# a start of a (-1.0) before b's first, where b's first piece runs on to the left
+@example((_A_SPLITS, _B_STEPS), -1.5, 0.75, _Mask(True, False, False, False))
+@example((_A_SPLITS, _B_STEPS), -0.5, 1.5, _Mask(False, True, False, False))
+# the window ends inside dropped pieces, then inside kept ones
+@example((_A_SPLITS, _B_STEPS), 0.25, 2.5, _Mask(False, True, False, True))
+@example((_A_SPLITS, _B_STEPS), 1.5, 3.5, _Mask(False, True, False, True))
+@example((_A_SPLITS, _B_STEPS), 0.75, 1.125, _Mask(True, True, True, True))
 def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, rnd):
     a, b = pair
     lo, hi = min(lo, hi), max(lo, hi)
@@ -580,6 +609,25 @@ def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, 
     assume(on[sl].any())
     want = _union_poly_extrema(diff, lo, hi, on)
     assert _hex(_difference_extrema(a, b, lo, hi, keep)) == _hex(want)
+
+
+def test_difference_extrema_rejects_a_mask_of_the_wrong_shape_or_type():
+    a, b = _A_SPLITS, _B_STEPS
+    for keep in (np.ones(3, dtype=bool), np.ones(5, dtype=bool), np.ones(4), [True] * 4,
+                 np.ones((4, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="boolean array with one entry per piece of b"):
+            _difference_extrema(a, b, 0.0, 3.0, keep)
+
+
+def test_difference_extrema_rejects_a_mask_that_keeps_nothing_in_the_window():
+    a, b = _A_SPLITS, _B_STEPS
+    keep = np.array([True, False, False, True])
+    # [1.25, 2.5] meets only the dropped pieces of b starting at 1 and 2
+    with pytest.raises(ValueError, match=r"keep leaves no piece of the difference in \[1.25, 2.5\]"):
+        _difference_extrema(a, b, 1.25, 2.5, keep)
+    assert _difference_extrema(a, b, 1.25, 3.5, keep).min_at >= 3.0
+    with pytest.raises(ValueError, match="keep leaves no piece"):
+        _difference_extrema(a, b, 0.0, 3.0, np.zeros(4, dtype=bool))
 
 
 def _exact_sup_distance(p, q, lo, hi):

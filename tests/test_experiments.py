@@ -1,10 +1,12 @@
 """Experiment drivers: seeding, determinism, summaries, lemma suite."""
 
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
 from multiprocessing import Pool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,33 @@ def test_rate_csv_identical_across_runs_and_workers(tmp_path):
         assert head[1].startswith("# model=truncated-exponential ")
         assert head[2] == ",".join(REPLICATE_COLUMNS)
         assert blobs[0][1].decode().splitlines()[0] == f"# shapedist-{schema}-summary-v1"
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark's driver
+    configs and the reader of its recorded output digests."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("base_seed", [1, 6])
+def test_convex_rate_keeps_the_benchmark_reference_bytes(tmp_path, base_seed):
+    """The benchmark's convex-rate call (n = 512..8192, 20 replicates) writes
+    the bytes recorded in ``perfbench/reference.json``, which this test only
+    reads.  Base seed 6 is the one whose bytes a one-ulp change in where
+    ``_window`` places the window's end moves (see ``CHANGES.md``).  Like the
+    other byte pins, the digests hold only under the numpy SIMD dispatch and
+    OpenBLAS kernels they were recorded with (AVX-512 on x86-64); a
+    re-recorded reference carries this test along with it.
+    """
+    bench = _benchmark_workloads()
+    config = bench.make_config(experiments, "convex-rate", base_seed, 1, str(tmp_path))
+    run_convex_rate(config)
+    got = bench.digests("convex-rate", str(tmp_path))
+    assert bench.digest_mismatches("convex-rate", base_seed, got, bench.load_reference()) == []
 
 
 @pytest.mark.parametrize("driver, target", [(run_monotone_rate, "monotone"),
