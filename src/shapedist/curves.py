@@ -26,16 +26,17 @@ A curve is given by its piece starts alone: its first piece runs on to the
 left and its last piece to the right, as in de Boor's pp-form, so no
 breakpoint closes a curve and no curve is padded to cover an interval.  A
 difference of two piecewise polynomials has its pieces start at the union of
-both operands' piece starts.  One linear-time merge of the sorted starts
-gives that grid and each operand's piece under every start.  Each operand is
-re-expressed there at its own degree: a line (degree <= 1) builds only its
-constant and slope columns, and when both are lines, as in ``lcm - ecdf``,
-extrema evaluate each piece at its two ends.  The LSE certificate reads the
-extrema of a difference without the merge or the difference: it builds
-only the pieces in the window that a mask over one operand's pieces keeps
-(all of them when there is no mask).  One function ranks every extremum's
-candidates, piece by piece: a tie goes to the first, and a zero extremum is
-returned as ``+0.0``.
+both operands' piece starts, where each operand is re-expressed at its own
+degree: a line (degree <= 1) builds only its constant and slope columns,
+and when both are lines, as in ``lcm - ecdf``, extrema evaluate each piece
+at its two ends.  Two routes reach that grid.  :func:`curve_sub` builds the
+difference as a curve, from one linear-time merge of the sorted starts.
+:func:`sup_norm` of two piecewise polynomials, and the LSE certificate, read
+its extrema without the merge or the curve: the operand with more pieces
+(or the one a mask selects pieces of) is read by slices, the other one's
+few pieces in runs, and only the pieces in the window are built.  One
+function ranks every extremum's candidates, piece by piece: a tie goes to
+the first, and a zero extremum is returned as ``+0.0``.
 
 :func:`sup_norm` of curves given in floats is within ``2 * 2**-53 * scale`` of
 the exact sup (``scale`` the larger curve magnitude on the interval).  Against a
@@ -45,7 +46,9 @@ CDF minus the ECDF and 0.79 for the LSE integrated CDF minus the integrated ECDF
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,23 +94,20 @@ def _merge(xa: np.ndarray, xb: np.ndarray):
     return merged[keep], ia, ib
 
 
-def _sum_coefficients(a: "PiecewisePoly", b: "PiecewisePoly",
-                      x0: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Coefficients of ``a - b`` on pieces starting at ``x0``: the columns
-    ``c0`` and ``c1`` when both are lines, else all four.
+def _subtract_columns(out, other, first: bool) -> None:
+    """Coefficient columns of a difference in place, ``c0`` first:
+    ``other - out`` if ``first``, else ``out - other``.
 
-    ``ia`` and ``ib`` hold the piece of each operand under each of ``x0``.
-    Each operand is retargeted at its own degree, and a column it lacks
-    counts as ``0.0``: a line less a cubic is ``0.0 - cb`` in the columns the
-    line lacks, which is what retargeting its zero columns would give, up to
-    the sign of a zero.
+    ``out`` holds one operand's columns, zero beyond its own two (a line) or
+    four, and a column ``other`` lacks counts as ``0.0``: a line less a cubic
+    is ``0.0 - cb`` there, what retargeting its zero columns would give, up
+    to the sign of a zero.
     """
-    ra = a._retarget(x0, ia)
-    rb = b._retarget(x0, ib)
-    c = np.empty((len(x0), max(len(ra), len(rb))))
-    for j in range(c.shape[1]):
-        np.subtract(ra[j] if j < len(ra) else 0.0, rb[j] if j < len(rb) else 0.0, out=c[:, j])
-    return c
+    for j in range(len(out)):
+        if first:
+            np.subtract(other[j] if j < len(other) else 0.0, out[j], out=out[j])
+        elif j < len(other):
+            np.subtract(out[j], other[j], out=out[j])
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,7 @@ class PiecewisePoly:
 
     x: np.ndarray
     c: np.ndarray
+    _degree: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -132,6 +133,9 @@ class PiecewisePoly:
         if c.shape != (len(x), 4):
             raise ValueError(f"coefficient array must be ({len(x)}, 4)")
         _check_breakpoints(x)
+        # read-only views, so the cached degree cannot go stale through the curve
+        x, c = x.view(), c.view()
+        x.flags.writeable = c.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "c", c)
 
@@ -140,15 +144,16 @@ class PiecewisePoly:
         return len(self.x)
 
     def degree(self) -> int:
-        """Highest power with a nonzero coefficient in some piece."""
-        # One contiguous pass: a row's four nonzero flags (one byte each) read
-        # as one uint32 and OR-ed over the rows.  np.any(c != 0, axis=0) takes
-        # 7-8x longer on (n, 4) arrays, which made one sup_norm(lcm, ecdf) call
-        # 25-30% slower at n = 32768 and 2^20 (three degree() calls per call).
-        row_flags = np.not_equal(self.c, 0.0, order="C").view(np.uint32)
-        column_flags = np.bitwise_or.reduce(row_flags, axis=0).view(np.bool_)
-        nonzero = np.flatnonzero(column_flags)
-        return int(nonzero[-1]) if len(nonzero) else 0
+        """Highest power with a nonzero coefficient in some piece, computed once."""
+        if self._degree is None:
+            # One contiguous pass: a row's four nonzero flags (one byte each)
+            # read as one uint32 and OR-ed over the rows.  np.any(c != 0,
+            # axis=0) takes 7-8x longer on (n, 4) arrays.
+            row_flags = np.not_equal(self.c, 0.0, order="C").view(np.uint32)
+            column_flags = np.bitwise_or.reduce(row_flags, axis=0).view(np.bool_)
+            nonzero = np.flatnonzero(column_flags)
+            object.__setattr__(self, "_degree", int(nonzero[-1]) if len(nonzero) else 0)
+        return self._degree
 
     def _piece_index(self, t, side="right"):
         return np.clip(np.searchsorted(self.x, t, side=side) - 1, 0, self.npieces - 1)
@@ -187,28 +192,53 @@ class PiecewisePoly:
         nc = np.column_stack([starts, c[:, 0], c[:, 1] / 2.0, c[:, 2] / 3.0])
         return PiecewisePoly(self.x, nc)
 
-    def _retarget(self, x0: np.ndarray, i: np.ndarray):
-        """Coefficient columns re-expressed on pieces of a finer grid starting at ``x0``.
+    def _columns(self, i) -> np.ndarray:
+        """The pieces ``i`` of ``self`` as they stand, one row per coefficient
+        column: ``c0`` and ``c1`` for a line, all four above."""
+        return self.c[i, :2 if self.degree() <= 1 else 4].T
 
-        ``i`` holds the piece of ``self`` under each of ``x0``.  Lines
-        (:meth:`degree` at most 1) build only the ``c0`` and ``c1`` columns;
-        higher degrees all four.
+    def _retarget(self, x0: np.ndarray, i: np.ndarray, out) -> None:
+        """Coefficient columns re-expressed on pieces of a finer grid starting
+        at ``x0``, written into the rows of ``out``.
+
+        ``i`` (an index array) holds the piece of ``self`` under each of
+        ``x0``, clipped to the pieces (so ``-1`` stands for the first).  Lines
+        (:meth:`degree` at most 1) write only the ``c0`` and ``c1`` rows;
+        higher degrees all four, as ``n0 = ((c3*d + c2)*d + c1)*d + c0``,
+        ``n1 = (3*c3*d + 2*c2)*d + c1`` and ``n2 = 3*c3*d + c2`` with ``d``
+        the offset of ``x0`` in its piece, in place.
         """
-        d = x0 - self.x[i]
+        c, d = self.c, self.x.take(i, mode="clip")
+        np.subtract(x0, d, out=d)
+        n0, n1 = out[0], out[1]
+        c[:, 1].take(i, out=n1, mode="clip")
         if self.degree() <= 1:
-            c1 = self.c[i, 1]
-            return c1 * d + self.c[i, 0], c1
-        c0, c1, c2, c3 = (self.c[i, j] for j in range(4))
-        n0 = ((c3 * d + c2) * d + c1) * d + c0
-        n1 = (3.0 * c3 * d + 2.0 * c2) * d + c1
-        n2 = 3.0 * c3 * d + c2
-        return n0, n1, n2, c3
+            np.multiply(n1, d, out=n0)
+            n0 += c[:, 0].take(i, out=d, mode="clip")
+            return
+        n2, c3 = out[2], c[:, 3].take(i, out=out[3], mode="clip")
+        c[:, 2].take(i, out=n2, mode="clip")
+        np.multiply(c3, d, out=n0)
+        for cj in (n2, n1):
+            n0 += cj
+            n0 *= d
+        n0 += c[:, 0].take(i, mode="clip")
+        t = 3.0 * c3
+        t *= d
+        u = 2.0 * n2
+        u += t
+        u *= d
+        n1 += u
+        n2 += t
 
     def __sub__(self, other):
         if isinstance(other, PiecewisePoly):
             xs, ia, ib = _merge(self.x, other.x)
-            c = _sum_coefficients(self, other, xs, ia, ib)
-            return PiecewisePoly(xs, np.pad(c, ((0, 0), (0, 4 - c.shape[1]))))
+            c, rb = np.zeros((len(xs), 4)), np.empty((2 if other.degree() <= 1 else 4, len(xs)))
+            self._retarget(xs, ia, c.T)
+            other._retarget(xs, ib, rb)
+            _subtract_columns(c.T, rb, first=False)
+            return PiecewisePoly(xs, c)
         return NotImplemented
 
     def __neg__(self):
@@ -357,17 +387,17 @@ def _window(x: np.ndarray, lo: float, hi: float):
 def _poly_stationary(cc, ulo, uhi):
     """Stationary points of cubic pieces strictly inside (ulo, uhi), local offsets.
 
-    ``cc`` holds local coefficients, one row per piece.  Returns a
+    ``cc`` holds the four local coefficient columns, ``c0`` first.  Returns a
     ``(pieces, 2)`` array, NaN where a piece has fewer interior roots.
     """
-    r = np.column_stack(_quad_roots(3.0 * cc[:, 3], 2.0 * cc[:, 2], cc[:, 1]))
+    r = np.column_stack(_quad_roots(3.0 * cc[3], 2.0 * cc[2], cc[1]))
     inside = (r > ulo[:, None]) & (r < uhi[:, None])
     return np.where(inside, r, np.nan)
 
 
 def _check_interval(lo: float, hi: float) -> None:
     """Refuse an interval unless both ends are finite and ``lo < hi`` (NaN included)."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got ({lo}, {hi})")
 
 
@@ -376,112 +406,183 @@ def _flat(lo: float) -> PiecewisePoly:
     return PiecewisePoly(np.array([lo]), np.zeros((1, 4)))
 
 
-def _piece_extrema(x0, cc, us, add=None, ts=None) -> Extrema:
-    """Extrema among candidates at local offsets ``us`` (a row per piece
-    starting at ``x0``): Horner over the columns of ``cc`` (``c0`` first, two
-    for a line), plus ``add`` if given.  Ranked piece by piece, so a tie goes
-    to the first piece and column, and any subset of pieces in order ranks as
-    the whole set does.  A zero extremum is returned as ``+0.0``.  A location
-    is ``ts[i, j]`` if the candidates' points are given, else ``x0[i] + us[i, j]``.
+def _horner(cc, us, add=None) -> np.ndarray:
+    """Values at local offsets ``us`` (a row per piece) of the pieces with
+    coefficient columns ``cc`` (``c0`` first, two for a line), plus ``add``
+    if given.
+
+    Ranked with ``argmin`` and ``argmax`` over the rows, the values rank
+    piece by piece: a tie goes to the first piece and column, and any subset
+    of pieces in order ranks as the whole set does.
     """
-    # Horner in place, as ((c3*u + c2)*u + c1)*u + c0 without temporaries, and
-    # only the winners' locations: these set a convex fit's memory peak
-    vals = cc[:, -1, None] * us
-    for j in range(cc.shape[1] - 2, 0, -1):
-        vals += cc[:, j, None]
+    # Horner in place, as ((c3*u + c2)*u + c1)*u + c0 without temporaries:
+    # these set a convex fit's memory peak
+    vals = cc[-1][:, None] * us
+    for j in range(len(cc) - 2, 0, -1):
+        vals += cc[j][:, None]
         vals *= us
-    vals += cc[:, 0, None]
+    vals += cc[0][:, None]
     if add is not None:
         vals += add
-    kmin, kmax = int(np.argmin(vals)), int(np.argmax(vals))
-    (imin, jmin), (imax, jmax) = divmod(kmin, us.shape[1]), divmod(kmax, us.shape[1])
-    def at(i, j):
-        return float(x0[i] + us[i, j] if ts is None else ts[i, j])
+    return vals
+
+
+def _extrema_at(vals, at, kmin=None, kmax=None) -> Extrema:
+    """Extrema of candidate values ``vals`` at the flat indices ``kmin`` and
+    ``kmax`` (``argmin`` and ``argmax`` if not given), each located by
+    ``at(i, j)`` (row, column) alone.  A zero extremum is returned as ``+0.0``."""
+    kmin = int(np.argmin(vals)) if kmin is None else kmin
+    kmax = int(np.argmax(vals)) if kmax is None else kmax
+    (imin, jmin), (imax, jmax) = divmod(kmin, vals.shape[1]), divmod(kmax, vals.shape[1])
     return Extrema(float(vals[imin, jmin]) + 0.0, at(imin, jmin),
                    float(vals[imax, jmax]) + 0.0, at(imax, jmax))
 
 
-def _poly_extrema(x0, cc, ulo, uhi) -> Extrema:
-    """Extrema over pieces starting at ``x0`` with local coefficients ``cc``,
-    each over its local offsets ``[ulo, uhi]``.  One-sided limits count: each
-    piece gives its closed left end, its open right end and its interior
-    stationary points (lines, given as two columns, have none).
+def _poly_candidates(cc, us) -> np.ndarray:
+    """Candidate offsets ``us`` of pieces with local coefficient columns
+    ``cc``, each over ``[us[:, 0], us[:, 1]]``, filled in and returned;
+    ``us`` has a column per column of ``cc``.
+
+    One-sided limits count: each piece gives its closed left end and its
+    open right end (the first two columns), and a cubic its interior
+    stationary points (the other two; lines, given as two columns, have
+    none).
     """
-    if cc.shape[1] == 2:
-        return _piece_extrema(x0, cc, np.column_stack([ulo, uhi]))
-    # a piece without an interior root repeats its left end
-    return _piece_extrema(x0, cc, np.column_stack(
-        [ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])]))
+    if len(cc) == 4:
+        # a piece without an interior root repeats its left end
+        us[:, 2:] = np.fmax(_poly_stationary(cc, us[:, 0], us[:, 1]), us[:, :1])
+    return us
 
 
 def _union_floor(xa: np.ndarray, ra: int, xb: np.ndarray, rb: int):
     """Start of the piece of ``a - b`` under a point that ``ra`` starts of ``a``
     and ``rb`` of ``b`` do not exceed: the later of the two operands' last
     such starts, or the first start of both when there is none (the first
-    piece runs on to the left)."""
+    piece runs on to the left).  Returned with the number of starts of
+    ``a``, and of ``b``, at or before it."""
     if ra == 0 and rb == 0:
-        return min(xa[0], xb[0])
-    return max(xa[ra - 1] if ra else -np.inf, xb[rb - 1] if rb else -np.inf)
+        t = min(xa[0], xb[0])
+        return t, int(xa[0] == t), int(xb[0] == t)
+    return max(xa[ra - 1] if ra else -np.inf, xb[rb - 1] if rb else -np.inf), ra, rb
+
+
+def _first_extremum(vals, m1, x1, x2, arg, better) -> int:
+    """Flat index of the first least (``arg`` = ``ndarray.argmin``, ``better`` =
+    ``operator.lt``) or greatest value of ``vals`` in piece order, its rows
+    the pieces starting at ``x1`` and then those starting at ``x2``.
+
+    Each group ranks on its own, as ``arg`` does (a NaN first); between the
+    two, the better value wins, and a tie the piece that starts first.
+    """
+    w = vals.shape[1]
+    if m1 in (0, len(vals)):
+        return int(arg(vals))
+    k1, k2 = int(arg(vals[:m1])), m1 * w + int(arg(vals[m1:]))
+    v1, v2 = vals.flat[k1], vals.flat[k2]
+    if v1 == v1 and v2 == v2:
+        second = better(v2, v1) or (v2 == v1 and x2[k2 // w - m1] < x1[k1 // w])
+    else:
+        second = v2 != v2 and (v1 == v1 or x2[k2 // w - m1] < x1[k1 // w])
+    return k2 if second else k1
 
 
 def _difference_extrema(a: PiecewisePoly, b: PiecewisePoly, lo: float, hi: float,
                         keep=None) -> Extrema:
-    """``extrema(curve_sub(a, b), lo, hi)`` bit for bit, built on the kept pieces only.
+    """``extrema(curve_sub(a, b), lo, hi)`` bit for bit, without building ``a - b``.
 
-    ``keep`` is a boolean mask over the pieces of ``b``, and ``None`` keeps
-    them all; either way one route runs.  A piece of ``a - b`` (they start
-    at the union of both operands' starts) is kept when the piece of ``b``
-    under its start is, and the kept ones rank as in the full window.  Only
-    the kept pieces in the window are built: the kept starts of ``b`` there,
-    plus the starts of ``a`` there that fall in a kept piece of ``b`` and
-    are not starts of ``b``.  So a masked call costs what its kept pieces
-    cost, not what ``b``'s do.  Each piece ends at the next start of either
-    operand, the window's first piece starts at ``lo`` and its last ends at
-    ``hi``, by the same subtractions as :func:`_window`.  Lines (both
-    operands of degree <= 1) take two candidates a piece; a difference whose
-    cubic terms cancel keeps the cubic branch, which gives the same values,
-    zeros aside.  A mask that is not one boolean per piece of ``b``, or that
-    keeps no piece in the window, raises ``ValueError``.
+    ``keep`` is a boolean mask over the pieces of ``b`` (``None`` keeps them
+    all; one route runs either way).  A piece of ``a - b`` (they start at
+    the union of both operands' starts) is kept when the piece of ``b``
+    under its start is, and the kept ones rank as in the full window.  One
+    operand is dense: ``b`` under a mask, else the one with more pieces
+    (``b`` on a tie).  The kept pieces in the window form two groups:
+
+    * those at a kept start of the dense operand, whose pieces are read
+      through one selector (a slice without a mask).  The sparse operand's
+      piece under them comes in runs, one per sparse start, and is
+      retargeted there;
+    * those at a start of the sparse operand inside a kept piece of the
+      dense one, where the dense operand is retargeted.
+
+    Both groups write their columns and candidates in place into one array
+    each, so nothing as long as the dense operand is merged or scattered.
+    Each column is ``a``'s less ``b``'s, whichever is dense.  The groups
+    rank apart, then the better value wins and a tie goes to the piece that
+    starts first, as in :func:`_horner`.  Each piece ends at the next start
+    of either operand, the window's first piece starts at ``lo`` and its
+    last ends at ``hi``, by the same subtractions as :func:`_window`.  Lines
+    (both operands of degree <= 1) take two candidates a piece; a difference
+    whose cubic terms cancel keeps the cubic branch, which gives the same
+    values, zeros aside.  A mask that is not one boolean per piece of ``b``,
+    or that keeps no piece in the window, raises ``ValueError``.
     """
     _check_interval(lo, hi)
-    xa, xb = a.x, b.x
-    if keep is None:
-        keep = np.ones(len(xb), dtype=bool)
-    elif not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_ and keep.shape == xb.shape):
-        raise ValueError(f"keep must be a boolean array with one entry per piece of b ({len(xb)})")
+    if keep is not None and not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_
+                                 and keep.shape == b.x.shape):
+        raise ValueError(f"keep must be a boolean array with one entry per piece of b ({b.npieces})")
+    dense_a = keep is None and a.npieces > b.npieces
+    sp, de = (b, a) if dense_a else (a, b)
+    xs, xd = sp.x, de.x
     # the starts of each operand at or before lo and hi, and the window's first and last start
-    na, nb = np.searchsorted(xa, (lo, hi), side="right"), np.searchsorted(xb, (lo, hi), side="right")
-    first, last = _union_floor(xa, na[0], xb, nb[0]), _union_floor(xa, na[1], xb, nb[1])
-    # the kept starts of b in the window, and the starts of a there that split a kept piece of b
-    j0, j1 = np.searchsorted(xb, first, side="left"), np.searchsorted(xb, last, side="right")
-    kb = j0 + np.flatnonzero(keep[j0:j1])
-    sa = xa[np.searchsorted(xa, first, side="left"):np.searchsorted(xa, last, side="right")]
-    rb_a = np.searchsorted(xb, sa, side="right")
-    jb = np.maximum(rb_a - 1, 0)
-    split = keep[jb] & (xb[jb] != sa)
-    sa, rb_a = sa[split], rb_a[split]
-    if not (len(kb) or len(sa)):
+    ns, nd = xs.searchsorted((lo, hi), side="right"), xd.searchsorted((lo, hi), side="right")
+    first, k0, j0 = _union_floor(xs, ns[0], xd, nd[0])
+    last, k1, j1 = _union_floor(xs, ns[1], xd, nd[1])
+    # each operand's starts from the first start on: less the one that is it
+    k0, j0 = k0 - int(k0 > 0 and xs[k0 - 1] == first), j0 - int(j0 > 0 and xd[j0 - 1] == first)
+    # the kept starts of the dense operand in the window, and the next start of each
+    if keep is None:
+        sel, after = slice(j0, j1), xd[j0 + 1:j1 + 1]
+    else:
+        sel = j0 + keep[j0:j1].nonzero()[0]
+        after = xd[sel[sel < len(xd) - 1] + 1]
+    x1 = xd[sel]
+    # the starts of the sparse operand in the window that split a kept piece of the dense one
+    rd = xd.searchsorted(xs[k0:k1], side="right")
+    jd = np.maximum(rd - 1, 0)
+    split = xd[jd] != xs[k0:k1]
+    if keep is not None:
+        split &= keep[jd]
+    ks, rd, jd = k0 + split.nonzero()[0], rd[split], jd[split]
+    x2 = xs[ks]
+    m1, m = len(x1), len(x1) + len(x2)
+    if not m:
         raise ValueError(f"keep leaves no piece of the difference in [{lo}, {hi}]")
-    # merge the two sorted runs, and count the starts of each operand at or
-    # before each piece's start
-    at = np.searchsorted(xb[kb], sa) + np.arange(len(sa))
-    from_b = np.ones(len(kb) + len(sa), dtype=bool)
-    from_b[at] = False
-    x0, rb = np.empty(len(from_b)), np.empty(len(from_b), dtype=np.intp)
-    x0[from_b], x0[at], rb[from_b], rb[at] = xb[kb], sa, kb + 1, rb_a
-    ra = np.searchsorted(xa, x0, side="right")
-    # each piece ends at the next start of either operand
-    ends = np.append(xa, np.inf)[ra]
-    np.minimum(ends, np.where(rb < len(xb), xb.take(rb, mode="clip"), np.inf), out=ends)
-    ulo, uhi = np.zeros(len(x0)), ends - x0
-    if x0[0] == first:
-        ulo[0] = lo - x0[0]
-    if x0[-1] == last:
-        uhi[-1] = hi - x0[-1]
-    ia, ib = np.maximum(ra - 1, 0), np.maximum(rb - 1, 0)
-    c = _sum_coefficients(a, b, x0, ia, ib)
-    del ia, ib  # not held through the ranking, which sets the memory peak
-    return _poly_extrema(x0, c, ulo, uhi)
+    cc = np.zeros((2 if max(sp.degree(), de.degree()) <= 1 else 4, m))
+    # the candidates' offsets, with each piece's window in the first two columns
+    us = np.zeros((m, len(cc)))
+    ulo, uhi = us[:, 0], us[:, 1]
+    xs_next = np.append(xs, np.inf)
+    if m1:
+        # the number of sparse starts at or before each dense start, in runs
+        runs = x1.searchsorted(xs)
+        counts = np.empty(len(xs) + 1, dtype=np.intp)
+        counts[:-1], counts[-1] = runs, m1
+        counts[1:] -= runs
+        runs = np.repeat(np.arange(len(xs) + 1), counts)
+        xs_next.take(runs, out=uhi[:m1], mode="clip")
+        np.minimum(uhi[:len(after)], after, out=uhi[:len(after)])
+        runs -= 1
+        sp._retarget(x1, runs, cc[:, :m1])
+        del runs
+        _subtract_columns(cc[:, :m1], de._columns(sel), first=dense_a)
+        np.subtract(uhi[:m1], x1, out=uhi[:m1])
+    if m > m1:
+        np.minimum(xs_next[ks + 1], np.where(rd < len(xd), xd.take(rd, mode="clip"), np.inf),
+                   out=uhi[m1:])
+        de._retarget(x2, jd, cc[:, m1:])
+        _subtract_columns(cc[:, m1:], sp._columns(ks), first=not dense_a)
+        uhi[m1:] -= x2
+    # the window's first piece starts at lo and its last ends at hi
+    for i, x0 in ((0, x1), (m1, x2)):
+        if len(x0) and x0[0] == first:
+            ulo[i] = lo - first
+        if len(x0) and x0[-1] == last:
+            uhi[i + len(x0) - 1] = hi - last
+    vals = _horner(cc, _poly_candidates(cc, us))
+    kmin = _first_extremum(vals, m1, x1, x2, np.ndarray.argmin, operator.lt)
+    kmax = _first_extremum(vals, m1, x1, x2, np.ndarray.argmax, operator.gt)
+    return _extrema_at(vals, lambda i, j: float((x1[i] if i < m1 else x2[i - m1]) + us[i, j]),
+                       kmin, kmax)
 
 
 def _bisect_many(func, a, b):
@@ -562,7 +663,8 @@ def _hybrid_extrema(poly: PiecewisePoly, smooth: SmoothCurve, lo: float, hi: flo
     roots = _hybrid_stationary(cc, x0, alo, x0 + uhi, smooth)
     # a piece without a root repeats its left end
     ts = np.column_stack([alo, x0 + uhi, np.fmax(roots, alo[:, None])])
-    return _piece_extrema(x0, cc, ts - x0[:, None], smooth(ts), ts)
+    vals = _horner(cc.T, ts - x0[:, None], smooth(ts))
+    return _extrema_at(vals, lambda i, j: float(ts[i, j]))
 
 
 def extrema(g, lo: float, hi: float) -> Extrema:
@@ -577,7 +679,9 @@ def extrema(g, lo: float, hi: float) -> Extrema:
     poly = cs.poly if cs.poly is not None else _flat(lo)
     if cs.smooth is None:
         sl, ulo, uhi = _window(poly.x, lo, hi)
-        return _poly_extrema(poly.x[sl], poly.c[sl, :2 if poly.degree() <= 1 else 4], ulo, uhi)
+        x0, cc = poly.x[sl], poly._columns(sl)
+        us = _poly_candidates(cc, np.column_stack([ulo, uhi] * (len(cc) // 2)))
+        return _extrema_at(_horner(cc, us), lambda i, j: float(x0[i] + us[i, j]))
     return _hybrid_extrema(poly, cs.smooth, lo, hi)
 
 
@@ -585,9 +689,21 @@ def sup_norm(g, h, interval) -> float:
     """Exact sup of ``|g - h|`` over a closed interval with finite ends.
 
     Both arguments may be piecewise polynomials, smooth curves or curve
-    sums.  Jumps contribute through their one-sided limits.
+    sums.  Jumps contribute through their one-sided limits.  Two piecewise
+    polynomials take :func:`_difference_extrema`, with no merged curve, and
+    give ``extrema(curve_sub(g, h), lo, hi).sup_abs`` bit for bit.
+
+    Operand order: whichever comes first, the curve with more pieces is read
+    by slices.  Swapping two lines (as the LCM and the ECDF) moves no bit,
+    as each value is negated; on a cubic piece of ``g - h`` whose quadratic
+    term vanishes, the stationary points of ``p`` and ``-p`` take different
+    divisions and can round apart.  The rate experiments pass the sparse
+    curve first.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    g, h = as_curve(g), as_curve(h)
+    if g.smooth is None and h.smooth is None and g.poly is not None and h.poly is not None:
+        return _difference_extrema(g.poly, h.poly, lo, hi).sup_abs
     return extrema(curve_sub(g, h), lo, hi).sup_abs
 
 
@@ -678,7 +794,7 @@ def modulus(g, width: float, interval) -> float:
             )
         ev.append(_hybrid_stationary(poly.c[sl], x0, x0 + ulo, x0 + uhi, cs.smooth).ravel())
     elif deg >= 2:
-        ev.append((x0[:, None] + _poly_stationary(poly.c[sl], ulo, uhi)).ravel())
+        ev.append((x0[:, None] + _poly_stationary(poly.c[sl].T, ulo, uhi)).ravel())
 
     pts = np.unique(np.concatenate(ev))
     pts = pts[(pts >= lo) & (pts <= hi)]

@@ -463,7 +463,7 @@ def _union_poly_extrema(pp, lo, hi, on=None):
         idx, ulo, uhi = idx[on[idx]], ulo[on[idx]], uhi[on[idx]]
     cc = pp.c[idx]
     # a piece without an interior root repeats its left end
-    us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc, ulo, uhi), ulo[:, None])])
+    us = np.column_stack([ulo, uhi, np.fmax(_poly_stationary(cc.T, ulo, uhi), ulo[:, None])])
     vals = ((cc[:, 3, None] * us + cc[:, 2, None]) * us + cc[:, 1, None]) * us + cc[:, 0, None]
     flat_v = vals.ravel()
     flat_t = (pp.x[idx][:, None] + us).ravel()
@@ -552,6 +552,19 @@ def test_extrema_of_lattice_differences_match_the_union_engine_bitwise(a, b, lo,
 
 
 @st.composite
+def _dense_lattice_curve(draw):
+    """Up to 200 pieces of one degree starting on the 1/64 lattice, many of
+    them on the 1/8 lattice of :func:`_lattice_curve`; coefficients from a
+    drawn seed, small integers (ties) or floats."""
+    starts = np.unique(draw(st.lists(st.integers(-128, 384), min_size=1, max_size=200))) / 64.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = (rng.integers(-2, 3, size=(len(starts), 4)).astype(float) if draw(st.booleans())
+         else rng.uniform(-4.0, 4.0, size=(len(starts), 4)))
+    c[:, draw(st.integers(0, 3)) + 1:] = draw(st.sampled_from([0.0, -0.0]))
+    return PiecewisePoly(starts, c)
+
+
+@st.composite
 def _cancelling_pair(draw):
     """A lattice curve and a copy of it with new constant and slope columns:
     their difference is a line, though both operands are cubics."""
@@ -579,10 +592,15 @@ _A_SPLITS = PiecewisePoly(np.array([-1.0, 0.5, 1.25, 2.0]),
 _B_STEPS = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
                          np.array([[0.25, 1.0, 0.0, 0.0], [-0.5, 2.0, 0.0, 0.0],
                                    [1.5, -1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]))
+# starts at b's first start, inside b's second piece and inside b's last
+_A_AT_ENDS = PiecewisePoly(np.array([0.0, 1.5, 3.5]),
+                           np.array([[1.0, -0.5, 0.25, 0.5], [-1.0, 1.0, -2.0, 0.75],
+                                     [0.5, 0.0, 1.0, -0.25]]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(_lattice_curve(), _lattice_curve()), _cancelling_pair()),
+@given(st.one_of(st.tuples(_lattice_curve(), _lattice_curve()), _cancelling_pair(),
+                 st.tuples(_lattice_curve(), _dense_lattice_curve())),
        st.floats(-3.0, 10.0), st.floats(-3.0, 10.0), st.randoms(use_true_random=False))
 # a start of a (2.0) that is a start of b, in a kept and in a dropped piece of b
 @example((_A_SPLITS, _B_STEPS), -2.0, 4.0, _Mask(True, False, True, True))
@@ -594,6 +612,17 @@ _B_STEPS = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
 @example((_A_SPLITS, _B_STEPS), 0.25, 2.5, _Mask(False, True, False, True))
 @example((_A_SPLITS, _B_STEPS), 1.5, 3.5, _Mask(False, True, False, True))
 @example((_A_SPLITS, _B_STEPS), 0.75, 1.125, _Mask(True, True, True, True))
+# a start of a at b's first start, and one that splits b's last piece
+@example((_A_AT_ENDS, _B_STEPS), -1.0, 5.0, _Mask(True, False, True, True))
+@example((_A_AT_ENDS, _B_STEPS), 0.0, 4.0, _Mask(False, True, False, True))
+# the window ends inside a piece that starts at a start of a (1.5)
+@example((_A_AT_ENDS, _B_STEPS), 0.25, 1.75, _Mask(True, True, False, False))
+# windows that hold no start of b, inside pieces that start at starts of a
+@example((_A_AT_ENDS, _B_STEPS), 1.625, 1.875, _Mask(False, True, False, False))
+@example((_A_AT_ENDS, _B_STEPS), 3.625, 4.5, _Mask(True, True, True, True))
+# a constant difference: every candidate ties, and the first piece starts at a start of a
+@example((PiecewisePoly(np.array([-1.0]), np.array([[1.0, 0.0, 0.0, 0.0]])),
+          PiecewisePoly(np.array([0.0, 1.0]), np.zeros((2, 4)))), -1.0, 2.0, _Mask(True, True))
 def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, rnd):
     a, b = pair
     lo, hi = min(lo, hi), max(lo, hi)
@@ -601,6 +630,10 @@ def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, 
     full = extrema(curve_sub(a, b), lo, hi)
     assert _hex(_difference_extrema(a, b, lo, hi)) == _hex(full)
     assert float.hex(sup_norm(a, b, (lo, hi))) == float.hex(full.sup_abs)
+    # the other order reads the dense operand as a
+    back = extrema(curve_sub(b, a), lo, hi)
+    assert _hex(_difference_extrema(b, a, lo, hi)) == _hex(back)
+    assert float.hex(sup_norm(b, a, (lo, hi))) == float.hex(back.sup_abs)
     # a random mask over b's pieces that leaves a piece of the difference in the window
     keep = np.array([rnd.random() < 0.5 for _ in range(b.npieces)])
     diff = _union_difference(a, b)
@@ -609,6 +642,64 @@ def test_masked_difference_extrema_match_the_union_engine_bitwise(pair, lo, hi, 
     assume(on[sl].any())
     want = _union_poly_extrema(diff, lo, hi, on)
     assert _hex(_difference_extrema(a, b, lo, hi, keep)) == _hex(want)
+
+
+@pytest.mark.parametrize("name, params", [("truncated-exponential", (1.0,)),
+                                          ("beta-like", (2.0,)), ("shifted-power", (3.0, 1.0))])
+def test_difference_extrema_pin_the_merged_engine_at_catalog_sizes(name, params):
+    # the distances the rate experiments take (sparse curve first) and the
+    # marshall reports' order (ECDF first), over [0, X_(n)], [0, tau], a
+    # window inside the data and one past both ends
+    model = make_model(name, params)
+
+    def pin(sparse, dense, xn):
+        for lo, hi in ((0.0, xn), (0.0, model.tau), (0.3 * xn, 0.7 * xn),
+                       (-model.tau, 2.0 * max(model.tau, xn))):
+            for a, b in ((sparse, dense), (dense, sparse)):
+                want = extrema(curve_sub(a, b), lo, hi)
+                assert _hex(_difference_extrema(a, b, lo, hi)) == _hex(want)
+                assert float.hex(sup_norm(a, b, (lo, hi))) == float.hex(want.sup_abs)
+
+    for n in (1, 2, 512, 4096, 2 ** 16):
+        data = sample(model, n, seed_for(8, n, 0))
+        pin(lcm(data).as_curve(), ecdf_curve(data), float(data.x[-1]))
+    for n in (50, 512, 8192):
+        data = sample(model, n, seed_for(8, n, 0))
+        F, Fn = fit_lse(data).cdf_curve(), ecdf_curve(data)
+        pin(F, Fn, float(data.x[-1]))
+        pin(F.antiderivative(), Fn.antiderivative(), float(data.x[-1]))
+
+
+def test_sup_norm_keeps_the_operand_order_of_a_cubic_difference():
+    # p(t) = t^3/4 - t has no quadratic term, so the stationary points
+    # +-2/sqrt(3) of p and of -p come from different divisions and round
+    # apart.  With the three-piece zero curve first, sup_norm reads it by
+    # slices yet keeps z - p: swapping the operands would move the last bit
+    p = PiecewisePoly(np.array([0.0]), np.array([[0.0, -1.0, 0.0, 0.25]]))
+    z = PiecewisePoly(np.array([0.0, 2.5, 3.0]), np.zeros((3, 4)))
+    zp, pz = sup_norm(z, p, (0.0, 2.0)), sup_norm(p, z, (0.0, 2.0))
+    assert float.hex(zp) == float.hex(extrema(curve_sub(z, p), 0.0, 2.0).sup_abs)
+    assert float.hex(pz) == float.hex(extrema(curve_sub(p, z), 0.0, 2.0).sup_abs)
+    assert zp != pz
+
+
+def test_rate_distances_build_no_merged_curve(monkeypatch):
+    # the monotone distance and both convex distances, as the rate experiments
+    # take them, never merge the n piece starts of the ECDF into a new curve
+    model = make_model("truncated-exponential", (1.0,))
+    data = sample(model, 512, seed_for(9, 512, 0))
+    majorant, fit = lcm(data).as_curve(), fit_lse(data)
+
+    def no_merge(*args):
+        raise AssertionError("a rate distance merged two curves")
+
+    monkeypatch.setattr("shapedist.curves._merge", no_merge)
+    F, Fn = fit.cdf_curve(), ecdf_curve(data)
+    assert sup_norm(majorant, Fn, (0.0, float(data.x[-1]))) > 0.0
+    assert sup_norm(F, Fn, (0.0, model.tau)) > 0.0
+    assert sup_norm(F.antiderivative(), Fn.antiderivative(), (0.0, model.tau)) > 0.0
+    with pytest.raises(AssertionError, match="merged"):  # the guard is live
+        curve_sub(F, Fn)
 
 
 def test_difference_extrema_rejects_a_mask_of_the_wrong_shape_or_type():
@@ -729,8 +820,10 @@ def test_sup_norm_is_within_its_error_contract_of_the_exact_sup(name, params, n)
 
 
 def test_sup_norm_of_lcm_and_ecdf_peak_memory():
-    # The degree-<=1 branch keeps two coefficient columns per operand and two
-    # candidates per piece; retargeting full n x 4 arrays peaked at 25.1 n floats.
+    # No merged curve: the ECDF's pieces are read by slices, and the lines
+    # take two coefficient columns and two candidates per piece.  That peaks
+    # at 6.1 n floats; the merged route peaked at 11.1 n, and retargeting
+    # full n x 4 arrays at 25.1 n.
     n = 2 ** 16
     data = sample(MODEL, n, seed_for(3, n, 0))
     a, b = lcm(data).as_curve(), ecdf_curve(data)
