@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import PiecewisePoly, _difference_extrema, curve_sub, extrema, sup_norm
+from .curves import PiecewisePoly, _difference_extrema, _distinct, curve_sub, extrema, sup_norm
 from .empirical import EmpiricalData, ecdf_curve, integrated_ecdf, integrated_ecdf_curve
 
 __all__ = [
@@ -154,8 +154,7 @@ class ConvexLse:
 
     def _density_columns(self):
         """Piece starts (0 and the kinks past it) and the density's ``c0``, ``c1``."""
-        bx = np.unique(np.concatenate([[0.0], self.kinks]))
-        bx = bx[bx >= 0.0]
+        bx = _distinct(np.concatenate([[0.0], self.kinks[self.kinks >= 0.0]]))
         i = np.searchsorted(self.kinks, bx, side="right")
         s = self._suffix
         return bx, s[1, i] - bx * s[0, i], -s[0, i]
@@ -226,10 +225,17 @@ def _candidate_grid(data: EmpiricalData):
     """Candidate kinks: the order statistics, their midpoints and ``2 X_(n)``.
 
     Returns ``(cands, at_data)``, the sorted distinct candidates and the
-    position of each distinct data value among them.
+    position of each distinct data value among them.  The sample, its
+    midpoints and ``2 X_(n)`` interleaved are already sorted, since the
+    float midpoint of ``a <= b`` lies in ``[a, b]`` (while ``a + b`` does not
+    overflow), so only the repeats go.
     """
     x = data.x
-    cands = np.unique(np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [2.0 * float(x[-1])]]))
+    grid = np.empty(2 * len(x))
+    grid[0::2] = x
+    grid[1:-1:2] = 0.5 * (x[:-1] + x[1:])
+    grid[-1] = 2.0 * float(x[-1])
+    cands = _distinct(grid)
     return cands, np.searchsorted(cands, data.corners[0])
 
 

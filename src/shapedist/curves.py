@@ -70,6 +70,19 @@ def _check_breakpoints(x: np.ndarray, name: str = "breakpoints") -> None:
         raise ValueError(f"{name} must be finite and strictly increasing")
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The values of the sorted array ``a``, each once: ``np.unique(a)`` without its sort.
+
+    Keeps the first entry of each run of equal values, as ``np.unique``
+    does after sorting; the bits agree unless a run holds both signed zeros,
+    whose order ``np.unique``'s own sort may change.
+    """
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _merge(xa: np.ndarray, xb: np.ndarray):
     """Piece starts of a sum of two curves, with the piece of each operand
     under every start.
@@ -796,8 +809,8 @@ def modulus(g, width: float, interval) -> float:
     elif deg >= 2:
         ev.append((x0[:, None] + _poly_stationary(poly.c[sl].T, ulo, uhi)).ravel())
 
-    pts = np.unique(np.concatenate(ev))
-    pts = pts[(pts >= lo) & (pts <= hi)]
+    pts = np.sort(np.concatenate(ev))
+    pts = _distinct(pts[(pts >= lo) & (pts <= hi)])
     rvals = np.asarray(cs(pts), dtype=float)
     lvals = np.asarray(cs.left_limit(pts), dtype=float)
     lvals[0] = rvals[0]  # left limit at lo is outside the interval

@@ -19,6 +19,7 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; here it loads with the package
 
 from .curves import PiecewisePoly
 from .models import AnalyticModel
@@ -120,10 +121,14 @@ class EmpiricalData:
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
         """ECDF corner points ``(xs, ys)``: distinct values and the ECDF at each.
 
-        Shared by every caller, so both arrays are read-only.
+        Read off the runs of equal values in the sorted ``x``: ``ys`` is one
+        past the index of each run's last point, over ``n``.  Shared by every
+        caller, so both arrays are read-only.
         """
-        xs, counts = np.unique(self.x, return_counts=True)
-        ys = np.cumsum(counts) / self.n
+        x = self.x
+        last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+        xs = x[last]
+        ys = (last + 1) / self.n
         xs.flags.writeable = False
         ys.flags.writeable = False
         return xs, ys

@@ -16,10 +16,10 @@ Catalog
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curves import SmoothCurve
 
@@ -523,11 +523,72 @@ def knot_mesh_monotone(model: AnalyticModel, k: int) -> KnotMesh:
     return _knot_mesh(model, k, 1.0, model.support_end)
 
 
+#: ``brentq``'s smallest relative tolerance, ``4 eps``.
+_BRENT_RTOL = 4.0 * 2.0**-52
+
+
+def _brent(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in ``[a, b]`` by Brent's method, bit for bit ``scipy.optimize.brentq``.
+
+    The loop of Brent (1973), *Algorithms for Minimization without
+    Derivatives*, ch. 4, as scipy's ``brentq.c`` runs it: the same branch
+    tests, the same update order and the same stopping rule ``|x_blk - x| / 2
+    < (xtol + 4 eps |x|) / 2``, so the same calls of ``f`` return the same
+    root.  ``f`` takes and returns Python floats.  Raises ``ValueError`` when
+    ``f`` is NaN or has the same sign at both ends, and ``RuntimeError`` when
+    ``maxiter`` steps do not converge, as ``brentq`` does.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def mean_value_knot(model: AnalyticModel, mesh: KnotMesh, j: int) -> float:
     """Point ``a*`` in cell ``j`` (1-based) where ``f(a*) * delta_j`` equals the cell mass.
 
     Exists by the mean value theorem since each cell has CDF increment
-    ``mass / k``; located by root bracketing on the decreasing density.
+    ``mass / k``; located on the decreasing density by :func:`_brent`, the
+    bits of ``scipy.optimize.brentq`` with ``xtol = 1e-14 max(1, a_j)``.
     Kept as the f* of :func:`shapedist.bounds.cell_variance_report`.
     """
     if not 1 <= j <= mesh.k:
@@ -543,4 +604,4 @@ def mean_value_knot(model: AnalyticModel, mesh: KnotMesh, j: int) -> float:
     if ga * gb > 0:
         # flat density: any interior point works
         return 0.5 * (a + b)
-    return float(brentq(g, a, b, xtol=1e-14 * max(1.0, b)))
+    return _brent(g, a, b, xtol=1e-14 * max(1.0, b))

@@ -1,10 +1,12 @@
 """Monotone-density estimation: least concave majorant and Grenander slopes.
 
 The distribution estimator is the least concave majorant (LCM) of the ECDF on
-``[0, X_(n)]``; the density estimator is its left derivative.  This module
-also carries the piecewise-linear interpolation objects used to study how the
-estimator tracks the ECDF: the broken line through equal-mass knots, the
-concavity event of its slopes, and the exponential tail bound for that event.
+``[0, X_(n)]``, the exact upper hull of the ECDF corners, found with numpy
+filters and one exact hull pass; the density estimator is its left
+derivative.  This module also carries the piecewise-linear interpolation
+objects used to study how the estimator tracks the ECDF: the broken line
+through equal-mass knots, the concavity event of its slopes, and the
+exponential tail bound for that event.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from fractions import Fraction
 import math
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .curves import PiecewisePoly, _check, _check_breakpoints, sup_norm
 from .empirical import EmpiricalData, ecdf, ecdf_curve
@@ -117,6 +118,78 @@ def _upper_hull(x: list, y: list) -> list:
     return hull
 
 
+def _certified_below(x0, y0, x1, y1, x2, y2) -> np.ndarray:
+    """Whether each point ``(x1, y1)`` lies strictly below the chord from
+    ``(x0, y0)`` to ``(x2, y2)``, as certified by the float filter of
+    :func:`_on_or_below_chord`; False where the filter cannot decide."""
+    left = (x1 - x0) * (y2 - y0)
+    right = (x2 - x0) * (y1 - y0)
+    return left - right > _ORIENT_ERR * (np.abs(left) + np.abs(right)) + _UNDERFLOW
+
+
+#: point count up to which the hull pass of :func:`_upper_hull` costs less
+#: than one more vectorised round of :func:`_hull_indices`
+_HULL_DIRECT = 40
+
+
+def _hull_indices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the upper concave hull of the points ``(x_i, y_i)``, x
+    increasing: the hull :func:`_upper_hull` finds over every point.
+
+    While more than ``_HULL_DIRECT`` points are left, rounds of the orient2d
+    float filter drop every point certified strictly below the chord of its
+    two remaining neighbours.  No hull vertex lies strictly below a chord of
+    two other points of the set, so however many points go in one round,
+    the hull pass over the rest finds the same hull.
+    """
+    keep = np.arange(len(x))
+    # a product that overflows makes the filter abstain, as in the scalar test
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(keep) > _HULL_DIRECT:
+            xk, yk = x[keep], y[keep]
+            drop = _certified_below(xk[:-2], yk[:-2], xk[1:-1], yk[1:-1], xk[2:], yk[2:])
+            if not drop.any():
+                break
+            keep = keep[np.concatenate(([True], ~drop, [True]))]
+    return keep[_upper_hull(x[keep].tolist(), y[keep].tolist())]
+
+
+def _under_no_chord(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the ECDF points ``(x_i, y_i)``, x increasing, that a chain
+    through the set does not certify strictly below one of its chords.
+
+    The inner points are cut into blocks of ``2 sqrt(n)``; the chain is the
+    hull (:func:`_hull_indices`) of the two end points and, in each block,
+    the point farthest above the chord of the block's ends.  Any chain
+    through points of the set would do, and this one lies close to the
+    hull.  ``np.interp`` gives its height at each ``x`` as ``slope * (x - x0)
+    + y0`` in a few roundings, within ``12 * 2**-53`` of the exact chord
+    (heights are at most 1), and ``y`` is within ``2**-53`` of ``i/n``.  So a
+    point more than ``2**-40`` below the chain lies strictly below a chord of
+    two other points, also with the integer counts ``i`` as heights.  The
+    bound needs finite slopes, at most ``2**1022`` for chords at least
+    ``2**-1022`` wide; a chain with a narrower chord certifies nothing.
+    """
+    n = len(x)
+    s = 2 * math.isqrt(n)
+    nb, r = divmod(n - 2, s)
+    r += 1  # blocks x[r + b s : r + (b + 1) s], the last ending at x[n - 1]
+    ex, ey = x[r::s], y[r::s]
+    dx, dy = ex[1:] - ex[:-1], ey[1:] - ey[:-1]
+    # height above the block's chord times its width: finite, with no division
+    above = y[r:-1].reshape(nb, s) * dx[:, None] - x[r:-1].reshape(nb, s) * dy[:, None]
+    far = above.argmax(axis=1)
+    far += np.arange(r, n - 1, s)
+    chain = np.concatenate(([0], far, [n - 1]))
+    chain = chain[_hull_indices(x[chain], y[chain])]
+    cx, cy = x[chain], y[chain]
+    if np.min(cx[1:] - cx[:-1]) < 2.0**-1022:
+        return np.arange(n)  # a chord slope could overflow: no bound holds
+    floor = np.interp(x, cx, cy)
+    floor -= 2.0**-40
+    return np.flatnonzero(y >= floor)
+
+
 def concave_majorant_points(x, y) -> PiecewiseLinear:
     """Upper concave hull of the points ``(x_i, y_i)`` as a piecewise line.
 
@@ -126,7 +199,7 @@ def concave_majorant_points(x, y) -> PiecewiseLinear:
     ``i/n`` of the sample ``[8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11]`` keep
     ``x = 4`` and ``9``, which the counts ``i`` put on one line.  Kept
     public as the tests' oracle for :func:`lcm`: the same hull pass over
-    every point.
+    every point, with no filter.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -137,29 +210,28 @@ def concave_majorant_points(x, y) -> PiecewiseLinear:
 def lcm(data: EmpiricalData) -> PiecewiseLinear:
     """Least concave majorant of the ECDF on ``[0, X_(n)]``.
 
-    The hull is taken over ``(0, 0)`` and the upper corner points
-    ``(X_(i), i/n)`` of the ECDF (tied observations collapse into one corner).
-    Candidate vertices are the block boundaries of the pool-adjacent-violators
-    (PAVA) fit of the corner-to-corner slopes, weighted by their widths, under
-    a nonincreasing constraint: the pooled means are the Grenander slopes.
-    The exact hull pass then runs on those few candidates only, taken with
-    the integer counts ``i`` rather than the rounded ``i/n``, so the hull is
-    exact for the candidates: PAVA pools strict violators only, and the
-    common vertex of two adjacent blocks with the same mean goes.  Vertex
-    heights are the corners' own ``i/n``.
+    The exact upper hull of ``(0, 0)`` and every upper corner point
+    ``(X_(i), i/n)`` of the ECDF (tied observations collapse into one
+    corner), taken with the integer counts ``i`` rather than the rounded
+    ``i/n``: a vertex is kept exactly when it lies strictly above the chord
+    of its neighbours, and no vertex is missed.  A corner is dropped before
+    the exact pass only when a float filter with a proven error bound puts
+    it strictly below a chord of two other corners (:func:`_under_no_chord`,
+    then the orient2d rounds of :func:`_hull_indices`); no such corner is a
+    hull vertex, however many are dropped together, so the pass over the
+    rest finds the hull over all of them.  Vertex heights are the corners'
+    own ``i/n``.
     """
-    xs, ys = data.corners
-    counts = np.rint(ys * data.n)  # exactly the cumulative counts, since ys = counts / n
-    if xs[0] > 0.0:
-        xs = np.concatenate([[0.0], xs])
-        ys = np.concatenate([[0.0], ys])
-        counts = np.concatenate([[0.0], counts])
-    if len(xs) < 2:
+    x, y = data.corners
+    if x[0] > 0.0:
+        x, y = np.concatenate([[0.0], x]), np.concatenate([[0.0], y])
+    if len(x) < 2:
         raise ValueError("the concave majorant needs a positive observation")
-    dx = np.diff(xs)
-    blocks = isotonic_regression(np.diff(ys) / dx, weights=dx, increasing=False).blocks
-    hull = blocks[_upper_hull(xs[blocks].tolist(), counts[blocks].tolist())]
-    return PiecewiseLinear(xs[hull], ys[hull])
+    if len(x) > _HULL_DIRECT:
+        keep = _under_no_chord(x, y)
+        x, y = x[keep], y[keep]
+    hull = _hull_indices(x, np.rint(y * data.n))  # exactly the counts, since y = counts / n
+    return PiecewiseLinear(x[hull], y[hull])
 
 
 def grenander_density(majorant: PiecewiseLinear, t):

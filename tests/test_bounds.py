@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
+import shapedist.bounds as bounds
 from shapedist.bounds import (
     _defect,
     _population_defects,
@@ -47,6 +48,7 @@ from shapedist.spline import (
     second_derivative_slopes,
     smooth_interp_error_bounds,
 )
+from test_models import PORT_MODELS
 
 
 def raw_defect_oracle(x, a):
@@ -399,6 +401,69 @@ def test_cell_variance_uniform_closed_form():
     mu = make_model("uniform", ())
     assert math.isclose(cell_variance(mu, 0.1, 0.4), 0.3**3 / 12.0, rel_tol=1e-9)
     assert cell_variance_bound(0.25, 1.0) == 0.25**3 / 6.0
+
+
+def quad_oracle(f, a, b):
+    """``scipy.integrate.quad`` as ``cell_variance`` called it, with its step count."""
+    value, err, info = quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
+    return value, err, info["neval"]
+
+
+@pytest.mark.parametrize("name,params", PORT_MODELS)
+def test_quad_port_matches_quad_bitwise_on_catalog_cells(name, params):
+    # every cell is accepted at quad's first step, 21 evaluations, with the
+    # same value and error estimate
+    m = make_model(name, params)
+    for k in (3, 10, 37):
+        a = knot_mesh_convex(m, k).knots
+        for j in range(1, k + 1):
+            s, t = float(a[j - 1]), float(a[j])
+            mid = 0.5 * (s + t)
+            f = lambda x: (x - mid) ** 2 * float(m.f(x))
+            value, err, neval = quad_oracle(f, s, t)
+            assert neval == 21
+            got = bounds._quad(f, s, t, 1e-14, 1e-12)
+            assert (got[0].hex(), got[1].hex()) == (value.hex(), err.hex())
+            assert cell_variance(m, s, t) == value - float(bounds._raw_defects(m, [s, t])[0]) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["exp", "sin", "runge"]), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       st.floats(-3.0, 3.0), st.floats(1e-3, 3.0))
+@example("exp", [1.0, 0.0, 0.0, 0.0], 0.0, 1.0)  # a constant: the rule's error is 0
+def test_quad_port_matches_quad_bitwise_on_smooth_integrands(kind, c, a, width):
+    f = {"exp": lambda x: c[0] + c[1] * x + c[2] * math.exp(c[3] * x),
+         "sin": lambda x: c[0] * math.sin(c[1] * x) + c[2] * x * x,
+         "runge": lambda x: 1.0 / (1.0 + (c[0] * x) ** 2)}[kind]
+    b = a + width
+    value, err, neval = quad_oracle(f, a, b)
+    assume(neval == 21)
+    got = bounds._quad(f, a, b, 1e-14, 1e-12)
+    assert (got[0].hex(), got[1].hex()) == (value.hex(), err.hex())
+
+
+@pytest.mark.parametrize("f,a", [
+    (lambda x: math.sqrt(abs(x)), -1.0),
+    # an error estimate within the tolerance that equals resasc, so the
+    # first step's error is no estimate and quad subdivides
+    (lambda x: 1e-20 * math.sin(30.0 * x), 0.0),
+], ids=["sqrt-abs", "small-sine"])
+def test_quad_port_refuses_an_integrand_quad_subdivides(f, a):
+    assert quad_oracle(f, a, 1.0)[2] > 21
+    with pytest.raises(ValueError, match="quad would subdivide"):
+        bounds._quad(f, a, 1.0, 1e-14, 1e-12)
+
+
+def test_quad_port_warns_where_quad_reports_roundoff():
+    # x on [-1, 1]: the sums cancel to 0, and the error floor 50 eps * int |x|
+    # lies above epsabs, so quad stops at its first step with a roundoff warning
+    f = lambda x: x
+    value, err, info, message = quad(f, -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200,
+                                     full_output=1)
+    assert info["neval"] == 21 and "roundoff" in message
+    with pytest.warns(RuntimeWarning, match="roundoff"):
+        got = bounds._quad(f, -1.0, 1.0, 1e-14, 1e-12)
+    assert (got[0].hex(), got[1].hex()) == (value.hex(), err.hex())
 
 
 @pytest.mark.parametrize("name,params", [("truncated-exponential", (1.0,)), ("uniform", ())])

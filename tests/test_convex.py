@@ -25,6 +25,7 @@ from shapedist.curves import Extrema, curve_sub, extrema
 from shapedist.empirical import (EmpiricalData, integrated_ecdf, integrated_ecdf_curve, sample,
                                  seed_for)
 from shapedist.models import make_model
+from test_curves import TIED_VALUES, one_signed_zero
 
 
 def test_gram_matrix_against_quadrature():
@@ -486,3 +487,31 @@ def test_mass_deficit_aims_past_the_horizon(monkeypatch):
     gap_h = mass * (15.0 - 6.0 / 3.0) - (15.0 - 2.75)  # H and Y_n are lines past 6 and 5
     assert asked[0] == [10.0] and asked[1][0] == 6.0
     assert math.isclose(asked[1][1], 15.0 + (gap_h + 2e-9 * 5.0**3) / (1.0 - mass), rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIED_VALUES.filter(len))
+@example([0.0])
+@example([0.0, 0.0, 5e-324, 5e-324, 1.0])  # a midpoint that rounds onto an end
+def test_candidate_grid_is_np_unique_of_the_unsorted_grid(values):
+    d = EmpiricalData(np.array(values, dtype=float))
+    x = d.x
+    grid = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [2.0 * float(x[-1])]])
+    want = np.unique(grid)
+    cands, at_data = convexlse._candidate_grid(d)
+    np.testing.assert_array_equal(cands, want)
+    if one_signed_zero(grid):
+        assert cands.tobytes() == want.tobytes()
+    assert at_data.tobytes() == np.searchsorted(want, d.corners[0]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -5e-324, 0.0, 5e-324, 0.5, 2.0, 2.0, 7.0]), max_size=12))
+@example([])
+@example([-1.0, 0.0, 0.0, 2.0])
+def test_density_columns_start_where_np_unique_put_them(kinks):
+    fit = ConvexLse(np.array(kinks, dtype=float), np.linspace(0.5, 1.5, len(kinks)))
+    bx, c0, c1 = fit._density_columns()
+    want = np.unique(np.concatenate([[0.0], fit.kinks]))
+    want = want[want >= 0.0]
+    assert bx.tobytes() == want.tobytes()

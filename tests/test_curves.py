@@ -15,6 +15,7 @@ from shapedist.curves import (
     SmoothCurve,
     _bisect_many,
     _difference_extrema,
+    _distinct,
     _eval_hybrid,
     _hybrid_extrema,
     _hybrid_stationary,
@@ -271,6 +272,30 @@ def test_modulus_matches_brute_force(path, seed):
         brute, step = sliding_window_modulus(g, width, lo, hi)
         assert brute <= exact + TOL
         assert exact <= brute + 2.0 * slope * step + TOL, (width, exact, brute)
+
+
+#: sample values with ties, both signed zeros, subnormals and far ends
+TIED_VALUES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 + 2.0**-52, 3.0,
+                                        1e300]), max_size=300)
+
+
+def one_signed_zero(a: np.ndarray) -> bool:
+    """Whether the zeros of ``a``, if any, all carry one sign: then
+    ``np.unique``'s re-sort cannot swap them, and the bits must agree."""
+    zeros = np.signbit(a[a == 0.0])
+    return bool(zeros.all() or not zeros.any())
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIED_VALUES)
+@example([])
+@example([0.0, 0.0, -0.0, 1.0, 1.0])
+def test_distinct_is_np_unique_of_a_sorted_array(values):
+    a = np.sort(np.array(values, dtype=float))
+    got, want = _distinct(a), np.unique(a)
+    np.testing.assert_array_equal(got, want)
+    if one_signed_zero(a):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_modulus_shift_drops_collapsed_pieces():

@@ -18,6 +18,7 @@ from shapedist.empirical import (
     seed_for,
 )
 from shapedist.models import knot_mesh_convex, make_model
+from test_curves import TIED_VALUES, one_signed_zero
 from test_models import SAMPLING_MODELS, old_finv
 
 
@@ -263,3 +264,17 @@ def test_knot_statistics_reject_what_sample_rejects(bad):
                  lambda: _knot_statistics(model, 3, 1, np.array(KNOTS3))):
         with pytest.raises(ValueError, match="^sample values must be finite and nonnegative$"):
             draw()
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIED_VALUES.filter(len))
+@example([0.0])
+@example([3.0, 0.0, 3.0, 0.0, 0.0, 1e300])
+def test_corners_read_the_runs_as_np_unique_counts_them(values):
+    d = EmpiricalData(np.array(values, dtype=float))
+    xs, ys = d.corners
+    want_x, counts = np.unique(d.x, return_counts=True)
+    np.testing.assert_array_equal(xs, want_x)
+    assert ys.tobytes() == (np.cumsum(counts) / d.n).tobytes()
+    if one_signed_zero(d.x):
+        assert xs.tobytes() == want_x.tobytes()

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import shapedist.bounds as bounds
 import shapedist.models as models
@@ -228,6 +228,68 @@ def test_mean_value_knot_in_cell(name, params):
         assert math.isclose(
             float(m.f(a)) * mesh.k * float(mesh.deltas[j - 1]), m.tau_mass, rel_tol=1e-9
         )
+
+
+#: catalog models for the bitwise oracle tests of the Brent and Gauss-Kronrod
+#: ports, with the steep and near-degenerate ends of each family
+PORT_MODELS = ALL_MODELS + [
+    ("truncated-exponential", (500.0,)),
+    ("shifted-power", (200.0, 1.0)),
+    ("beta-like", (1.0001,)),
+]
+
+
+@pytest.mark.parametrize("name,params", PORT_MODELS)
+def test_brent_matches_brentq_bitwise_on_catalog_cells(name, params):
+    m = make_model(name, params)
+    for k in (3, 10, 37):
+        mesh = knot_mesh_convex(m, k)
+        for j in range(1, k + 1):
+            a, b = float(mesh.knots[j - 1]), float(mesh.knots[j])
+            target = mesh.mass / mesh.k / (b - a)
+            g = lambda t: float(m.f(t)) - target
+            if g(a) * g(b) < 0:
+                want = brentq(g, a, b, xtol=1e-14 * max(1.0, b))
+                assert models._brent(g, a, b, 1e-14 * max(1.0, b)).hex() == want.hex()
+            assert mean_value_knot(m, mesh, j) == mean_value_knot_with_brentq(m, mesh, j)
+
+
+def mean_value_knot_with_brentq(model, mesh, j):
+    """``mean_value_knot`` as written on ``scipy.optimize.brentq``."""
+    a, b = float(mesh.knots[j - 1]), float(mesh.knots[j])
+    target = mesh.mass / mesh.k / (b - a)
+    g = lambda t: float(model.f(t)) - target
+    ga, gb = g(a), g(b)
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    if ga * gb > 0:
+        return 0.5 * (a + b)
+    return float(brentq(g, a, b, xtol=1e-14 * max(1.0, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(-2.5, 2.5), st.floats(-1.0, 1.0),
+       st.floats(1e-15, 1e-3), st.floats(-3.0, -0.5), st.floats(0.5, 3.0))
+@example(1.0, 0.0, 0.0, 1e-14, -1.0, 2.0)
+@example(20.0, 2.4, 0.0, 1e-15, -3.0, 2.5)  # steep step near the right end
+def test_brent_matches_brentq_bitwise_on_smooth_functions(k, c, d, xtol, a, b):
+    f = lambda x: math.tanh(k * (x - c)) + d * x ** 3
+    assume(f(a) * f(b) < 0)
+    assert models._brent(f, a, b, xtol).hex() == brentq(f, a, b, xtol=xtol).hex()
+
+
+def test_brent_raises_as_brentq_does():
+    f = lambda x: x ** 3 - 2.0
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        brentq(f, 0.0, 2.0, xtol=1e-300, maxiter=3)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        models._brent(f, 0.0, 2.0, 1e-300, maxiter=3)
+    with pytest.raises(ValueError, match="different signs"):
+        models._brent(f, 2.0, 3.0, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        models._brent(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 2.0, 1e-12)
 
 
 def test_catalog_rejects_bad_input():
@@ -483,10 +545,10 @@ def _dyadic_root_u(F):
 
 
 def _oracle(F, u):
-    """The loop from [0, 1] with its early stop; NaN maps to NaN."""
+    """The loop from [0, 1] with its early stop; NaN maps to itself, bits and all."""
     want = _where_bisect(F, 0.0, 1.0, u)
     if isinstance(want, float):
-        return NAN if math.isnan(u) else want
+        return float(u) if math.isnan(u) else want
     return np.where(np.isnan(u), u, want)
 
 

@@ -131,33 +131,69 @@ def test_exact_hull_keeps_the_pava_witness_vertex():
     assert hull.x.tolist() == [0.0, 1.2832124012942945, 15.398548815531534, 29.513885229768775]
 
 
-@pytest.mark.xfail(strict=True, reason="lcm takes its candidate vertices from PAVA on the "
-                   "rounded slopes np.diff(ys) / dx, which pools away the exact hull's vertex "
-                   "at x = 15.398548815531534; it passes once lcm checks every ECDF corner "
-                   "against its hull")
 def test_lcm_keeps_a_vertex_that_rounded_slopes_pool_away():
     d = EmpiricalData(PAVA_WITNESS)
     xs, ys = d.corners
     np.testing.assert_array_equal(lcm(d).x, concave_majorant_points(xs, np.rint(ys * d.n)).x)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.floats(0.01, 100.0))
-@example(LATTICE_WITNESS.tolist(), 1.0)
-def test_lcm_properties(ints, scale):
-    d = EmpiricalData(np.array(ints, dtype=float) * scale)
+def lcm_oracle(d: EmpiricalData):
+    """The exact hull over every ECDF corner, in the integer counts, with the
+    corners' own heights ``i/n``."""
+    xs, ys = d.corners
+    if xs[0] > 0.0:
+        xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
+    hull = concave_majorant_points(xs, np.rint(ys * d.n))
+    return hull.x, ys[np.searchsorted(xs, hull.x)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 400), min_size=1, max_size=600), st.floats(0.01, 100.0),
+       st.integers(1, 30))
+@example(LATTICE_WITNESS.tolist(), 1.0, 1)
+@example([0, 0, 0, 0, 1, 12, 23], 1.2832124012942945, 1)  # PAVA_WITNESS
+@example(list(range(41)) * 3, 0.37, 5)  # ties on every corner, collinear in the counts
+def test_lcm_properties(ints, scale, reps):
+    # scaled lattice samples, with every value repeated up to 30 times: many
+    # corners lie within rounding of a chord, and long runs of them on one
+    # line in the counts; past 40 corners the coarse chain and the rounds run
+    d = EmpiricalData(np.repeat(np.array(ints, dtype=float) * scale, reps))
     if d.x[-1] == 0.0:
         with pytest.raises(ValueError, match="positive observation"):
             lcm(d)
         return
     h = lcm(d)
+    want_x, want_y = lcm_oracle(d)
+    np.testing.assert_array_equal(h.x, want_x)
+    np.testing.assert_array_equal(h.y, want_y)
     xs, ys = d.corners
     tol = 1e-12
     assert np.all(h(xs) >= ys - tol)                       # majorant at every corner
     np.testing.assert_allclose(h.y, ecdf(d, h.x), rtol=0, atol=tol)  # touches at vertices
-    assert np.all(np.diff(h.slopes) < 0.0)                  # strictly concave
+    # strictly concave in the counts, exactly: the rounded slopes h.slopes may
+    # tie or turn, as at PAVA_WITNESS's vertex x = 15.398548815531534
+    px = [Fraction(v) for v in h.x]
+    py = [Fraction(int(c)) for c in np.rint(h.y * d.n)]
+    slopes = [(py[i + 1] - py[i]) / (px[i + 1] - px[i]) for i in range(len(px) - 1)]
+    assert all(s > t for s, t in zip(slopes, slopes[1:]))
     assert h.x[0] == 0.0 and h.x[-1] == d.x[-1]
     assert math.isclose(h.y[-1], 1.0, rel_tol=0, abs_tol=tol)  # unit mass
+
+
+def test_lcm_equals_the_exact_hull_on_long_scaled_lattices():
+    # thousands of corners, enough that the coarse chain and the neighbour
+    # rounds both run, on lattices whose corners crowd the chords
+    rng = np.random.default_rng(29)
+    # at the subnormal scales a chord of the coarse chain is too steep for
+    # np.interp's slope, and the rounds alone must hold
+    for scale in (1.0, 0.1, 1.2832124012942945, 1e-300, 3e300, 1e-320, 5e-324):
+        for _ in range(4):
+            ints = rng.integers(0, 5000, int(rng.integers(2000, 20000)))
+            d = EmpiricalData(ints.astype(float) * scale)
+            want_x, want_y = lcm_oracle(d)
+            h = lcm(d)
+            np.testing.assert_array_equal(h.x, want_x)
+            np.testing.assert_array_equal(h.y, want_y)
 
 
 def exact_hull_x(x, y):

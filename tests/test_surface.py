@@ -3,7 +3,14 @@
 import ast
 import importlib
 import inspect
+import json
+import os
+from pathlib import Path
 import pkgutil
+import platform
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -45,3 +52,68 @@ def test_package_reexports_exactly_the_union_of_the_modules_surfaces():
     for module in LIBRARY:
         for name in module.__all__:
             assert getattr(shapedist, name) is getattr(module, name), name
+
+
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports shapedist from this
+    checkout; return the JSON object it prints last.  The test process has
+    scipy loaded already, so module loads are counted in a fresh one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shapedist.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    loaded = run_fresh("""
+        import json, sys
+        import shapedist, shapedist.cli
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    assert loaded == []
+
+
+def test_a_cold_driver_call_loads_no_module(tmp_path):
+    # numpy loads numpy.random on first use and np.unique loads numpy.ma:
+    # either inside a driver call would count against its wall time
+    added = run_fresh(f"""
+        import json, os, sys
+        from shapedist import experiments as E
+        calls = [
+            ("run_convex_rate", dict(n_grid=(32, 48, 64), replicates=2)),
+            ("run_monotone_rate", dict(params=(1.0, 1.0), target="monotone",
+                                       n_grid=(32, 48, 64), replicates=2)),
+            ("run_event_frequency", dict(model="beta-like", params=(2.0,), n_grid=(64,),
+                                         replicates=2, c0_sweep=(1.0,))),
+            ("run_lemma_suite", dict(n_grid=(32,), replicates=4)),
+        ]
+        added = {{}}
+        for driver, kw in calls:
+            before = set(sys.modules)
+            out = os.path.join({str(tmp_path)!r}, driver + ".out")
+            getattr(E, driver)(E.ExperimentConfig(base_seed=1, workers=1, out=out, **kw))
+            added[driver] = sorted(set(sys.modules) - before)
+        print(json.dumps(added))
+    """)
+    assert added == {driver: [] for driver in ("run_convex_rate", "run_monotone_rate",
+                                               "run_event_frequency", "run_lemma_suite")}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_import_lets_malloc_reuse_blocks_of_a_few_mib():
+    # a 4 MiB temporary made twice: above glibc's starting mmap threshold the
+    # second one faults in its 1024 pages again, as the first did
+    faults = run_fresh("""
+        import json, resource
+        import numpy as np
+        import shapedist
+
+        def temporary():
+            np.ones(1 << 19)
+
+        temporary()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        temporary()
+        print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+    """)
+    assert faults < 100
