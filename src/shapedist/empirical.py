@@ -2,18 +2,22 @@
 
 Sampling uses a counter-based generator (Philox) keyed by a 64-bit seed so
 replicates are reproducible bit-for-bit regardless of execution order or
-worker count; ``_generator`` is the one place such a generator is built, for
-the samples here and the other seeded draws of the experiments.  The ECDF
-and its integral are exposed both as O(log n) point evaluators (via sorted
-prefix sums) and as exact piecewise-polynomial curves for the norm machinery
-in :mod:`shapedist.curves`.  :func:`sample` always returns sorted data; the
-lemma suite's Monte Carlo draws, which read ``F_n`` and ``Y_n`` at a few
-knots only, take the private sort-free path ``_knot_statistics`` over the
-same uniforms and the same ``x`` bits.
+worker count.  Every seeded draw of the package, the samples here and the
+other draws of the experiments, goes through ``_uniforms`` or ``_binomial``:
+each re-keys one module-private generator to the state of a fresh
+``Philox(key=seed)`` and returns values only, so no caller holds a generator
+that a later draw re-keys, and no draw asks the operating system for entropy.
+The ECDF and its integral are exposed both as O(log n) point evaluators (via
+sorted prefix sums) and as exact piecewise-polynomial curves for the norm
+machinery in :mod:`shapedist.curves`.  :func:`sample` always returns sorted
+data; the lemma suite's Monte Carlo draws, which read ``F_n`` and ``Y_n`` at
+a few knots only, take the private sort-free path ``_knot_statistics`` over
+the same uniforms and the same ``x`` bits.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -51,9 +55,37 @@ def seed_for(base_seed: int, n: int, replicate: int) -> int:
     return (int(base_seed) ^ h) & _M64
 
 
-def _generator(seed: int) -> np.random.Generator:
-    """The Philox generator keyed by the low 64 bits of ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _M64))
+# One Philox and its Generator per process.  A draw re-keys them under the
+# lock to the state of a fresh ``Philox(key=seed)``: counter 0, key
+# ``(seed, 0)``, an empty buffer and no cached 32-bit half.  Setting the state
+# costs far less than building a Philox, whose constructor first draws a
+# SeedSequence from OS entropy that the key then overrides; ``Philox(0)``
+# seeds from a fixed SeedSequence, so the import draws none either.
+_PHILOX = np.random.Philox(0)
+_RNG = np.random.Generator(_PHILOX)
+_RNG_LOCK = threading.Lock()
+_ZEROS4 = (0, 0, 0, 0)
+
+
+def _rekey(seed: int) -> None:
+    """Put the shared generator in the state of a fresh ``Philox(key=seed & M64)``."""
+    _PHILOX.state = {"bit_generator": "Philox",
+                     "state": {"counter": _ZEROS4, "key": (int(seed) & _M64, 0)},
+                     "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _uniforms(seed: int, shape) -> np.ndarray:
+    """Uniforms on [0, 1) of ``shape``: ``Generator(Philox(key=seed & M64)).random(shape)``."""
+    with _RNG_LOCK:
+        _rekey(seed)
+        return _RNG.random(shape)
+
+
+def _binomial(seed: int, n: int, p: float) -> int:
+    """One binomial draw: ``Generator(Philox(key=seed & M64)).binomial(n, p)``."""
+    with _RNG_LOCK:
+        _rekey(seed)
+        return _RNG.binomial(n, p)
 
 
 def _sorted_checked(x: np.ndarray) -> np.ndarray:
@@ -109,8 +141,12 @@ class EmpiricalData:
         One ``searchsorted`` gives the counts ``i_j = #(X <= a_j)``.  ``cumsum``
         adds in order, so the sums over the first ``i_j`` points are entries of
         ``np.cumsum(x[:i[-1]])``, to the bit the ones :func:`integrated_ecdf`
-        reads off :attr:`_prefix`.
+        reads off :attr:`_prefix`.  Empty or decreasing knots raise
+        ``ValueError``; equal neighbours are allowed.
         """
+        knots = np.asarray(knots, dtype=float)
+        if not (knots.ndim == 1 and len(knots) and np.all(knots[1:] >= knots[:-1])):
+            raise ValueError("knots must be a nonempty increasing 1-d array")
         i = np.searchsorted(self.x, knots, side="right")
         sums = np.zeros(len(knots))
         below = i > 0
@@ -140,7 +176,7 @@ def _draw(model: AnalyticModel, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"sample size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return np.asarray(model.Finv(_generator(seed).random(n)), dtype=float)
+    return np.asarray(model.Finv(_uniforms(seed, n)), dtype=float)
 
 
 def sample(model: AnalyticModel, n: int, seed: int) -> EmpiricalData:
@@ -161,6 +197,8 @@ def _knot_statistics(model: AnalyticModel, n: int, seed: int,
     :meth:`EmpiricalData.at_knots`, and ``Y_n(a) = (n a - sum min(x, a)) / n``,
     which is ``sum (a - x_i)_+ / n``, in a few passes over ``x`` with no sort
     and no prefix sum.  The draw is rejected as :func:`sample` rejects it.
+    A knot at 0 below every point is not read: its count is 0 and its sum
+    ``+0.0``, the bits the passes give, so it costs no pass of its own.
 
     Rounding of ``Y_n(a)``: numpy adds the ``n`` terms ``min(x_i, a) <= a``
     pairwise (8 running partial sums over blocks of at most 128 terms, then
@@ -170,13 +208,16 @@ def _knot_statistics(model: AnalyticModel, n: int, seed: int,
     three more times, so ``|Y_n(a) - exact| <= (h + 4) u a``.
     """
     x = _draw(model, n, seed)
+    lo = x.min()
     # min is NaN when any value is, so these two catch NaN, -inf, +inf and negatives
-    if not (x.min() >= 0.0 and x.max() < np.inf):
+    if not (lo >= 0.0 and x.max() < np.inf):
         raise ValueError("sample values must be finite and nonnegative")
-    counts = np.empty(len(knots), dtype=np.intp)
-    sums = np.empty(len(knots))
+    counts = np.zeros(len(knots), dtype=np.intp)
+    sums = np.zeros(len(knots))
     tmp = np.empty_like(x)
     for j, a in enumerate(knots):
+        if a == 0.0 and lo > 0.0:
+            continue  # no point at or below 0: count 0, and every min(x, 0) is +0.0
         counts[j] = np.count_nonzero(x <= a)
         sums[j] = np.minimum(x, a, out=tmp).sum()
     return counts / n, (n * knots - sums) / n

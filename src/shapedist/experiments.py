@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .convexlse import FitError, fit_lse
 from .curves import _check, sup_norm
-from .empirical import _generator, _knot_statistics, ecdf_curve, sample, seed_for
+from .empirical import _binomial, _knot_statistics, _uniforms, ecdf_curve, sample, seed_for
 from .models import AnalyticModel, constants, knot_mesh_convex, knot_mesh_monotone, make_model
 from .monotone import broken_line_error_report, concavity_event, kw_tail_bound, lcm
 from .spline import convexity_event, smooth_interp_error_bounds
@@ -403,7 +403,7 @@ def _suite_deterministic(model, config: ExperimentConfig) -> list:
     checks += interp_gap_report(model)
 
     # one array of 1000 pairs draws the same bits as 1000 draws of one pair
-    u = np.sort(_generator(seed_for(config.base_seed, 0, 0)).random((1000, 2)), axis=1) * model.tau
+    u = np.sort(_uniforms(seed_for(config.base_seed, 0, 0), (1000, 2)), axis=1) * model.tau
     s, t = u[u[:, 1] - u[:, 0] >= 1e-6].T
     lo, hi, value = trapezoid_remainder_bounds(model, s, t)
     tol = 1e-12 * np.maximum.reduce(np.abs([value, lo, hi]), initial=1.0)  # roundoff allowance
@@ -447,7 +447,7 @@ def _lemma_replicate(task):
     # larger draw, it made glibc trim and regrow its heap on every replicate.
     knot_values = np.array([_knot_statistics(model, n, seed_for(config.base_seed, n, rep), mesh.knots)
                             for n in _MC_SIZES])
-    fracs = [_generator(seed_for(config.base_seed, n, rep)).binomial(n, pm) / n
+    fracs = [_binomial(seed_for(config.base_seed, n, rep), n, pm) / n
              for n, pm in _MC_CELL_MASSES]
     return {"n": _MC_SIZES[-1], "knot_values": knot_values, "cell_frac": fracs}
 

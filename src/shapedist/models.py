@@ -215,10 +215,10 @@ def _build_truncated_exponential(params):
         return (1.0 - np.exp(-rate * np.asarray(x, dtype=float))) / Z
 
     def Finv(u):
-        # One copy of u, then in place: -log1p(-Z u) / rate, sign moved
-        # into the divisor, which rounds to the same bits.
-        x = np.array(u, dtype=float)
-        x *= -Z
+        # u * -Z written into the one new array, then in place:
+        # -log1p(-Z u) / rate, sign moved into the divisor, which rounds to
+        # the same bits.  dtype=float multiplies in doubles whatever u holds.
+        x = np.multiply(u, -Z, out=np.empty(np.shape(u)), dtype=float)
         np.log1p(x, out=x)
         x /= -rate
         return x if x.ndim else float(x)

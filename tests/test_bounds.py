@@ -33,8 +33,8 @@ from shapedist.empirical import (
     ecdf,
     integrated_ecdf,
     integrated_ecdf_curve,
-    _generator,
     _knot_statistics,
+    _uniforms,
     sample,
     seed_for,
 )
@@ -48,7 +48,7 @@ from shapedist.spline import (
     second_derivative_slopes,
     smooth_interp_error_bounds,
 )
-from test_models import PORT_MODELS
+from test_models import PORT_MODELS, philox
 
 
 def raw_defect_oracle(x, a):
@@ -347,10 +347,10 @@ def test_whole_array_bounds_match_the_per_element_formulas_bitwise(name, params)
         assert got.tobytes() == want.tobytes(), k
     # the lemma suite's pairs: one draw of 1000 pairs against 1000 draws of one
     for base_seed in (1, 6, 32):
-        u = np.sort(_generator(seed_for(base_seed, 0, 0)).random((1000, 2)), axis=1) * m.tau
+        u = np.sort(_uniforms(seed_for(base_seed, 0, 0), (1000, 2)), axis=1) * m.tau
         s, t = u[u[:, 1] - u[:, 0] >= 1e-6].T
         got = np.array(trapezoid_remainder_bounds(m, s, t))
-        rng = _generator(seed_for(base_seed, 0, 0))
+        rng = philox(seed_for(base_seed, 0, 0))
         pairs = [np.sort(rng.random(2)) * m.tau for _ in range(1000)]
         want = np.array([taylor_bracket_oracle(m, float(a), float(b))
                          for a, b in pairs if b - a >= 1e-6]).T

@@ -1,6 +1,9 @@
 """ECDF machinery: evaluation semantics, exact sup norms, seeding."""
 
 import math
+import os
+import random
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from shapedist.curves import curve_sub, modulus, sup_norm
 from shapedist.empirical import (
     EmpiricalData,
+    _binomial,
     _knot_statistics,
+    _uniforms,
     ecdf,
     ecdf_curve,
     integrated_ecdf,
@@ -17,9 +22,10 @@ from shapedist.empirical import (
     sample,
     seed_for,
 )
+from shapedist.experiments import ExperimentConfig, run_lemma_suite
 from shapedist.models import knot_mesh_convex, make_model
 from test_curves import TIED_VALUES, one_signed_zero
-from test_models import SAMPLING_MODELS, old_finv
+from test_models import SAMPLING_MODELS, old_finv, philox
 
 
 def test_ecdf_evaluation_semantics():
@@ -125,7 +131,7 @@ def test_sampling_is_deterministic():
 def test_sample_is_the_sorted_old_inverse_bit_for_bit(name, params, n):
     m = make_model(name, params)
     seed = seed_for(7, n, 3)
-    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    u = philox(seed).random(n)
     d = sample(m, n, seed)
     assert d.x.tobytes() == np.sort(old_finv(name, params)(u)).tobytes()
     assert d.seed == seed and d.x.flags.writeable
@@ -264,6 +270,116 @@ def test_knot_statistics_reject_what_sample_rejects(bad):
                  lambda: _knot_statistics(model, 3, 1, np.array(KNOTS3))):
         with pytest.raises(ValueError, match="^sample values must be finite and nonnegative$"):
             draw()
+
+
+@pytest.mark.parametrize("x", [
+    [0.0, 1.0, 0.0, 2.0], [-0.0, 1.0, -0.0], [0.5, -0.0, 0.0, 3.0], [0.0], [-0.0],
+    [0.0] * 300 + [1e-300, 2.0], [1e-300], [5e-324, 2.0, 1.0], [3.0, 0.1, 7.0, 0.2],
+])
+def test_knot_statistics_at_knot_zero(x):
+    # points at +0.0 or -0.0 are counted at the knot 0; below every point the
+    # knot 0 is skipped and has the bits the passes give: count 0 and +0.0
+    knots = np.array(KNOTS3)
+    fv, yv = _knot_statistics(FixedDraw(x), len(x), 0, knots)
+    want_f, want_y = EmpiricalData(np.array(x)).at_knots(knots)
+    assert fv.tobytes() == want_f.tobytes()
+    assert np.all(np.abs(yv - want_y) <= knot_statistics_gap_bound(len(x), knots))
+    if min(x) > 0.0:
+        assert fv[0] == 0.0 and yv[0].tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("knots", [[], [0.0, 0.5, 0.2], [1.0, 0.0], [0.0, np.nan, 1.0]])
+def test_at_knots_rejects_empty_or_decreasing_knots(knots):
+    d = EmpiricalData(np.array([0.1, 0.4, 0.9]))
+    with pytest.raises(ValueError, match="^knots must be a nonempty increasing 1-d array$"):
+        d.at_knots(np.array(knots))
+
+
+def test_at_knots_allows_equal_neighbours():
+    d = EmpiricalData(np.array([0.1, 0.4, 0.4, 0.9]))
+    fv, yv = d.at_knots(np.array([0.0, 0.4, 0.4, 1.0]))
+    assert fv.tolist() == [0.0, 0.75, 0.75, 1.0]
+    assert yv.tobytes() == integrated_ecdf(d, np.array([0.0, 0.4, 0.4, 1.0])).tobytes()
+
+
+M64 = 2**64 - 1
+DRAW_KEYS = st.one_of(st.integers(0, M64), st.integers(M64 + 1, 2**80))
+UNIFORM_SHAPES = st.sampled_from([(), 0, 1, 3, 7, 999, (1000, 2)])
+BINOMIAL_ARGS = st.one_of(
+    st.sampled_from([(40000, 0.01), (100000, 0.005), (10, 0.3), (200, 0.7), (0, 0.5)]),
+    st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0)))
+DRAWS = st.lists(st.one_of(st.tuples(st.just("u"), DRAW_KEYS, UNIFORM_SHAPES),
+                           st.tuples(st.just("b"), DRAW_KEYS, BINOMIAL_ARGS)),
+                 min_size=1, max_size=8)
+
+
+def fresh_draw(kind, key, arg):
+    """What a newly built ``Generator(Philox(key=key & M64))`` draws."""
+    return philox(key).random(arg) if kind == "u" else philox(key).binomial(*arg)
+
+
+def shared_draw(kind, key, arg):
+    return _uniforms(key, arg) if kind == "u" else _binomial(key, *arg)
+
+
+def same_draw(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DRAWS)
+@example([("u", 0, 7), ("u", M64, 7), ("u", M64 + 6, 7), ("u", 2**70 + 3, (1000, 2))])
+@example([("u", 5, ()), ("u", 5, 0), ("b", 5, (40000, 0.01)), ("u", 5, 3)])
+@example([("b", 9, (100000, 0.005)), ("b", 9, (100000, 0.005)), ("u", 9, 999),
+          ("b", 0, (10, 0.3)), ("b", M64, (200, 0.7))])
+def test_shared_generator_draws_the_bits_of_a_fresh_one(draws):
+    # any interleaving of uniform and binomial draws: each is the draw of a
+    # generator built for it alone, whatever the draws before it left behind
+    for kind, key, arg in draws:
+        same_draw(shared_draw(kind, key, arg), fresh_draw(kind, key, arg))
+
+
+def test_shared_generator_keeps_the_bits_across_threads():
+    # two threads drawing at once get what each draw gives alone
+    plan = [[("u", seed_for(t, 20000, r), 20000) if r % 3 else ("b", seed_for(t, 0, r), (40000, 0.01))
+             for r in range(60)] for t in range(2)]
+    want = [[fresh_draw(*d) for d in draws] for draws in plan]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def run(t):
+        start.wait()
+        got[t] = [shared_draw(*d) for d in plan[t]]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for t in range(2):
+        for g, w in zip(got[t], want[t], strict=True):
+            same_draw(g, w)
+
+
+def test_seeded_draws_ask_for_no_entropy(monkeypatch):
+    # numpy seeds a keyed Philox from SeedSequence(), which reads os.urandom
+    # through random.SystemRandom; the shared generator is only re-keyed
+    def no_entropy(*args):
+        raise AssertionError("entropy requested")
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError, match="entropy requested"):
+        np.random.Philox(key=1)
+    sample(KNOT_MODEL, 100, seed_for(1, 100, 0))
+    _knot_statistics(KNOT_MODEL, 100, seed_for(1, 100, 0), np.array(KNOTS3))
+    report = run_lemma_suite(ExperimentConfig(n_grid=(128,), replicates=2, workers=1))
+    assert len(report["checks"]) >= 40
 
 
 @settings(max_examples=200, deadline=None)

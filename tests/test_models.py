@@ -12,7 +12,7 @@ from scipy.optimize import brentq, minimize_scalar
 import shapedist.bounds as bounds
 import shapedist.models as models
 import shapedist.spline as spline
-from shapedist.empirical import _generator, seed_for
+from shapedist.empirical import seed_for
 from shapedist.models import (
     CATALOG,
     _bisect_inverse,
@@ -23,6 +23,12 @@ from shapedist.models import (
     make_model,
     mean_value_knot,
 )
+
+
+def philox(key: int) -> np.random.Generator:
+    """A fresh generator on ``Philox(key=key)``, keyed by the low 64 bits of ``key``."""
+    return np.random.Generator(np.random.Philox(key=int(key) & (2**64 - 1)))
+
 
 ALL_MODELS = [
     ("truncated-exponential", (1.0,)),
@@ -381,7 +387,7 @@ def test_inverse_cdf_keeps_its_bits_and_its_input(name, params):
     for tau_quantile in (0.5, 0.75, 0.9):
         m = make_model(name, params, tau_quantile)
         assert m.tau == float(old(tau_quantile))
-    u = np.random.Generator(np.random.Philox(key=17)).random(1000)
+    u = philox(17).random(1000)
     u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
     kept = u.copy()
     np.testing.assert_array_equal(m.Finv(u), old(u))
@@ -429,7 +435,7 @@ def test_bisect_inverse_matches_the_where_loop_bit_for_bit(b):
     for inverse in (lambda u: _bisect_inverse(F, 0.0, 1.0, u), m.Finv):
         for key in (1, 7, 2024):
             for n in (1, 2, 3, 64, 1000, 8192, 30000):
-                u = _generator(seed_for(key, n, 0)).random(n)
+                u = philox(seed_for(key, n, 0)).random(n)
                 _same_bits(inverse(u), _where_bisect(F, 0.0, 1.0, u))
         edges = np.array(EDGES)
         _same_bits(inverse(edges), _where_bisect(F, 0.0, 1.0, edges))
@@ -437,7 +443,7 @@ def test_bisect_inverse_matches_the_where_loop_bit_for_bit(b):
         for s in EDGES:
             _same_bits(inverse(s), _where_bisect(F, 0.0, 1.0, s))
             _same_bits(inverse(np.array(s)), _where_bisect(F, 0.0, 1.0, np.array(s)))
-        grid = np.concatenate([edges, _generator(5).random(91)]).reshape(10, 10)
+        grid = np.concatenate([edges, philox(5).random(91)]).reshape(10, 10)
         _same_bits(inverse(grid), _where_bisect(F, 0.0, 1.0, grid))
         _same_bits(inverse(grid.T), _where_bisect(F, 0.0, 1.0, grid.T))
 
@@ -447,7 +453,7 @@ def test_bisect_inverse_resumes_from_any_level():
     # with its level, ends where the 80 steps from [0, 1] end; level 80
     # leaves no step, and draws near 0 run out of steps before they settle
     F = _BETA_F
-    rng = _generator(13)
+    rng = philox(13)
     u = np.concatenate([rng.random(3000), 10.0 ** -rng.uniform(3, 40, 1000), [5e-324, 1e-300]])
     level = rng.integers(0, 81, u.size)
     lo, hi = np.zeros(u.shape), np.ones(u.shape)
@@ -464,7 +470,7 @@ def test_bisect_inverse_resumes_from_any_level():
 def test_bisect_inverse_matches_the_where_loop_on_any_interval():
     # a generic bracket and an F that is not monotone on it
     F = lambda x: np.sin(3.0 * np.asarray(x, dtype=float))
-    u = np.concatenate([2.4 * _generator(3).random(4000) - 1.2, EDGES])
+    u = np.concatenate([2.4 * philox(3).random(4000) - 1.2, EDGES])
     _same_bits(_bisect_inverse(F, -1.0, 3.0, u), _where_bisect(F, -1.0, 3.0, u))
     grid = u[:4000].reshape(40, 100)
     _same_bits(_bisect_inverse(F, -1.0, 3.0, grid), _where_bisect(F, -1.0, 3.0, grid))
@@ -509,7 +515,7 @@ def test_beta_like_error_bound_holds_exactly(b):
     F, S = _exact_cubic(b, (-1, 1)), _exact_cubic(b, (1, 1))
     e = lambda x: _GAMMA10 * S(x) + Fraction(2) ** -1070
     tiny = [2.0 ** -1074, 1e-300, 2.0 ** -360, 2.0 ** -520, 1e-20]
-    x = np.concatenate([_generator(seed_for(17, 10_000, 0)).random(10_000),
+    x = np.concatenate([philox(seed_for(17, 10_000, 0)).random(10_000),
                         [0.0, 1.0 - 2.0 ** -53, 1.0, 0.5, 2.0 ** -53], tiny])
     for xi, Fi, ei in zip(x.tolist(), m.F(x).tolist(), models._beta_like_err(x, b, c).tolist()):
         X = Fraction(xi)
@@ -574,7 +580,7 @@ def test_beta_like_inverse_keeps_the_bisection_bits_on_any_input(b, data):
 def test_beta_like_inverse_bits_do_not_depend_on_the_guess(guess, monkeypatch):
     # the guess only picks the start cell; the certificate carries the bits
     F = _BETA_F
-    u = np.concatenate([_generator(3).random(2000), [float(F(0.3)), float(F(0.5))], EDGES])
+    u = np.concatenate([philox(3).random(2000), [float(F(0.3)), float(F(0.5))], EDGES])
     want = _where_bisect(F, 0.0, 1.0, u)
     monkeypatch.setattr(models, "_beta_like_guess", lambda u, b, c: np.full(np.shape(u), guess))
     m = make_model("beta-like", (2.0,), 0.9)
@@ -588,7 +594,7 @@ def test_inverse_cdf_maps_nan_to_nan(name, params):
     m = make_model(name, params)
     assert math.isnan(m.Finv(NAN))
     assert math.isnan(m.Finv(np.array(NAN)))
-    u = _generator(9).random(500)
+    u = philox(9).random(500)
     want = m.Finv(u)
     holes = [0, 7, 250, 499]
     u[holes] = NAN
