@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import PiecewisePoly, _difference_extrema, _distinct, curve_sub, extrema, sup_norm
+from .curves import PiecewisePoly, _difference_extrema, _distinct, curve_sub, sup_norm
 from .empirical import EmpiricalData, ecdf_curve, integrated_ecdf, integrated_ecdf_curve
 
 __all__ = [
@@ -373,9 +373,9 @@ def characterization_report(lse: ConvexLse, data: EmpiricalData) -> Characteriza
     """The fit's exact characterization certificate; kept for acceptance gate #4."""
     xn = float(data.x[-1])
     hi = max(3.0 * xn, 1.3 * float(lse.kinks[-1]))
-    gap = curve_sub(lse.integrated_cdf_curve(), integrated_ecdf_curve(data))
-    body = extrema(gap, 0.0, xn)
-    tail = extrema(gap, xn, hi)
+    H, yn = lse.integrated_cdf_curve(), integrated_ecdf_curve(data)
+    body = _difference_extrema(H, yn, 0.0, xn)
+    tail = _difference_extrema(H, yn, xn, hi)
     at_kinks = lse._integrated_cdf_sorted(lse.kinks, _powers(lse.kinks)) - np.asarray(
         integrated_ecdf(data, lse.kinks), dtype=float
     )

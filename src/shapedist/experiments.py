@@ -187,8 +187,7 @@ def _replicate(task):
     sup_f = sup_h = None
     if config.target == "monotone":
         if distances:
-            sup_f = float(sup_norm(lcm(data).as_curve(), ecdf_curve(data),
-                                   (0.0, float(data.x[-1]))))
+            sup_f = float(sup_norm(lcm(data), ecdf_curve(data), (0.0, float(data.x[-1]))))
         event = concavity_event
     else:
         if distances:

@@ -3,15 +3,16 @@
 The distribution estimator is the least concave majorant (LCM) of the ECDF on
 ``[0, X_(n)]``, the exact upper hull of the ECDF corners, found with numpy
 filters and one exact hull pass; the density estimator is its left
-derivative.  This module also carries the piecewise-linear interpolation
-objects used to study how the estimator tracks the ECDF: the broken line
-through equal-mass knots, the concavity event of its slopes, and the
+derivative.  Every broken line here, the LCM included, is a degree-1
+:class:`~shapedist.curves.PiecewisePoly` whose pieces start exactly at its
+vertices, so every distance reads it as it stands.  This module also
+carries the checks of how the estimator tracks the ECDF: the chord
+interpolant at equal-mass knots, the concavity event of its slopes, and the
 exponential tail bound for that event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -22,7 +23,6 @@ from .empirical import EmpiricalData, ecdf, ecdf_curve
 from .models import AnalyticModel, KnotMesh, _extreme
 
 __all__ = [
-    "PiecewiseLinear",
     "concave_majorant_points",
     "lcm",
     "grenander_density",
@@ -34,53 +34,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function through ``(x_i, y_i)``."""
+def _checked_vertices(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices as float arrays: 1-d, matching, >= 2, abscissae finite and increasing."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise ValueError("need matching 1-d vertex arrays with >= 2 points")
+    _check_breakpoints(x, "vertex abscissae")
+    return x, y
 
-    x: np.ndarray
-    y: np.ndarray
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
-            raise ValueError("need matching 1-d vertex arrays with >= 2 points")
-        _check_breakpoints(x, "vertex abscissae")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __call__(self, t):
-        return np.interp(t, self.x, self.y)
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.y) / np.diff(self.x)
-
-    def left_slope(self, t):
-        """Slope of the segment ending at (or containing) ``t``.
-
-        Kept as the evaluator of :func:`grenander_density`.
-        """
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="left") - 1, 0, len(self.x) - 2)
-        out = self.slopes[i]
-        return out if out.ndim else float(out)
-
-    def as_curve(self) -> PiecewisePoly:
-        """The same function as a :class:`PiecewisePoly`.
-
-        Past the outer vertices the curve holds the end values, as
-        ``__call__`` does: its last piece, constant ``y[-1]`` from ``x[-1]``,
-        runs on to the right.  Its first piece runs on to the left, so
-        holding ``y[0]`` there takes a constant piece that starts left of
-        ``x[0]``.
-        """
-        x, y = self.x, self.y
-        c = np.zeros((len(x) + 1, 4))
-        c[:, 0] = np.concatenate([y[:1], y])
-        c[1:-1, 1] = self.slopes
-        return PiecewisePoly(np.concatenate([[x[0] - max(1.0, abs(x[0]))], x]), c)
+def _polyline(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
+    """The broken line through the vertices ``(x_i, y_i)``, its pieces starting
+    exactly at them: piece ``i`` is ``y_i`` plus the chord slope to the next
+    vertex, and the last holds ``y[-1]`` on to the right."""
+    c = np.zeros((len(x), 4))
+    c[:, 0] = y
+    c[:-1, 1] = np.diff(y) / np.diff(x)
+    return PiecewisePoly(x, c)
 
 
 #: Shewchuk's orient2d error bound coefficient, ``(3 + 16 eps) eps``.
@@ -190,8 +161,9 @@ def _under_no_chord(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.flatnonzero(y >= floor)
 
 
-def concave_majorant_points(x, y) -> PiecewiseLinear:
-    """Upper concave hull of the points ``(x_i, y_i)`` as a piecewise line.
+def concave_majorant_points(x, y) -> PiecewisePoly:
+    """Upper concave hull of the points ``(x_i, y_i)``, x strictly increasing,
+    as the broken line through the hull vertices.
 
     The hull is exact for the points as given: every kept vertex lies
     strictly above the chord of its neighbours.  Slopes computed in floats
@@ -201,13 +173,12 @@ def concave_majorant_points(x, y) -> PiecewiseLinear:
     public as the tests' oracle for :func:`lcm`: the same hull pass over
     every point, with no filter.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _checked_vertices(x, y)
     hull = _upper_hull(x.tolist(), y.tolist())
-    return PiecewiseLinear(x[hull], y[hull])
+    return _polyline(x[hull], y[hull])
 
 
-def lcm(data: EmpiricalData) -> PiecewiseLinear:
+def lcm(data: EmpiricalData) -> PiecewisePoly:
     """Least concave majorant of the ECDF on ``[0, X_(n)]``.
 
     The exact upper hull of ``(0, 0)`` and every upper corner point
@@ -220,7 +191,8 @@ def lcm(data: EmpiricalData) -> PiecewiseLinear:
     then the orient2d rounds of :func:`_hull_indices`); no such corner is a
     hull vertex, however many are dropped together, so the pass over the
     rest finds the hull over all of them.  Vertex heights are the corners'
-    own ``i/n``.
+    own ``i/n``.  Returned as the broken line through the vertices, the first
+    at ``0``; past ``X_(n)`` it holds ``1``.
     """
     x, y = data.corners
     if x[0] > 0.0:
@@ -231,26 +203,28 @@ def lcm(data: EmpiricalData) -> PiecewiseLinear:
         keep = _under_no_chord(x, y)
         x, y = x[keep], y[keep]
     hull = _hull_indices(x, np.rint(y * data.n))  # exactly the counts, since y = counts / n
-    return PiecewiseLinear(x[hull], y[hull])
+    return _polyline(x[hull], y[hull])
 
 
-def grenander_density(majorant: PiecewiseLinear, t):
+def grenander_density(majorant: PiecewisePoly, t):
     """Monotone density estimate: left derivative of the concave majorant.
 
-    Defined for ``t`` in ``(0, X_(n)]``.  Kept as the paper's density
-    estimator (the Grenander estimator), as in the README quick start.
+    Defined for ``t`` in ``(0, X_(n)]``, NaN refused: the slope of the piece
+    ending at, or containing, ``t``.  Kept as the paper's density estimator
+    (the Grenander estimator), as in the README quick start.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= majorant.x[0]) or np.any(t > majorant.x[-1]):
+    if not np.all((t > majorant.x[0]) & (t <= majorant.x[-1])):
         raise ValueError("density is defined on (0, X_(n)] only")
-    return majorant.left_slope(t)
+    out = majorant.c[majorant._piece_index(t, "left"), 1]
+    return out if out.ndim else float(out)
 
 
-def broken_line(g, knots) -> PiecewiseLinear:
-    """Chord interpolant of ``g`` at the given knots (g evaluated pointwise)."""
+def broken_line(g, knots) -> PiecewisePoly:
+    """Chord interpolant of ``g`` at the given knots (g evaluated pointwise),
+    as the broken line through the points ``(knots, g(knots))``."""
     knots = np.asarray(knots, dtype=float)
-    vals = np.asarray(g(knots), dtype=float)
-    return PiecewiseLinear(knots, vals)
+    return _polyline(*_checked_vertices(knots, g(knots)))
 
 
 def broken_line_error_report(model: AnalyticModel, mesh: KnotMesh) -> dict:
@@ -262,7 +236,7 @@ def broken_line_error_report(model: AnalyticModel, mesh: KnotMesh) -> dict:
     """
     knots = mesh.knots
     lo, hi = float(knots[0]), float(knots[-1])
-    lhs = sup_norm(broken_line(model.F, knots).as_curve(), model.F_curve(), (lo, hi))
+    lhs = sup_norm(broken_line(model.F, knots), model.F_curve(), (lo, hi))
     sup_fp = _extreme(lambda t: np.abs(model.fprime(t)), lo, hi, "sup")
     return _check(f"chord-error-vs-curvature[k={mesh.k}]", lhs, mesh.mesh**2 * sup_fp / 8.0)
 
@@ -288,12 +262,13 @@ def kw_tail_bound(n: int, k: int, beta1: float) -> float:
     return 2.0 * k * math.exp(-n * beta1**2 / (80.0 * k**3))
 
 
-def marshall_check(majorant: PiecewiseLinear, data: EmpiricalData, h, interval) -> tuple[float, float]:
+def marshall_check(majorant: PiecewisePoly, data: EmpiricalData, h, interval) -> tuple[float, float]:
     """Distances for the majorant stability inequality against a concave ``h``.
 
-    Returns ``(sup |LCM - h|, sup |F_n - h|)`` over ``interval``; for concave
-    ``h`` the first never exceeds the second.  Kept for acceptance gate #3.
+    ``majorant`` is the curve :func:`lcm` returns.  Returns
+    ``(sup |LCM - h|, sup |F_n - h|)`` over ``interval``; for concave ``h``
+    the first never exceeds the second.  Kept for acceptance gate #3.
     """
-    lhs = sup_norm(majorant.as_curve(), h, interval)
+    lhs = sup_norm(majorant, h, interval)
     rhs = sup_norm(ecdf_curve(data), h, interval)
     return lhs, rhs

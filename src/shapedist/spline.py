@@ -25,9 +25,8 @@ from .curves import (
     _check,
     _check_breakpoints,
     as_curve,
-    curve_sub,
-    extrema,
     modulus,
+    sup_norm,
 )
 from .empirical import EmpiricalData
 from .models import AnalyticModel, KnotMesh, _extreme
@@ -185,11 +184,10 @@ def interp_error_report(g, mesh: KnotMesh) -> list[dict]:
     vals = np.asarray(g(a), dtype=float)
     gprime = g.derivative()
     spline = complete_spline(a, vals, float(gprime(lo)), float(gprime(hi)))
-    err = curve_sub(g, spline.as_curve())
-    err_d = curve_sub(gprime, spline.as_curve().derivative())
+    curve = spline.as_curve()
     osc = modulus(gprime, mesh.mesh, (lo, hi))
-    lhs_d = extrema(err_d, lo, hi).sup_abs
-    lhs = extrema(err, lo, hi).sup_abs
+    lhs_d = sup_norm(gprime, curve.derivative(), (lo, hi))
+    lhs = sup_norm(g, curve, (lo, hi))
     return [
         _check("spline-deriv-error-vs-oscillation", lhs_d, 19.0 / 4.0 * osc),
         _check("spline-error-vs-oscillation", lhs, 19.0 / 8.0 * mesh.mesh * osc),
@@ -210,8 +208,9 @@ def smooth_interp_error_bounds(model: AnalyticModel, mesh: KnotMesh) -> list[dic
     lo, hi = float(a[0]), float(a[-1])
     spline = interp_integrated_cdf(model, mesh)
     m4 = _extreme(lambda t: np.abs(model.fsecond(t)), lo, hi, "sup")
-    lhs = extrema(curve_sub(spline.as_curve(), model.Fint_curve()), lo, hi).sup_abs
-    lhs_d = extrema(curve_sub(spline.as_curve().derivative(), model.F_curve()), lo, hi).sup_abs
+    curve = spline.as_curve()
+    lhs = sup_norm(curve, model.Fint_curve(), (lo, hi))
+    lhs_d = sup_norm(curve.derivative(), model.F_curve(), (lo, hi))
     osc = modulus(model.F_curve(), mesh.mesh, (lo, hi))
     return [
         _check(f"spline-error-vs-fourth-derivative[k={mesh.k}]", lhs, 5.0 / 384.0 * mesh.mesh**4 * m4),

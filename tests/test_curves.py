@@ -30,9 +30,9 @@ from shapedist.curves import (
     sup_norm,
 )
 from shapedist.convexlse import fit_lse
-from shapedist.empirical import EmpiricalData, ecdf_curve, integrated_ecdf_curve, sample, seed_for
+from shapedist.empirical import EmpiricalData, ecdf, ecdf_curve, integrated_ecdf_curve, sample, seed_for
 from shapedist.models import knot_mesh_convex, make_model
-from shapedist.monotone import broken_line, lcm, marshall_check
+from shapedist.monotone import broken_line, concave_majorant_points, lcm, marshall_check
 from shapedist.spline import complete_spline, interp_integrated_cdf, interp_integrated_ecdf
 
 MODEL = make_model("truncated-exponential", (1.0,))  # tau = log 4
@@ -60,7 +60,7 @@ def linear_minus_cdf(seed):
 def lcm_minus_ecdf(seed):
     """Lines minus steps, no smooth part: the LCM of a sample minus its ECDF."""
     data = sample(MODEL, 40, seed_for(seed, 40, 0))
-    return curve_sub(lcm(data).as_curve(), ecdf_curve(data))
+    return curve_sub(lcm(data), ecdf_curve(data))
 
 
 def ecdf_minus_cdf(seed):
@@ -199,6 +199,30 @@ def test_piecewise_poly_rejects_bad_breakpoints():
         PiecewisePoly(np.array([]), np.zeros((0, 4)))
 
 
+def assert_broken_line(curve, x, y):
+    """``curve`` is the broken line through the vertices ``(x_i, y_i)``, given
+    by its piece starts alone: they are exactly ``x``, with no start made up
+    left of ``x[0]``; the slopes are ``np.diff(y) / np.diff(x)`` bit for bit;
+    and the last piece holds ``y[-1]`` on to the right of ``x[-1]``."""
+    assert np.array_equal(curve.x, x)
+    c = np.zeros((len(x), 4))
+    c[:, 0] = y
+    c[:-1, 1] = np.diff(y) / np.diff(x)
+    assert curve.c.tobytes() == c.tobytes()
+    past = x[-1] + np.array([0.0, 0.5, 1.0, 1e6]) * max(1.0, abs(x[-1]))
+    assert np.all(curve(past) == y[-1])
+
+
+def lcm_vertices(data):
+    """The hull vertices of the origin and the ECDF corners, exact in the
+    counts, with the corners' own heights: what ``lcm`` must start its pieces at."""
+    xs, ys = data.corners
+    if xs[0] > 0.0:
+        xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
+    x = concave_majorant_points(xs, np.rint(ys * data.n)).x
+    return x, ys[np.searchsorted(xs, x)]
+
+
 def test_curves_are_given_by_their_piece_starts():
     # no constructor makes up a breakpoint to close a curve
     for shift in (0.0, 0.25):  # X_(1) = 0, then X_(1) > 0
@@ -206,13 +230,20 @@ def test_curves_are_given_by_their_piece_starts():
         starts = d.corners[0] if shift == 0.0 else np.concatenate([[0.0], d.corners[0]])
         assert np.array_equal(ecdf_curve(d).x, starts)
         assert np.array_equal(integrated_ecdf_curve(d).x, starts)
+        # the LCM's first vertex is X_(1) = 0, then the origin (the corner
+        # at 0.25 is collinear with it and 0.75 in the counts)
+        x = np.array([0.0, 0.5 + shift, 2.0 + shift])
+        assert_broken_line(lcm(d), x, ecdf(d, x))
     data = sample(MODEL, 200, seed_for(2, 200, 0))
     fit = fit_lse(data)
     for curve in (fit.density_curve(), fit.cdf_curve(), fit.integrated_cdf_curve()):
         assert np.array_equal(curve.x, np.concatenate([[0.0], fit.kinks]))
-    majorant = lcm(data)
-    assert np.array_equal(majorant.as_curve().x[1:], majorant.x)
+    assert_broken_line(lcm(data), *lcm_vertices(data))
+    # the vertices are points as given; one below the hull drops out
+    assert_broken_line(concave_majorant_points([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 1.0, 3.0, 3.0]),
+                       np.array([0.0, 1.0, 3.0, 4.0]), np.array([0.0, 2.0, 3.0, 3.0]))
     knots = np.array([0.0, 0.3, 0.5, 1.0])
+    assert_broken_line(broken_line(MODEL.F, knots), knots, MODEL.F(knots))
     spline = complete_spline(knots, np.array([0.0, 1.0, -1.0, 2.0]), 0.5, -0.5)
     assert np.array_equal(spline.as_curve().x, knots[:-1])
 
@@ -400,8 +431,8 @@ def test_sum_past_one_operands_breakpoints_continues_that_operand():
 
 
 def test_marshall_lhs_is_the_sup_distance_of_the_lcm_itself():
-    # the LCM holds 1 past X_(n), as PiecewiseLinear.__call__ does; a curve
-    # continuing the last slope there overstated this replicate's lhs (0.01814)
+    # the LCM holds 1 past X_(n); a curve continuing the last slope there
+    # overstated this replicate's lhs (0.01814)
     model = make_model("truncated-exponential", (1.0, 1.0))
     data = sample(model, 200, seed_for(9001, 200, 211))
     majorant = lcm(data)
@@ -410,9 +441,7 @@ def test_marshall_lhs_is_the_sup_distance_of_the_lcm_itself():
     t = np.linspace(0.0, 1.0, 200001)
     dense = np.max(np.abs(majorant(t) - model.F(t)))
     assert dense <= lhs <= dense + 1e-5
-    curve = majorant.as_curve()
-    t = np.linspace(-2.0, 3.0, 5001)
-    np.testing.assert_allclose(curve(t), majorant(t), rtol=0.0, atol=1e-15)
+    assert_broken_line(majorant, *lcm_vertices(data))
 
 
 @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
@@ -687,7 +716,7 @@ def test_difference_extrema_pin_the_merged_engine_at_catalog_sizes(name, params)
 
     for n in (1, 2, 512, 4096, 2 ** 16):
         data = sample(model, n, seed_for(8, n, 0))
-        pin(lcm(data).as_curve(), ecdf_curve(data), float(data.x[-1]))
+        pin(lcm(data), ecdf_curve(data), float(data.x[-1]))
     for n in (50, 512, 8192):
         data = sample(model, n, seed_for(8, n, 0))
         F, Fn = fit_lse(data).cdf_curve(), ecdf_curve(data)
@@ -713,7 +742,7 @@ def test_rate_distances_build_no_merged_curve(monkeypatch):
     # take them, never merge the n piece starts of the ECDF into a new curve
     model = make_model("truncated-exponential", (1.0,))
     data = sample(model, 512, seed_for(9, 512, 0))
-    majorant, fit = lcm(data).as_curve(), fit_lse(data)
+    majorant, fit = lcm(data), fit_lse(data)
 
     def no_merge(*args):
         raise AssertionError("a rate distance merged two curves")
@@ -834,7 +863,7 @@ def test_sup_norm_is_within_its_error_contract_of_the_exact_sup(name, params, n)
         data = sample(model, n, seed_for(5, n, rep))
         fit = fit_lse(data)
         for key, curve, empirical, interval in (
-                ("monotone", lcm(data).as_curve(), ecdf_curve(data), (0.0, float(data.x[-1]))),
+                ("monotone", lcm(data), ecdf_curve(data), (0.0, float(data.x[-1]))),
                 ("convex", fit.cdf_curve(), ecdf_curve(data), (0.0, model.tau)),
                 ("integrated", fit.integrated_cdf_curve(), integrated_ecdf_curve(data),
                  (0.0, model.tau))):
@@ -851,7 +880,7 @@ def test_sup_norm_of_lcm_and_ecdf_peak_memory():
     # full n x 4 arrays at 25.1 n.
     n = 2 ** 16
     data = sample(MODEL, n, seed_for(3, n, 0))
-    a, b = lcm(data).as_curve(), ecdf_curve(data)
+    a, b = lcm(data), ecdf_curve(data)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -892,7 +921,7 @@ def test_hybrid_extrema_match_the_column_major_ranker(name, params, k):
     data = sample(model, 10 * k, seed_for(6, k, 0))
     lo, hi = float(mesh.knots[0]), float(mesh.knots[-1])
     for g, h in ((spline, model.Fint_curve()), (spline.derivative(), model.F_curve()),
-                 (broken_line(model.F, mesh.knots).as_curve(), model.F_curve()),
+                 (broken_line(model.F, mesh.knots), model.F_curve()),
                  (ecdf_curve(data), model.F_curve())):
         cs = curve_sub(g, h)
         got = _hybrid_extrema(cs.poly, cs.smooth, lo, hi)

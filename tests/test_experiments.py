@@ -153,20 +153,22 @@ def _benchmark_workloads():
 
 
 @pytest.mark.parametrize("base_seed", [1, 6])
-def test_convex_rate_keeps_the_benchmark_reference_bytes(tmp_path, base_seed):
-    """The benchmark's convex-rate call (n = 512..8192, 20 replicates) writes
-    the bytes recorded in ``perfbench/reference.json``, which this test only
-    reads.  Base seed 6 is the one whose bytes a one-ulp change in where
+@pytest.mark.parametrize("workload, driver", [("convex-rate", run_convex_rate),
+                                              ("monotone-rate", run_monotone_rate)])
+def test_rate_workloads_keep_the_benchmark_reference_bytes(tmp_path, workload, driver, base_seed):
+    """The benchmark's convex-rate call (n = 512..8192, 20 replicates) and
+    monotone-rate call (n = 512..32768, 10 replicates) write the bytes
+    recorded in ``perfbench/reference.json``, which this test only reads.
+    Base seed 6 is the one whose convex-rate bytes a one-ulp change in where
     ``_window`` places the window's end moves (see ``CHANGES.md``).  Like the
     other byte pins, the digests hold only under the numpy SIMD dispatch and
     OpenBLAS kernels they were recorded with (AVX-512 on x86-64); a
     re-recorded reference carries this test along with it.
     """
     bench = _benchmark_workloads()
-    config = bench.make_config(experiments, "convex-rate", base_seed, 1, str(tmp_path))
-    run_convex_rate(config)
-    got = bench.digests("convex-rate", str(tmp_path))
-    assert bench.digest_mismatches("convex-rate", base_seed, got, bench.load_reference()) == []
+    driver(bench.make_config(experiments, workload, base_seed, 1, str(tmp_path)))
+    got = bench.digests(workload, str(tmp_path))
+    assert bench.digest_mismatches(workload, base_seed, got, bench.load_reference()) == []
 
 
 @pytest.mark.parametrize("driver, target", [(run_monotone_rate, "monotone"),

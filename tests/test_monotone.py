@@ -11,7 +11,6 @@ from shapedist.curves import sup_norm
 from shapedist.empirical import EmpiricalData, ecdf, ecdf_curve, sample, seed_for
 from shapedist.models import constants, knot_mesh_monotone, make_model
 from shapedist.monotone import (
-    PiecewiseLinear,
     broken_line,
     broken_line_error_report,
     concave_majorant_points,
@@ -39,8 +38,8 @@ def test_two_point_hull():
     d = EmpiricalData(np.array([1.0, 3.0]))
     h = lcm(d)
     np.testing.assert_allclose(h.x, [0.0, 1.0, 3.0])
-    np.testing.assert_allclose(h.y, [0.0, 0.5, 1.0])
-    assert math.isclose(h.as_curve()(2.0), 0.75)
+    np.testing.assert_allclose(h.c[:, 0], [0.0, 0.5, 1.0])
+    assert math.isclose(h(2.0), 0.75)
     assert math.isclose(grenander_density(h, 0.5), 0.5)
     assert math.isclose(grenander_density(h, 2.0), 0.25)
 
@@ -50,7 +49,7 @@ def test_lcm_matches_chord_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     d = EmpiricalData(rng.exponential(size=n))
-    curve = lcm(d).as_curve()
+    curve = lcm(d)
     for t in np.linspace(0.0, float(d.x[-1]), 60):
         assert math.isclose(curve(t), hull_oracle(d, t), abs_tol=1e-12)
 
@@ -70,7 +69,7 @@ def test_lcm_vertices_equal_python_hull(n):
         d = sample(make_model(name, params), n, seed_for(31, n, 0))
         h, want = lcm(d), corner_hull(d)
         np.testing.assert_array_equal(h.x, want.x)
-        np.testing.assert_array_equal(h.y, want.y)
+        np.testing.assert_array_equal(h.c[:, 0], want.c[:, 0])
 
 
 def test_lcm_ties_match_python_hull():
@@ -88,7 +87,7 @@ def test_lcm_ties_match_python_hull():
         h, want = lcm(d), corner_hull(d)
         t = np.linspace(0.0, float(d.x[-1]), 500)
         np.testing.assert_allclose(h(t), want(t), rtol=0, atol=1e-12)
-        assert np.all(np.diff(h.slopes) < 0.0)
+        assert np.all(np.diff(h.c[:-1, 1]) < 0.0)
 
 
 def test_lcm_collinear_witness():
@@ -97,7 +96,7 @@ def test_lcm_collinear_witness():
     d = EmpiricalData(np.array([8, 0, 9, 4, 6, 7, 11, 8, 1, 4, 4, 11], dtype=float))
     h = lcm(d)
     np.testing.assert_array_equal(h.x, [0.0, 11.0])
-    assert np.all(np.diff(h.slopes) < 0.0)
+    assert np.all(np.diff(h.c[:-1, 1]) < 0.0)
 
 
 #: n = 130 lattice sample whose PAVA blocks end at x = 0, 1, 3, 11, with the
@@ -111,8 +110,8 @@ def test_lcm_drops_a_vertex_collinear_in_the_counts():
     d = EmpiricalData(LATTICE_WITNESS.astype(float))
     h = lcm(d)
     np.testing.assert_array_equal(h.x, [0.0, 1.0, 11.0])
-    np.testing.assert_array_equal(h.y, ecdf(d, h.x))  # the corners' own heights
-    assert np.all(np.diff(h.slopes) < 0.0)
+    np.testing.assert_array_equal(h.c[:, 0], ecdf(d, h.x))  # the corners' own heights
+    assert np.all(np.diff(h.c[:-1, 1]) < 0.0)
 
 
 #: scaled lattice sample whose corner at x = 15.398548815531534 lies strictly
@@ -165,19 +164,19 @@ def test_lcm_properties(ints, scale, reps):
     h = lcm(d)
     want_x, want_y = lcm_oracle(d)
     np.testing.assert_array_equal(h.x, want_x)
-    np.testing.assert_array_equal(h.y, want_y)
+    np.testing.assert_array_equal(h.c[:, 0], want_y)
     xs, ys = d.corners
     tol = 1e-12
     assert np.all(h(xs) >= ys - tol)                       # majorant at every corner
-    np.testing.assert_allclose(h.y, ecdf(d, h.x), rtol=0, atol=tol)  # touches at vertices
-    # strictly concave in the counts, exactly: the rounded slopes h.slopes may
+    np.testing.assert_allclose(h.c[:, 0], ecdf(d, h.x), rtol=0, atol=tol)  # touches at vertices
+    # strictly concave in the counts, exactly: the rounded slopes h.c[:-1, 1] may
     # tie or turn, as at PAVA_WITNESS's vertex x = 15.398548815531534
     px = [Fraction(v) for v in h.x]
-    py = [Fraction(int(c)) for c in np.rint(h.y * d.n)]
+    py = [Fraction(int(c)) for c in np.rint(h.c[:, 0] * d.n)]
     slopes = [(py[i + 1] - py[i]) / (px[i + 1] - px[i]) for i in range(len(px) - 1)]
     assert all(s > t for s, t in zip(slopes, slopes[1:]))
     assert h.x[0] == 0.0 and h.x[-1] == d.x[-1]
-    assert math.isclose(h.y[-1], 1.0, rel_tol=0, abs_tol=tol)  # unit mass
+    assert math.isclose(h.c[-1, 0], 1.0, rel_tol=0, abs_tol=tol)  # unit mass
 
 
 def test_lcm_equals_the_exact_hull_on_long_scaled_lattices():
@@ -193,7 +192,7 @@ def test_lcm_equals_the_exact_hull_on_long_scaled_lattices():
             want_x, want_y = lcm_oracle(d)
             h = lcm(d)
             np.testing.assert_array_equal(h.x, want_x)
-            np.testing.assert_array_equal(h.y, want_y)
+            np.testing.assert_array_equal(h.c[:, 0], want_y)
 
 
 def exact_hull_x(x, y):
@@ -226,14 +225,38 @@ def test_lcm_rejects_bad_samples():
     with pytest.raises(ValueError, match="positive observation"):
         lcm(EmpiricalData(np.array([0.0])))
     with pytest.raises(ValueError, match="strictly increasing"):
-        PiecewiseLinear(np.array([0.0, np.nan, 1.0]), np.zeros(3))
+        broken_line(np.zeros_like, np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        concave_majorant_points(np.array([0.0, np.nan, 1.0]), np.zeros(3))
 
 
-def test_piecewise_linear_refuses_non_finite_abscissae():
-    # refused where the vertices enter, not later by as_curve()
+#: the two entry points of vertices given by the caller, as ``(x, y)``
+VERTEX_ENTRIES = {
+    "broken_line": lambda x, y: broken_line(lambda t: y, x),
+    "concave_majorant_points": concave_majorant_points,
+}
+
+
+@pytest.mark.parametrize("entry", VERTEX_ENTRIES)
+def test_broken_lines_refuse_non_finite_abscissae(entry):
+    # refused where the vertices enter, not later by a distance
     for x in ([0.0, np.inf], [-np.inf, 0.0, 1.0]):
         with pytest.raises(ValueError, match="vertex abscissae must be finite"):
-            PiecewiseLinear(np.array(x), np.zeros(len(x)))
+            VERTEX_ENTRIES[entry](np.array(x), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize("entry", VERTEX_ENTRIES)
+def test_broken_lines_refuse_bad_vertex_arrays(entry):
+    make = VERTEX_ENTRIES[entry]
+    for x, y in ((np.zeros((2, 2)), np.zeros((2, 2))),  # not 1-d
+                 (np.array([0.0, 1.0, 2.0]), np.zeros(2)),  # shapes differ
+                 (np.array([0.0]), np.zeros(1)),  # fewer than 2 points
+                 (np.array([]), np.zeros(0))):
+        with pytest.raises(ValueError, match="matching 1-d vertex arrays with >= 2 points"):
+            make(x, y)
+    for x in ([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 0.0]):  # not strictly increasing
+        with pytest.raises(ValueError, match="vertex abscissae must be finite and strictly increasing"):
+            make(np.array(x), np.zeros(len(x)))
 
 
 def test_lcm_dominates_and_touches():
@@ -241,31 +264,55 @@ def test_lcm_dominates_and_touches():
     h = lcm(d)
     # dominates the ECDF everywhere, matches it at every hull vertex
     t = np.linspace(0.0, float(d.x[-1]), 1000)
-    assert np.all(np.asarray(h.as_curve()(t)) >= np.asarray(ecdf(d, t)) - 1e-12)
-    np.testing.assert_allclose(h.y, ecdf(d, h.x), atol=1e-12)
+    assert np.all(np.asarray(h(t)) >= np.asarray(ecdf(d, t)) - 1e-12)
+    np.testing.assert_allclose(h.c[:, 0], ecdf(d, h.x), atol=1e-12)
     # concavity: hull slopes strictly ordered
-    slopes = np.diff(h.y) / np.diff(h.x)
+    slopes = np.diff(h.c[:, 0]) / np.diff(h.x)
     assert np.all(np.diff(slopes) <= 1e-12)
 
 
 def test_lcm_idempotent():
     d = sample(make_model("beta-like", (2.0,)), 64, seed=5)
     h = lcm(d)
-    again = concave_majorant_points(h.x, h.y)
+    again = concave_majorant_points(h.x, h.c[:, 0])
     np.testing.assert_array_equal(again.x, h.x)
-    np.testing.assert_array_equal(again.y, h.y)
+    np.testing.assert_array_equal(again.c, h.c)
 
 
 def test_grenander_density_integrates_to_one():
     d = sample(make_model("truncated-exponential", (1.0, 1.0)), 333, seed=8)
     h = lcm(d)
     widths = np.diff(h.x)
-    slopes = np.diff(h.y) / widths
+    slopes = np.diff(h.c[:, 0]) / widths
     assert math.isclose(float(np.sum(slopes * widths)), 1.0, rel_tol=1e-12)
     # nonincreasing step density
     mid = 0.5 * (h.x[:-1] + h.x[1:])
     dens = np.asarray(grenander_density(h, mid))
     assert np.all(np.diff(dens) <= 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grenander_density_is_the_chord_slope_bit_for_bit(seed):
+    # the left derivative at every vertex is the slope of the chord ending
+    # there, and inside a chord its slope: np.diff(y) / np.diff(x) exactly
+    samples = [sample(make_model("truncated-exponential", (1.0, 1.0)), 200, seed_for(seed, 200, 0)),
+               sample(make_model("beta-like", (2.0,)), 1000, seed_for(seed, 1000, 0)),
+               EmpiricalData(LATTICE_WITNESS.astype(float) * (seed + 0.37)),
+               EmpiricalData(np.array([0.0, 0.0, 1.0, 3.0]) + seed)]
+    for d in samples:
+        h = lcm(d)
+        x, y = h.x, h.c[:, 0]
+        slopes = np.diff(y) / np.diff(x)
+        assert np.asarray(grenander_density(h, x[1:])).tobytes() == slopes.tobytes()
+        mid = 0.5 * (x[:-1] + x[1:])
+        assert np.asarray(grenander_density(h, mid)).tobytes() == slopes.tobytes()
+        for i, t in enumerate(x[1:]):
+            got = grenander_density(h, float(t))
+            assert type(got) is float and got == slopes[i]
+        past = np.nextafter(x[-1], np.inf)
+        for bad in (0.0, -1.0, past, np.inf, np.nan, [x[1], past], [0.0, x[-1]]):
+            with pytest.raises(ValueError, match=r"defined on \(0, X_\(n\)\] only"):
+                grenander_density(h, bad)
 
 
 def test_marshall_inequality_many_replicates():
@@ -282,9 +329,8 @@ def test_broken_line_interpolates():
     m = make_model("truncated-exponential", (1.0,))
     knots = np.array([0.0, 0.3, 1.0, m.tau])
     bl = broken_line(m.F, knots)
-    np.testing.assert_allclose(bl.y, m.F(knots), atol=1e-14)
-    c = bl.as_curve()
-    assert math.isclose(c(0.65), 0.5 * (m.F(0.3) + m.F(1.0)), rel_tol=1e-12)
+    np.testing.assert_allclose(bl.c[:, 0], m.F(knots), atol=1e-14)
+    assert math.isclose(bl(0.65), 0.5 * (m.F(0.3) + m.F(1.0)), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("k", [5, 20, 80])
